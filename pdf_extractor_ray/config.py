@@ -101,15 +101,6 @@ class PipelineConfig:
     batch_size: int = 32                 # rows per extraction batch (docs are multi-KB..MB blobs)
     concurrency: int = 8                 # extraction actor-pool size
     num_cpus_per_actor: float = 1.0
-    # two-tier blob routing (pipelines/extract.split_by_blob_size):
-    # rows with payloads >= big_blob_bytes run in a separate branch
-    # with batch_size = big_blob_batch_size so one multi-MB document
-    # never holds a full batch of siblings hostage. DEFAULT OFF (0):
-    # the split re-scans the pruned input per branch — measured 2x
-    # wall on a corpus with no big blobs — so enable it only when the
-    # corpus actually carries multi-MB payloads.
-    big_blob_bytes: int = 0
-    big_blob_batch_size: int = 2
     # intra-document page checkpointing (reference
     # large_doc_extractor.py:147-199): PDF payloads at least this many
     # bytes journal each page's result to a per-doc sidecar under

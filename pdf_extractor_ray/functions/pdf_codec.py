@@ -1,9 +1,8 @@
 """Minimal genuine-PDF writer + tokenizer over the word/line/rect domain.
 
-Round 2's verdict left the real-PDF branch (the reference's flagship
-input, reference extractor.py:101 ``pdfplumber.open``) import-gated and
-untested because pdfplumber is absent in this container. This module
-closes that gap with PUBLIC ISO 32000-1 knowledge only:
+The reader for the reference's flagship input (genuine PDFs, reference
+extractor.py:101 ``pdfplumber.open``), built from PUBLIC ISO 32000-1
+knowledge only:
 
 - ``pages_to_pdf_bytes(pages)`` serializes the pipeline's page dicts
   ({width, height, words, lines, rects}) into a genuine ``%PDF-1.4``
@@ -69,8 +68,8 @@ ISO 32000-2 §7.6.4; AES via functions/aes_cipher.py, FIPS 197).
 Anything further — DCT/CCITT/JBIG2 filters, non-empty user passwords,
 Type3 fonts, uncarried standard-14 faces, nonzero text rise,
 vertical writing, glyph-id CID text without a
-CMap — raises ``UnsupportedPdfError`` so the caller can fall through
-to the pdfplumber gate (functions/pdf_words.py extract_pdf_bytes).
+CMap — raises ``UnsupportedPdfError``, which the extractor turns into
+an error row carrying the named construct.
 Honest about what this tokenizer is: a text+ruling-geometry reader,
 not a general PDF renderer. The object scanner is stream-aware: each
 stream's extent is sliced by its declared ``/Length`` before looking
@@ -86,9 +85,8 @@ __all__ = ["UnsupportedPdfError", "pages_to_pdf_bytes", "parse_pdf_bytes"]
 
 
 class UnsupportedPdfError(ValueError):
-    """Raised when a %PDF payload uses features outside the minimal
-    uncompressed subset this tokenizer reads (caller falls back to the
-    pdfplumber gate)."""
+    """Raised when a %PDF payload uses features outside the subset this
+    tokenizer reads; the message names the construct."""
 
 
 # Font metrics table shared by writer and parser defaults; the parser
@@ -1525,8 +1523,10 @@ def _balanced_dict(body: bytes, start: int) -> tuple[bytes, int]:
 def _parse_decodeparms(body: bytes, n_filters: int) -> list[bytes | None]:
     """Per-filter /DecodeParms entries aligned with the filter list:
     a single dict applies to a single filter; an array holds one
-    `null` or `<<..>>` per filter (§7.3.8.2). Missing => all None."""
-    m = re.search(rb"/(?:DecodeParms|DP)\s*", body)
+    `null` or `<<..>>` per filter (§7.3.8.2). Missing => all None.
+    `body` is the stream dictionary alone: stream data may hold any
+    bytes, a key-like ``/DP`` included."""
+    m = re.search(rb"/(?:DecodeParms|DP)(?![^\s()<>\[\]{}/%])\s*", body)
     if m is None:
         return [None] * n_filters
     i = m.end()
@@ -1588,17 +1588,20 @@ def _decode_stream(content_body: bytes) -> bytes | None:
     ``[/ASCII85Decode /FlateDecode]`` mail-safe transport). PNG
     /Predictor from the matching /DecodeParms entry is reversed on
     Flate/LZW output. Any other filter raises UnsupportedPdfError."""
-    fm = re.search(rb"/Filter\s*(/\w+|\[[^\]]*\])", content_body)
     raw = _stream_of(content_body)
     if raw is None:
         return None
+    # keys are read from the dictionary before `stream` only, never
+    # from the (arbitrary) stream data
+    head = content_body[: content_body.find(b"stream")]
+    fm = re.search(rb"/Filter\s*(/\w+|\[[^\]]*\])", head)
     if fm is None:
         return raw
     spec = fm.group(1)
     names = spec[1:-1].split() if spec.startswith(b"[") else [spec]
     if not names:
         return raw
-    parms = _parse_decodeparms(content_body, len(names))
+    parms = _parse_decodeparms(head, len(names))
     data = raw
     for name, dp in zip(names, parms):
         if name == b"/FlateDecode":

@@ -29,8 +29,8 @@ reference's contract (extractor.py:3-9) made explicit (SURVEY.md §7.4).
 Payload encoding (FIXTURES.md F3): fixtures carry
 ``%PDF-FIXTURE\n`` + JSON {pages: [{width, height, words: [...],
 tables: [{bbox, rows, cols, cells}]}]}. Real ``%PDF-`` binaries go
-through pdfplumber into the same dicts when the library is available
-(it is not in this container — gated behind an import-try).
+through the in-repo tokenizer (functions/pdf_codec.py) into the same
+dicts; a PDF outside its subset raises UnsupportedPdfError.
 """
 
 from __future__ import annotations
@@ -951,17 +951,16 @@ def parse_fixture_payload(payload: bytes) -> list[dict]:
     return doc["pages"]
 
 
-def pdf_payload_to_pages(payload: bytes) -> list[dict] | None:
-    """Parse any supported %PDF payload into page dicts; None means the
-    payload needs pdfplumber (outside the pdf_codec subset)."""
+def pdf_payload_to_pages(payload: bytes) -> list[dict]:
+    """Parse a %PDF payload into page dicts: ``%PDF-FIXTURE`` geometry
+    payloads as JSON, genuine binaries through the in-repo tokenizer
+    (functions/pdf_codec.py). A PDF outside the tokenizer's subset
+    raises UnsupportedPdfError naming the construct."""
     if payload.startswith(FIXTURE_MAGIC):
         return parse_fixture_payload(payload)
-    from pdf_extractor_ray.functions.pdf_codec import UnsupportedPdfError, parse_pdf_bytes
+    from pdf_extractor_ray.functions.pdf_codec import parse_pdf_bytes
 
-    try:
-        return parse_pdf_bytes(payload)
-    except UnsupportedPdfError:
-        return None
+    return parse_pdf_bytes(payload)
 
 
 def extract_pdf_pages_checkpointed(
@@ -1029,52 +1028,6 @@ def extract_pdf_pages_checkpointed(
 
 
 def extract_pdf_bytes(payload: bytes, pats: Patterns | None = None, cfg: PipelineConfig = DEFAULT_CONFIG) -> dict[str, Any]:
-    """Route a %PDF payload into the word-dict domain:
-
-    1. ``%PDF-FIXTURE`` geometry payloads parse as JSON (legacy fixture
-       encoding, kept live in the corpus);
-    2. genuine ``%PDF-1.x`` binaries go through the in-repo tokenizer
-       (functions/pdf_codec.py — Tj-subset PDFs in both classic-xref
-       and modern 1.5+ ObjStm/XRef-stream layouts, optionally Flate +
-       PNG-predicted; the reference's flagship input, reference
-       extractor.py:101);
-    3. PDFs outside that subset (exotic filters/encryption) fall
-       through to pdfplumber, import-gated since it is absent in this
-       container.
-    """
-    pages = pdf_payload_to_pages(payload)
-    if pages is not None:
-        return extract_pdf_pages(pages, pats, cfg)
-    try:
-        import io
-
-        import pdfplumber  # noqa: F401  (absent in this container)
-    except ImportError as exc:  # pragma: no cover
-        raise NotImplementedError(
-            "this PDF uses features outside the minimal uncompressed subset "
-            "(pdf_codec.py); full parsing requires pdfplumber"
-        ) from exc
-    def seg(o: dict) -> dict:  # pragma: no cover
-        return {
-            "x0": float(o["x0"]),
-            "x1": float(o["x1"]),
-            "top": float(o["top"]),
-            "bottom": float(o["bottom"]),
-        }
-
-    pages = []
-    with pdfplumber.open(io.BytesIO(payload)) as pdf:  # pragma: no cover
-        for p in pdf.pages:
-            ws = p.extract_words(extra_attrs=["fontname", "size", "height"])
-            # no `tables` hint: ruling lines + border rects feed the
-            # geometry detectors (functions/layout.py) instead
-            pages.append(
-                {
-                    "width": float(p.width),
-                    "height": float(p.height),
-                    "words": ws,
-                    "lines": [seg(ln) for ln in (p.lines or [])],
-                    "rects": [seg(r) for r in (p.rects or [])],
-                }
-            )
-    return extract_pdf_pages(pages, pats, cfg)  # pragma: no cover
+    """Extract a %PDF payload (see pdf_payload_to_pages); raises
+    UnsupportedPdfError for PDFs outside the tokenizer's subset."""
+    return extract_pdf_pages(pdf_payload_to_pages(payload), pats, cfg)

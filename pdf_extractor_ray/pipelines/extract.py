@@ -59,51 +59,20 @@ def _extract_write_task(batch, cfg: PipelineConfig, out_dir: str):
     return ew(batch)
 
 
-def split_by_blob_size(
-    ds: ray.data.Dataset, threshold_bytes: int, blob_col: str = "html"
-) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    """Two-tier routing: (small, big) branches split on payload size.
-    Multi-MB blobs go to the big branch where a TINY batch size keeps
-    one huge document from holding hundreds of siblings hostage in its
-    batch (and keeps batch x concurrency within the worker heap).
-
-    Each branch re-scans the pruned input and filters — two passes
-    over the read, which is the documented cost of branch-level batch
-    sizing in a streaming Dataset; extraction dominates the read by
-    >10x, and at warehouse scale the blob-size split would move into
-    the writer so branches read disjoint files."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def small(t: pa.Table) -> pa.Table:
-        return t.filter(pc.less(pc.binary_length(t[blob_col]), threshold_bytes))
-
-    def big(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(pc.binary_length(t[blob_col]), threshold_bytes))
-
-    return (
-        ds.map_batches(small, batch_format="pyarrow"),
-        ds.map_batches(big, batch_format="pyarrow"),
-    )
-
-
 def extraction_dataset(
     source: str | ray.data.Dataset,
     cfg: PipelineConfig = DEFAULT_CONFIG,
     num_blocks: int | None = None,
 ) -> ray.data.Dataset:
-    """Lazy Dataset of extraction results (RESULT_SCHEMA rows). Rows
-    with blobs >= cfg.big_blob_bytes run in a separate branch with
-    batch_size = cfg.big_blob_batch_size (see split_by_blob_size);
-    set big_blob_bytes=0 to disable the split."""
+    """Lazy Dataset of extraction results (RESULT_SCHEMA rows)."""
     ds = read_pages(source, num_blocks) if isinstance(source, (str, list)) else source
-    kw = dict(fn_kwargs={"cfg": cfg}, batch_format="pyarrow", num_cpus=cfg.num_cpus_per_actor)
-    if cfg.big_blob_bytes:
-        small_ds, big_ds = split_by_blob_size(ds, cfg.big_blob_bytes)
-        return small_ds.map_batches(_extract_task, batch_size=cfg.batch_size, **kw).union(
-            big_ds.map_batches(_extract_task, batch_size=cfg.big_blob_batch_size, **kw)
-        )
-    return ds.map_batches(_extract_task, batch_size=cfg.batch_size, **kw)
+    return ds.map_batches(
+        _extract_task,
+        fn_kwargs={"cfg": cfg},
+        batch_format="pyarrow",
+        batch_size=cfg.batch_size,
+        num_cpus=cfg.num_cpus_per_actor,
+    )
 
 
 class ExtractWriter:
@@ -187,20 +156,13 @@ def run_extraction(
 
             n_skipped = len(done)
             ds = ds.map_batches(_skip_done, batch_format="pyarrow")
-    kw = dict(
+    manifest = ds.map_batches(
+        _extract_write_task,
         fn_kwargs={"cfg": cfg, "out_dir": out_dir},
         batch_format="pyarrow",
+        batch_size=cfg.rows_per_output_file,
         num_cpus=cfg.num_cpus_per_actor,
     )
-    if cfg.big_blob_bytes:
-        # two-tier sink: big blobs write in tiny partitions of their
-        # own (partition names are url-set hashes — no collisions)
-        small_ds, big_ds = split_by_blob_size(ds, cfg.big_blob_bytes)
-        manifest = small_ds.map_batches(
-            _extract_write_task, batch_size=cfg.rows_per_output_file, **kw
-        ).union(big_ds.map_batches(_extract_write_task, batch_size=cfg.big_blob_batch_size, **kw))
-    else:
-        manifest = ds.map_batches(_extract_write_task, batch_size=cfg.rows_per_output_file, **kw)
     rows = manifest.take_all()  # tiny: one row per output partition
     import os as _os
 

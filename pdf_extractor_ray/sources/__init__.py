@@ -6,6 +6,7 @@ from pdf_extractor_ray.sources.warc import (  # noqa: F401
     WarcDatasource,
     iter_warc_records,
     read_warc,
+    read_warc_pages,
     warc_record_bytes,
     write_warc,
     write_warc_dataset,

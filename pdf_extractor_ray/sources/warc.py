@@ -199,7 +199,12 @@ def _iter_decompressed(read: Callable[[int], bytes], chunk: int = 1 << 20) -> It
     Members are chained via decompressobj.unused_data so a
     one-member-per-record Common-Crawl file streams without ever
     holding more than `chunk` compressed bytes."""
-    pending = read(chunk)
+    pending = b""
+    while len(pending) < 2:  # a reader may hand out fewer bytes than asked
+        b = read(chunk)
+        if not b:
+            break
+        pending += b
     if not pending:
         return
     if pending[:2] != b"\x1f\x8b":  # plain WARC

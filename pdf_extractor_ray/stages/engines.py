@@ -27,37 +27,18 @@ class ExtractionEngine(Protocol):
     def extract_one(self, payload: bytes) -> dict[str, Any]: ...
 
 
-def _geometry(cfg: PipelineConfig) -> ExtractionEngine:
-    from pdf_extractor_ray.stages.extractor import Extractor
+def _extractor_engine(name: str, variant: int | None = None) -> Callable[[PipelineConfig], ExtractionEngine]:
+    """Factory for an Extractor engine on `cfg`, or on remediation
+    variant `variant` of it (stages.extractor.remediation_cfgs)."""
 
-    e = Extractor(cfg)
-    e.name = "geometry"
-    return e
+    def build(cfg: PipelineConfig) -> ExtractionEngine:
+        from pdf_extractor_ray.stages.extractor import Extractor, remediation_cfgs
 
+        e = Extractor(cfg if variant is None else remediation_cfgs(cfg)[variant])
+        e.name = name
+        return e
 
-def _relaxed_headers(cfg: PipelineConfig) -> ExtractionEngine:
-    """Remediation variant 1 (reference master_extractor.py:639-655):
-    header/footer removal disabled, permissive link density."""
-    from pdf_extractor_ray.stages.extractor import Extractor
-
-    e = Extractor(cfg.with_overrides(repeat_min_frac=1.01, max_link_density=0.6))
-    e.name = "relaxed-headers"
-    return e
-
-
-def _wide_columns(cfg: PipelineConfig) -> ExtractionEngine:
-    """Remediation variant 2 (reference master_extractor.py:657-672):
-    1.5x column gap, permissive HTML paragraph filter."""
-    from pdf_extractor_ray.stages.extractor import Extractor
-
-    e = Extractor(
-        cfg.with_overrides(
-            column_gap_threshold=cfg.column_gap_threshold * 1.5,
-            min_paragraph_chars=10,
-        )
-    )
-    e.name = "wide-columns"
-    return e
+    return build
 
 
 class RawTextEngine:
@@ -94,9 +75,10 @@ class RawTextEngine:
 
 
 ENGINE_REGISTRY: dict[str, Callable[[PipelineConfig], ExtractionEngine]] = {
-    "geometry": _geometry,
-    "relaxed-headers": _relaxed_headers,
-    "wide-columns": _wide_columns,
+    "geometry": _extractor_engine("geometry"),
+    # remediation variants 1 and 2 (reference master_extractor.py:639-672)
+    "relaxed-headers": _extractor_engine("relaxed-headers", 0),
+    "wide-columns": _extractor_engine("wide-columns", 1),
     "raw-text": lambda cfg: RawTextEngine(cfg),
 }
 

@@ -20,11 +20,7 @@ import pyarrow as pa
 from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 from pdf_extractor_ray.functions import textstats
 from pdf_extractor_ray.functions.html_extract import extract_html, sniff_decode
-from pdf_extractor_ray.functions.pdf_words import (
-    FIXTURE_MAGIC,
-    Patterns,
-    extract_pdf_bytes,
-)
+from pdf_extractor_ray.functions.pdf_words import Patterns, extract_pdf_bytes
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -56,6 +52,61 @@ RESULT_SCHEMA = pa.schema(
 )
 
 
+# the row of a payload whose extraction raised; `error` carries the reason
+ERROR_ROW = {
+    "payload_kind": "error",
+    "extracted_text": "",
+    "n_blocks": 0,
+    "n_pages": 0,
+    "n_words": 0,
+    "n_footnotes": 0,
+    "quality_score": 0.0,
+    "grade": "F",
+    "coverage_pct": 0.0,
+    "coverage_status": "POOR",
+    "n_hallu_flags": 0,
+    "repetition_ratio": 1.0,
+    "n_tables_detected": 0,
+    "n_rotated_words": 0,
+    "n_overlapping_words": 0,
+    "n_pages_recovered": 0,
+    "footnote_match_rate": 100.0,
+    "footnote_status": "COMPLETE",
+    "quality_confidence": 0.3,
+    "element_inventory": "{}",
+}
+
+# columns an extract_one result carries under the same name but may
+# omit (html and empty payloads), with the value a success row takes then
+SUCCESS_DEFAULTS = {
+    "coverage_pct": 100.0,
+    "coverage_status": "GOOD",
+    "n_tables_detected": 0,
+    "n_rotated_words": 0,
+    "n_overlapping_words": 0,
+    "n_pages_recovered": 0,
+}
+
+
+def remediation_cfgs(cfg: PipelineConfig) -> tuple[PipelineConfig, PipelineConfig]:
+    """The two remediation variants (reference master_extractor.py:617-684):
+    1 disables header/footer removal and permits denser links, 2 widens
+    the column gap 1.5x and relaxes the HTML paragraph filter."""
+    return (
+        cfg.with_overrides(repeat_min_frac=1.01, max_link_density=0.6),
+        cfg.with_overrides(
+            column_gap_threshold=cfg.column_gap_threshold * 1.5,
+            min_paragraph_chars=10,
+        ),
+    )
+
+
+def _dims_nw(r: dict) -> tuple[dict, int]:
+    rep = r.get("fn_report", {})
+    n_fns = len(r["footnotes"])
+    return textstats.quality_dimensions_nw(r["text"], rep.get("n_matches", n_fns), rep.get("n_markers", n_fns))
+
+
 class Extractor:
     """map_batches(Extractor, batch_format="pyarrow", concurrency=N).
 
@@ -69,20 +120,7 @@ class Extractor:
         # intra-doc page-checkpoint sidecar dir (cfg.page_ckpt_bytes
         # gates it per payload; wired by ExtractWriter from out_dir)
         self.ckpt_dir = ckpt_dir if cfg.page_ckpt_bytes else None
-        # remediation variants (reference master_extractor.py:617-684):
-        # attempt 1 disables header/footer removal, attempt 2 widens
-        # the column gap / relaxes the HTML block filter
-        self.remediation_cfgs = (
-            [
-                cfg.with_overrides(repeat_min_frac=1.01, max_link_density=0.6),
-                cfg.with_overrides(
-                    column_gap_threshold=cfg.column_gap_threshold * 1.5,
-                    min_paragraph_chars=10,
-                ),
-            ]
-            if cfg.enable_remediation
-            else []
-        )
+        self.remediation_cfgs = remediation_cfgs(cfg) if cfg.enable_remediation else ()
 
     def extract_one(self, payload: bytes, cfg: PipelineConfig | None = None, url: str = "") -> dict:
         """Route one payload and extract. Pure (except the opt-in page
@@ -91,49 +129,34 @@ class Extractor:
         if not payload:
             return {"kind": "empty", "text": "", "n_blocks": 0, "n_pages": 0, "footnotes": []}
         if payload.startswith(b"%PDF"):
-            res = None
             if self.ckpt_dir and cfg.page_ckpt_bytes and len(payload) >= cfg.page_ckpt_bytes:
+                import hashlib as _hashlib
+                import os as _os
+
                 from pdf_extractor_ray.functions.pdf_words import (
                     extract_pdf_pages_checkpointed,
                     pdf_payload_to_pages,
                 )
 
-                pages = pdf_payload_to_pages(payload)
-                if pages is not None:
-                    import hashlib as _hashlib
-                    import os as _os
-
-                    # key includes the config (remediation re-extracts
-                    # with altered thresholds and must not reuse pages
-                    # journaled under the default ladder) AND a payload
-                    # digest: two rows with the same url but different
-                    # content (a recrawl at another warc_ts) must not
-                    # share a sidecar, or a retry could resume from the
-                    # other payload's journaled pages
-                    body = _hashlib.sha1(payload).hexdigest()
-                    tag = _hashlib.sha1(
-                        f"{url}\x1f{body}\x1f{cfg!r}".encode("utf-8")
-                    ).hexdigest()[:16]
-                    res = extract_pdf_pages_checkpointed(
-                        pages, _os.path.join(self.ckpt_dir, f"{tag}.pages.jsonl"), self.pats, cfg
-                    )
-            if res is None:
+                # key includes the config (remediation re-extracts
+                # with altered thresholds and must not reuse pages
+                # journaled under the default ladder) AND a payload
+                # digest: two rows with the same url but different
+                # content (a recrawl at another warc_ts) must not
+                # share a sidecar, or a retry could resume from the
+                # other payload's journaled pages
+                body = _hashlib.sha1(payload).hexdigest()
+                tag = _hashlib.sha1(f"{url}\x1f{body}\x1f{cfg!r}".encode("utf-8")).hexdigest()[:16]
+                res = extract_pdf_pages_checkpointed(
+                    pdf_payload_to_pages(payload),
+                    _os.path.join(self.ckpt_dir, f"{tag}.pages.jsonl"),
+                    self.pats,
+                    cfg,
+                )
+            else:
                 res = extract_pdf_bytes(payload, self.pats, cfg)
-            return {
-                "kind": "pdf",
-                "text": res["text"],
-                "n_blocks": res["n_pages"],
-                "n_pages": res["n_pages"],
-                "footnotes": res["footnotes"],
-                "coverage_pct": res.get("coverage_pct", 100.0),
-                "coverage_status": res.get("coverage_status", "GOOD"),
-                "n_tables_detected": res.get("n_tables_detected", 0),
-                "n_rotated_words": res.get("n_rotated_words", 0),
-                "n_overlapping_words": res.get("n_overlapping_words", 0),
-                "n_pages_recovered": res.get("n_pages_recovered", 0),
-                "fn_report": res.get("fn_report", {}),
-                "inventory": res.get("inventory", {}),
-            }
+            keys = ("text", "n_pages", "footnotes", "fn_report", "inventory", *SUCCESS_DEFAULTS)
+            return {"kind": "pdf", "n_blocks": res["n_pages"], **{k: res[k] for k in keys}}
         if cfg.charset_sniff:
             html, _enc = sniff_decode(payload)
         else:
@@ -149,123 +172,58 @@ class Extractor:
             "coverage_status": "GOOD",
         }
 
+    def _row(self, payload: bytes, url: str) -> dict:
+        """Extract and score one payload into the RESULT_SCHEMA columns
+        after url, warc_ts and lang. May raise."""
+        r = self.extract_one(payload, url=url)
+        dims, nw = _dims_nw(r)
+        score = textstats.quality_score_from_dims(dims)
+        if self.remediation_cfgs and score < self.cfg.remediation_threshold and r["kind"] != "empty":
+            # in-UDF remediation loop (cheap, local — never a
+            # dataset-level control flow, SURVEY §7.4 #7): keep the
+            # best-scoring variant
+            for vc in self.remediation_cfgs:
+                r2 = self.extract_one(payload, vc, url=url)
+                dims2, nw2 = _dims_nw(r2)
+                s2 = textstats.quality_score_from_dims(dims2)
+                if s2 > score:
+                    r, dims, nw, score = r2, dims2, nw2, s2
+        text = r["text"]
+        if self.cfg.strip_hallucinations:  # opt-in transform (default off)
+            text, _ = textstats.strip_hallucinations(text)
+            nw = len(text.split())  # transformed text: recount
+        rep = r.get("fn_report", {})
+        return {
+            **{k: r.get(k, v) for k, v in SUCCESS_DEFAULTS.items()},
+            "payload_kind": r["kind"],
+            "extracted_text": text,
+            "n_blocks": r["n_blocks"],
+            "n_pages": r["n_pages"],
+            "n_words": nw,
+            "n_footnotes": len(r["footnotes"]),
+            "quality_score": score,
+            "grade": textstats.grade(score),
+            "n_hallu_flags": len(textstats.hallucination_flags(text)),
+            "repetition_ratio": textstats.repetition_ratio(text),
+            "footnote_match_rate": rep.get("match_rate", 100.0),
+            "footnote_status": rep.get("status", "COMPLETE"),
+            "quality_confidence": textstats.quality_confidence(dims),
+            "element_inventory": _json.dumps(r.get("inventory", {}), sort_keys=True),
+            "error": None,
+        }
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        payloads = batch.column("html").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        tss = batch.column("warc_ts").to_pylist() if "warc_ts" in batch.column_names else [None] * len(urls)
-
-        kinds, texts, n_blocks, n_pages, n_words, n_fns, scores, grades, errors = (
-            [], [], [], [], [], [], [], [], [],
-        )
-        cov_pcts, cov_stats, hallu_ns, rep_ratios = [], [], [], []
-        tbl_ns, rot_ns, ovl_ns, rec_ns, fn_rates, fn_stats, q_confs = [], [], [], [], [], [], []
-        inventories = []
-
-        def _dims_nw(r: dict) -> tuple[dict, int]:
-            rep = r.get("fn_report", {})
-            return textstats.quality_dimensions_nw(
-                r["text"], rep.get("n_matches", len(r["footnotes"])), rep.get("n_markers", len(r["footnotes"]))
-            )
-
-        def _score(r: dict) -> float:
-            return textstats.quality_score_from_dims(_dims_nw(r)[0])
-
-        for url, payload in zip(urls, payloads):
+        tss = batch.column("warc_ts").to_pylist() if "warc_ts" in batch.column_names else [None] * batch.num_rows
+        rows = []
+        for url, ts, lang, payload in zip(
+            batch.column("url").to_pylist(), tss, batch.column("lang").to_pylist(), batch.column("html").to_pylist()
+        ):
             try:
-                r = self.extract_one(payload or b"", url=url)
-                dims, nw = _dims_nw(r)
-                score = textstats.quality_score_from_dims(dims)
-                if self.remediation_cfgs and score < self.cfg.remediation_threshold and r["kind"] != "empty":
-                    # in-UDF remediation loop (cheap, local — never a
-                    # dataset-level control flow, SURVEY §7.4 #7)
-                    best_s, best_r = score, r
-                    for vc in self.remediation_cfgs:
-                        r2 = self.extract_one(payload or b"", vc, url=url)
-                        s2 = _score(r2)
-                        if s2 > best_s:
-                            best_s, best_r = s2, r2
-                    score, r = best_s, best_r
-                    dims, nw = _dims_nw(r)
-                text = r["text"]
-                if self.cfg.strip_hallucinations:  # opt-in transform (default off)
-                    text, _ = textstats.strip_hallucinations(text)
-                    nw = len(text.split())  # transformed text: recount
-                fns = r["footnotes"]
-                kinds.append(r["kind"])
-                texts.append(text)
-                n_blocks.append(r["n_blocks"])
-                n_pages.append(r["n_pages"])
-                n_words.append(nw)
-                n_fns.append(len(fns))
-                scores.append(score)
-                grades.append(textstats.grade(score))
-                cov_pcts.append(r.get("coverage_pct", 100.0))
-                cov_stats.append(r.get("coverage_status", "GOOD"))
-                hallu_ns.append(len(textstats.hallucination_flags(text)))
-                rep_ratios.append(textstats.repetition_ratio(text))
-                tbl_ns.append(r.get("n_tables_detected", 0))
-                rot_ns.append(r.get("n_rotated_words", 0))
-                ovl_ns.append(r.get("n_overlapping_words", 0))
-                rec_ns.append(r.get("n_pages_recovered", 0))
-                rep = r.get("fn_report", {})
-                fn_rates.append(rep.get("match_rate", 100.0))
-                fn_stats.append(rep.get("status", "COMPLETE"))
-                q_confs.append(textstats.quality_confidence(dims))
-                inventories.append(_json.dumps(r.get("inventory", {}), sort_keys=True))
-                errors.append(None)
+                row = self._row(payload or b"", url)
             except Exception as exc:  # never raise: poison-blob guard
-                kinds.append("error")
-                texts.append("")
-                n_blocks.append(0)
-                n_pages.append(0)
-                n_words.append(0)
-                n_fns.append(0)
-                scores.append(0.0)
-                grades.append("F")
-                cov_pcts.append(0.0)
-                cov_stats.append("POOR")
-                hallu_ns.append(0)
-                rep_ratios.append(1.0)
-                tbl_ns.append(0)
-                rot_ns.append(0)
-                ovl_ns.append(0)
-                rec_ns.append(0)
-                fn_rates.append(100.0)
-                fn_stats.append("COMPLETE")
-                q_confs.append(0.3)
-                inventories.append("{}")
-                errors.append(f"{type(exc).__name__}: {exc}"[:500])
-
-        return pa.Table.from_arrays(
-            [
-                pa.array(urls, pa.string()),
-                pa.array(tss, pa.timestamp("us")),
-                pa.array(langs, pa.string()),
-                pa.array(kinds, pa.string()),
-                pa.array(texts, pa.large_string()),
-                pa.array(n_blocks, pa.int32()),
-                pa.array(n_pages, pa.int32()),
-                pa.array(n_words, pa.int64()),
-                pa.array(n_fns, pa.int32()),
-                pa.array(scores, pa.float64()),
-                pa.array(grades, pa.string()),
-                pa.array(cov_pcts, pa.float64()),
-                pa.array(cov_stats, pa.string()),
-                pa.array(hallu_ns, pa.int32()),
-                pa.array(rep_ratios, pa.float64()),
-                pa.array(tbl_ns, pa.int32()),
-                pa.array(rot_ns, pa.int32()),
-                pa.array(ovl_ns, pa.int32()),
-                pa.array(rec_ns, pa.int32()),
-                pa.array(fn_rates, pa.float64()),
-                pa.array(fn_stats, pa.string()),
-                pa.array(q_confs, pa.float64()),
-                pa.array(inventories, pa.string()),
-                pa.array(errors, pa.string()),
-            ],
-            schema=RESULT_SCHEMA,
-        )
+                row = {**ERROR_ROW, "error": f"{type(exc).__name__}: {exc}"[:500]}
+            rows.append({"url": url, "warc_ts": ts, "lang": lang, **row})
+        return pa.Table.from_pylist(rows, schema=RESULT_SCHEMA)
 
 
-__all__ = ["Extractor", "RESULT_SCHEMA", "FIXTURE_MAGIC"]
+__all__ = ["ERROR_ROW", "Extractor", "RESULT_SCHEMA", "remediation_cfgs"]

@@ -115,32 +115,3 @@ def test_extraction_is_deterministic_across_runs(ray_session, pages_path, tmp_pa
     k1 = sorted(zip(c1["url"].to_pylist(), c1["extracted_text"].to_pylist()))
     k2 = sorted(zip(c2["url"].to_pylist(), c2["extracted_text"].to_pylist()))
     assert k1 == k2
-
-
-def test_big_blob_two_tier_routing(ray_session, pages_path):
-    """Big blobs route to their own branch with a tiny batch size and
-    the union reproduces exactly the unsplit results (VERDICT r1 item
-    5 — the knobs must actually steer the pipeline)."""
-    from pdf_extractor_ray.pipelines.extract import (
-        extraction_dataset,
-        read_pages,
-        split_by_blob_size,
-    )
-
-    ds = read_pages(pages_path)
-    small, big = split_by_blob_size(ds, 20_000)
-    n_small, n_big, n = small.count(), big.count(), ds.count()
-    assert n_small + n_big == n
-    assert 0 < n_big < n  # the skewed corpus has some multi-KB articles
-
-    cols = ["url", "n_words", "payload_kind"]
-    split_cfg = CFG.with_overrides(big_blob_bytes=20_000, big_blob_batch_size=1)
-    a = (
-        extraction_dataset(pages_path, split_cfg)
-        .select_columns(cols).to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    b = (
-        extraction_dataset(pages_path, CFG.with_overrides(big_blob_bytes=0))
-        .select_columns(cols).to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    assert a.equals(b)

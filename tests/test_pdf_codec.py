@@ -99,7 +99,7 @@ def test_writer_refuses_hints_and_alien_geometry():
         pages_to_pdf_bytes([_page([{**_word("x", 72.0, 20.0), "bottom": 38.0}])])
 
 
-def test_unsupported_features_raise_for_pdfplumber_fallback():
+def test_unsupported_features_raise_unsupported_pdf_error():
     pdf = pages_to_pdf_bytes([_page([_word("Hi", 72.0, 20.0)])])
     with pytest.raises(UnsupportedPdfError):
         parse_pdf_bytes(pdf.replace(b"/Length", b"/Filter /FlateDecode /Length"))
@@ -107,9 +107,8 @@ def test_unsupported_features_raise_for_pdfplumber_fallback():
         parse_pdf_bytes(pdf + b"/Encrypt")
     with pytest.raises(UnsupportedPdfError):
         parse_pdf_bytes(b"%PDF-1.4\ngarbage, no objects")
-    # and the extract router converts that into the import-gated
-    # NotImplementedError (pdfplumber absent in this container)
-    with pytest.raises(NotImplementedError, match="pdfplumber"):
+    # and the extract router passes the codec's own reason through
+    with pytest.raises(UnsupportedPdfError, match="/Fl"):
         extract_pdf_bytes(pdf.replace(b"/Length", b"/Filter /Fl /Length"))
 
 
@@ -1208,6 +1207,28 @@ def test_incremental_update_takes_latest_object():
     )
     got = parse_pdf_bytes(pdf + update)[0]["words"]
     assert [w["text"] for w in got] == ["updated", "body"]
+
+
+def test_stream_keys_read_from_dictionary_not_data():
+    """/Filter and /DecodeParms are stream-dictionary keys: key-like
+    bytes inside the stream data (here an ASCII85 body spelling
+    ``/Filter`` and ``/DP``, and a plain body with a ``/Filter``
+    comment) must not be read as keys."""
+    import base64
+
+    text = b"BT /F1 12 Tf 72 720 Td (Hello) Tj ET\n%"
+    text += b" " * (-len(text) % 4)  # align the comment to 4-byte groups
+    # the comment bytes ASCII85-encode to exactly these three groups
+    data = text + base64.a85decode(b"/Filter/DP+++++") + b"\n"
+    body = base64.a85encode(data) + b"~>"
+    assert b"/Filter/DP+" in body
+    pdf = _simple_font_pdf(body).replace(
+        b"<< /Length %d >>" % len(body), b"<< /Length %d /Filter /ASCII85Decode >>" % len(body)
+    )
+    assert [w["text"] for w in parse_pdf_bytes(pdf)[0]["words"]] == ["Hello"]
+
+    plain = _simple_font_pdf(b"BT /F1 12 Tf 72 720 Td (Hello) Tj ET\n% /Filter /FlateDecode\n")
+    assert [w["text"] for w in parse_pdf_bytes(plain)[0]["words"]] == ["Hello"]
 
 
 def test_transport_filters_roundtrip():

@@ -80,6 +80,24 @@ def test_small_read_chunks_cross_member_boundaries():
     assert [r["payload"] for r in recs] == [p for _, _, p in ROWS]
 
 
+@pytest.mark.parametrize("compress", [True, False])
+def test_one_byte_reads(compress):
+    """The gzip magic is checked on the first two bytes even when the
+    reader hands out one byte per call."""
+    rec = warc_record_bytes(*ROWS[0])
+    blob = _gzip_member_deterministic(rec) if compress else rec
+    bio = io.BytesIO(blob)
+    recs = list(iter_warc_records(lambda n: bio.read(1)))
+    assert [r["payload"] for r in recs] == [ROWS[0][2]]
+
+
+def test_read_warc_pages_exported():
+    from pdf_extractor_ray import sources
+    from pdf_extractor_ray.sources.warc import read_warc_pages
+
+    assert sources.read_warc_pages is read_warc_pages
+
+
 def test_boundaries_raise():
     full = _gzip_member_deterministic(
         warc_record_bytes("https://a/", datetime(2024, 1, 1), b"x" * 100)
