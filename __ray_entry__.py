@@ -3044,6 +3044,8 @@ def _docs_stitch_pairs(sf_dir: str) -> pd.DataFrame:
     chunks = chunk_documents(ds, max_chars=250, overlap=100)
 
     def cid(b: pd.DataFrame) -> pd.DataFrame:
+        if (b["chunk_index"] >= 1000).any():  # doc_id * 1000 + index would alias ids
+            raise ValueError("chunk_index >= 1000 aliases chunk_id across documents")
         b = b.copy()
         b["chunk_id"] = (
             b["doc_id"].astype("int64") * 1000 + b["chunk_index"].astype("int64")
@@ -3366,8 +3368,12 @@ def _warc_roundtrip(sf_dir: str) -> pd.DataFrame:
     from pdf_extractor_ray.sources.warc import read_warc, write_warc_shards
 
     pages = os.path.join(_REPO, "tests", "fixtures", "pages.parquet")
-    with open(_warc_mod.__file__, "rb") as f:
-        tag = _hashlib.sha1(f.read()).hexdigest()[:10]
+    # the cache holds shards of THIS fixture written by THIS writer
+    digest = _hashlib.sha1()
+    for src in (_warc_mod.__file__, pages):
+        with open(src, "rb") as f:
+            digest.update(f.read())
+    tag = digest.hexdigest()[:10]
     out_dir = os.path.join(tempfile.gettempdir(), f"pdfx_warc_{tag}")
     marker = os.path.join(out_dir, "_SUCCESS")
     if not os.path.exists(marker):

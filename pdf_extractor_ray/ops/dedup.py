@@ -13,12 +13,13 @@ Charikar 2002, Leskovec-Rajaraman-Ullman ch.3):
 - embedding near-dup : see ops/similarity.py (cosine over embeddings)
 
 Scale notes: shingling/minhashing is vectorized per batch inside
-map_batches (numpy); shuffles are the band groupby (key = (band_id,
-band_hash) — uniformly distributed by construction, no skew), the
-candidate-text hash-join, and the final LEFT ANTI join of the corpus
-against the drop-set. NOTHING materializes on the driver: candidate
-pairs, candidate texts, verification, and the drop-set all stay
-Datasets (the r1 driver-side verify loop was the #1 scale-killer —
+map_batches (numpy); every exchange is an ops/shuffle.py
+hash_partition or co_shuffle on a key hash mod P — the band buckets
+(key = (band_id, band_hash) — uniformly distributed by construction,
+no skew), the candidate-text join, and the final LEFT ANTI join of
+the corpus against the drop-set. NOTHING materializes on the
+driver: candidate pairs, candidate texts, verification, and the
+drop-set all stay Datasets (the r1 driver-side verify loop was the #1 scale-killer —
 VERDICT r1 "What's wrong" #2/#3)."""
 
 from __future__ import annotations
@@ -29,19 +30,13 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle, hash_partition
+
 _PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-_DROP_SCHEMA = pa.schema([("drop_id", pa.int64())])
-
-
-def _typed_table(schema: pa.Schema, **cols) -> pa.Table:
-    """Arrow table with an explicit schema — empty PANDAS blocks lose
-    their column names inside Ray (PandasBlockSchema names=[]), which
-    breaks downstream joins; Arrow blocks keep schema at 0 rows."""
-    return pa.table(
-        {f.name: pa.array(cols.get(f.name, []), type=f.type) for f in schema}, schema=schema
-    )
+_DROP_ID_SCHEMA = pa.schema([("drop_id", pa.int64())])
 
 _WS = re.compile(r"\s+")
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -86,9 +81,6 @@ def _pack128(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_DROP_ID_SCHEMA = pa.schema([("drop_id", pa.int64())])
-
-
 def exact_dedup(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -107,15 +99,15 @@ def exact_dedup(
 
     Scalable shape (round-2 verdict #8 — the exchange moves KEY WIDTH,
     never corpus width): content hash vectorized per batch -> emit
-    slim (_h, id) pairs with a local min-id combine (at most one pair
-    per hash per batch) -> shuffle the PAIRS on hash mod P (so P
-    Python calls, not one per unique text) -> per-partition winner
-    pick emits only the LOSING ids -> anti_join_ids filters the corpus
-    (drop sets small enough broadcast once; big ones take one hash
-    co-shuffle). The document texts themselves never enter an
-    exchange; the corpus is scanned twice (hash pass + filter pass),
-    the right trade when exchange bandwidth, not scan, is the 100-TB
-    bottleneck."""
+    slim (_h, _h2, id) int64 rows with a local min-id combine (at most
+    one candidate per hash per batch) -> hash_partition the rows on
+    _h mod P (so P Python calls, not one per unique text) ->
+    per-partition winner pick emits only the LOSING ids ->
+    anti_join_ids filters the corpus (drop sets small enough broadcast
+    once; big ones take one co-shuffle). The document texts themselves
+    never enter an exchange; the corpus is scanned twice (hash pass +
+    filter pass), the right trade when exchange bandwidth, not scan,
+    is the 100-TB bottleneck."""
 
     def _rank_sort(d: pd.DataFrame) -> pd.DataFrame:
         # winner-first order: best prefer value (desc) then min id —
@@ -137,28 +129,18 @@ def exact_dedup(
         # forward exactly one candidate pair per hash for the
         # partition-level winner pick (the combiner).
         out["_lose"] = out.duplicated(["_h", "_h2"], keep="first").to_numpy().astype(np.int8)
-        out["_part"] = (
-            out["_h"].to_numpy().view(np.uint64) % np.uint64(num_partitions)
-        ).astype(np.int64)
         return out
 
-    def losers_in_part(g: pd.DataFrame) -> pa.Table:
+    def losers_in_part(g: pd.DataFrame) -> pd.DataFrame:
         cand = _rank_sort(g[g["_lose"] == 0])
-        lost = np.concatenate(
-            [
-                g.loc[g["_lose"] == 1, id_col].to_numpy(dtype=np.int64),
-                cand.loc[
-                    cand.duplicated(["_h", "_h2"], keep="first"), id_col
-                ].to_numpy(dtype=np.int64),
-            ]
+        lost = pd.concat(
+            [g.loc[g["_lose"] == 1, id_col], cand.loc[cand.duplicated(["_h", "_h2"]), id_col]]
         )
-        # explicit Arrow schema: empty pandas blocks lose column names
-        return pa.table({"drop_id": pa.array(lost, pa.int64())}, schema=_DROP_ID_SCHEMA)
+        return pd.DataFrame({"drop_id": lost})
 
-    drops = (
-        ds.map_batches(slim_pairs, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(losers_in_part, batch_format="pandas")
+    drops = hash_partition(
+        ds.map_batches(slim_pairs, batch_format="pandas"),
+        "_h", num_partitions, losers_in_part, _DROP_ID_SCHEMA,
     )
     return anti_join_ids(ds, drops, id_col=id_col, num_partitions=num_partitions)
 
@@ -301,43 +283,29 @@ def minhash_lsh_candidates(
     Scale note: buckets are NOT one group each — millions of tiny
     groups would mean millions of per-group Python calls. Instead the
     bucket key is coarsened to `num_partitions` shuffle partitions
-    (groupby moves each bucket to exactly one partition) and pairs are
-    emitted by ONE vectorized pandas pass per partition (measured 3x
-    end-to-end vs per-bucket map_groups at 5k docs; the gap widens
-    with corpus size)."""
+    (hash_partition moves each bucket to exactly one partition) and
+    pairs are emitted by ONE vectorized pandas pass per partition
+    (measured 3x end-to-end vs per-bucket map_groups at 5k docs; the
+    gap widens with corpus size)."""
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:  # np.stack raises on an empty sequence
-            return pd.DataFrame(
-                {
-                    "band_id": pd.Series(dtype="int64"),
-                    "band_hash": pd.Series(dtype="int64"),
-                    "doc_id": pd.Series(dtype="int64"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
         sig_m = np.stack([np.asarray(s, dtype=np.uint64) for s in batch["sig"]])
         n = sig_m.shape[0]
         segs = sig_m.reshape(n, bands, rows)
         consts = _ROLL_BASE ** np.arange(rows - 1, -1, -1, dtype=np.uint64)
         bh = _mix64((segs * consts).sum(axis=2, dtype=np.uint64))  # (n, bands)
-        flat = bh.reshape(-1)
         return pd.DataFrame(
             {
                 "band_id": np.tile(np.arange(bands, dtype=np.int64), n),
-                "band_hash": flat.astype(np.int64),  # wrap-cast; identity preserved
+                "band_hash": bh.reshape(-1).astype(np.int64),  # wrap-cast; identity preserved
                 "doc_id": np.repeat(batch["doc_id"].to_numpy(), bands),
-                "_part": (flat % np.uint64(num_partitions)).astype(np.int64),
             }
         )
 
-    def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _pairs_in_buckets(g, ["band_id", "band_hash"])
-
-    pairs = (
-        sigs.map_batches(explode, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
+    pairs = hash_partition(
+        sigs.map_batches(explode, batch_format="pandas"),
+        "band_hash", num_partitions,
+        lambda g: _pairs_in_buckets(g, ["band_id", "band_hash"]), _PAIR_SCHEMA,
     )
     # same pair can surface from different bands/partitions: exact
     # distributed dedup (hash-mod-P shuffle, one vectorized pass per
@@ -345,33 +313,17 @@ def minhash_lsh_candidates(
     return dedup_pairs_ds(pairs, num_partitions=num_partitions)
 
 
+def _pair_hash(t: pa.Table) -> np.ndarray:
+    """Partition hash of (a, b) pair rows."""
+    return pd.util.hash_pandas_object(t.select(["a", "b"]).to_pandas(), index=False).to_numpy()
+
+
 def dedup_pairs_ds(pairs: ray.data.Dataset, num_partitions: int = 32) -> ray.data.Dataset:
     """Exact distinct over an (a, b) pair Dataset: every copy of a pair
     hashes to the same partition, so one per-partition drop_duplicates
     gives an at-most-once guarantee at any pair volume."""
-    part_schema = _PAIR_SCHEMA.append(pa.field("_part", pa.int64()))
-
-    def add_part(b: pd.DataFrame) -> pa.Table:
-        if len(b) == 0 or "a" not in b.columns:
-            return _typed_table(part_schema)
-        h = pd.util.hash_pandas_object(b[["a", "b"]], index=False).to_numpy()
-        return _typed_table(
-            part_schema,
-            a=b["a"].to_numpy(dtype=np.int64),
-            b=b["b"].to_numpy(dtype=np.int64),
-            _part=(h % num_partitions).astype(np.int64),
-        )
-
-    def distinct(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "a" not in g.columns:
-            return _typed_table(_PAIR_SCHEMA)
-        d = g.drop_duplicates(["a", "b"])
-        return _typed_table(_PAIR_SCHEMA, a=d["a"].to_numpy(dtype=np.int64), b=d["b"].to_numpy(dtype=np.int64))
-
-    return (
-        pairs.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(distinct, batch_format="pandas")
+    return hash_partition(
+        pairs, _pair_hash, num_partitions, lambda g: g.drop_duplicates(["a", "b"]), _PAIR_SCHEMA
     )
 
 
@@ -436,25 +388,41 @@ def anti_join_ids(
     num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Distributed LEFT ANTI join of a corpus against a (small) drop-id
-    Dataset via ONE union co-shuffle on hash(id) mod P — the asof_join
-    pattern (ops/windows.py). No JoinOperator: each hash-shuffle join
-    spawns its own aggregator ACTOR pool (~seconds of spawn cost per
-    query, deadlock-prone when several pools coexist); the task-based
-    groupby exchange is this repo's proven fast path. Output column
-    dtypes are restored to the corpus schema (pandas degrades ints to
-    float64 in groups containing the drop rows' typed nulls).
+    Dataset via ONE co_shuffle on id mod P — the asof_join pattern
+    (ops/windows.py). No JoinOperator: each hash-shuffle join spawns
+    its own aggregator ACTOR pool (~seconds of spawn cost per query,
+    deadlock-prone when several pools coexist); the task-based exchange
+    is this repo's proven fast path. Output columns keep the corpus
+    schema (int64 ids stay int64).
 
     Small drop sets (<= _BROADCAST_MAX_PAIRS) skip the exchange
     entirely: drop ids broadcast once, one corpus filter scan."""
+    return _anti_join(ds, drops, "drop_id", id_col, num_partitions)
+
+
+def _anti_join(
+    ds: ray.data.Dataset, drops: ray.data.Dataset, drop_col: str, id_col: str, num_partitions: int
+) -> ray.data.Dataset:
+    """anti_join_ids reading the drop ids from column `drop_col` — e.g.
+    the larger id `b` of verified (a, b) pairs, with no map over the
+    pair Dataset first (such a map re-emits a shuffle's empty typed
+    blocks schema-less)."""
     drops = drops.materialize()
     n_drops = drops.count()
     if n_drops == 0:
         return ds
+    if n_drops > _BROADCAST_MAX_PAIRS and drop_col != "drop_id":
+        # pair rows repeat a drop id once per pair: the tier gate
+        # counts distinct ids
+        pair_col = drop_col
+        drops = hash_partition(
+            drops, pair_col, num_partitions,
+            lambda g: pd.DataFrame({"drop_id": g[pair_col].unique()}), _DROP_ID_SCHEMA,
+        ).materialize()
+        drop_col, n_drops = "drop_id", drops.count()
     if n_drops <= _BROADCAST_MAX_PAIRS:
-        import pyarrow.compute as pc
-
         ids = drops.to_pandas()
-        col = "drop_id" if "drop_id" in ids.columns else id_col
+        col = drop_col if drop_col in ids.columns else id_col
         drop_arr = pa.array(np.unique(ids[col].to_numpy(dtype=np.int64)), pa.int64())
 
         def drop_rows(t: pa.Table) -> pa.Table:
@@ -473,56 +441,13 @@ def anti_join_ids(
             for n, t in zip(schema.names, schema.types)
         ]
     )
-    unified = base.append(pa.field("_drop_mark", pa.int8())).append(pa.field("_part", pa.int64()))
 
-    def _part_of(arr) -> pa.Array:
-        ids = np.asarray(arr.to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.array(ids % num_partitions, pa.int64())
+    def keep(corpus: pd.DataFrame, drop: pd.DataFrame) -> pd.DataFrame:
+        return corpus[~corpus[id_col].isin(drop[drop_col])]
 
-    def proj_corpus(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = [t.column(name).cast(f.type) for name, f in zip(base.names, base)]
-        cols += [pa.array(np.zeros(n, dtype=np.int8)), _part_of(t.column(id_col))]
-        return pa.Table.from_arrays(cols, schema=unified)
-
-    def proj_drops(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0 or "drop_id" not in t.column_names:
-            return _typed_table(unified)
-        cols = []
-        for f in base:
-            if f.name == id_col:
-                cols.append(t.column("drop_id").cast(f.type))
-            else:
-                cols.append(pa.nulls(n, f.type))
-        cols += [pa.array(np.ones(n, dtype=np.int8)), _part_of(t.column("drop_id"))]
-        return pa.Table.from_arrays(cols, schema=unified)
-
-    both = ds.map_batches(proj_corpus, batch_format="pyarrow").union(
-        drops.map_batches(proj_drops, batch_format="pyarrow")
-    )
-
-    def keep(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_drop_mark" not in g.columns:
-            return _typed_table(base)
-        drop_ids = set(g.loc[g["_drop_mark"] == 1, id_col].astype(np.int64))
-        kept = g[(g["_drop_mark"] == 0) & ~g[id_col].isin(drop_ids)]
-        kept = kept.drop(columns=["_drop_mark", "_part"])
-        return pa.Table.from_pandas(kept, schema=base, preserve_index=False)
-
-    return both.groupby("_part").map_groups(keep, batch_format="pandas")
+    return co_shuffle(ds, drops, id_col, drop_col, num_partitions, keep, base)
 
 
-_SIDE_SCHEMA = pa.schema(
-    [
-        ("key", pa.int64()),
-        ("a", pa.int64()),
-        ("b", pa.int64()),
-        ("side", pa.int8()),
-        ("text", pa.large_string()),
-        ("_part", pa.int64()),
-    ]
-)
 _PAIR_TEXT_SCHEMA = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("side", pa.int8()), ("text", pa.large_string())]
 )
@@ -593,8 +518,6 @@ def _verified_drop_broadcast(
 
     The shuffle path costs three all-to-all exchanges; at test scale
     those are pure overhead (measured: minhash_dedup 11.4s -> ~6s)."""
-    import pyarrow.compute as pc
-
     pair_df = pairs.to_pandas()  # bounded by _BROADCAST_MAX_PAIRS
     cand = np.unique(
         np.concatenate(
@@ -646,101 +569,44 @@ def _verified_pairs_shuffle(
 ) -> ray.data.Dataset:
     """Exchanges A + B of the distributed verify (see
     _verified_drop_anti_join): attach each candidate pair's texts via
-    one corpus co-shuffle on hash(id) mod P, assemble per-pair rows on
-    hash(a, b) mod P, and run the exact set-similarity kernel. Returns
-    the VERIFIED (a, b) pair Dataset — the input to keep-best /
-    component policies that need pairs rather than a drop-set."""
+    one co_shuffle of pair-side requests with the corpus on id mod P,
+    assemble per-pair rows on hash(a, b) mod P, and run the exact
+    set-similarity kernel. Returns the VERIFIED (a, b) pair Dataset —
+    the input to keep-best / component policies that need pairs
+    rather than a drop-set."""
 
-    def _part_ids(ids: np.ndarray) -> np.ndarray:
-        return (ids % num_partitions).astype(np.int64)
-
-    def proj_corpus(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(n, pa.int64()),
-                pa.nulls(n, pa.int64()),
-                pa.array(np.full(n, 2, dtype=np.int8)),
-                t.column(text_col).cast(pa.large_string()),
-                pa.array(_part_ids(ids), pa.int64()),
-            ],
-            schema=_SIDE_SCHEMA,
+    def requests(t: pa.Table) -> pa.Table:
+        # one request per pair side, keyed by the id whose text it needs
+        a, b = t.column("a").to_numpy(), t.column("b").to_numpy()
+        return pa.table(
+            {
+                "key": np.concatenate([a, b]),
+                "a": np.concatenate([a, a]),
+                "b": np.concatenate([b, b]),
+                "side": np.repeat(np.array([0, 1], dtype=np.int8), len(a)),
+            }
         )
 
-    def proj_pair_sides(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return _typed_table(_SIDE_SCHEMA)
-        a = np.asarray(t.column("a").to_numpy(zero_copy_only=False), dtype=np.int64)
-        b = np.asarray(t.column("b").to_numpy(zero_copy_only=False), dtype=np.int64)
-        keys = np.concatenate([a, b])
-        return pa.Table.from_arrays(
-            [
-                pa.array(keys, pa.int64()),
-                pa.array(np.concatenate([a, a]), pa.int64()),
-                pa.array(np.concatenate([b, b]), pa.int64()),
-                pa.array(np.repeat(np.array([0, 1], dtype=np.int8), len(a))),
-                pa.nulls(2 * len(a), pa.large_string()),
-                pa.array(_part_ids(keys), pa.int64()),
-            ],
-            schema=_SIDE_SCHEMA,
-        )
+    def attach_texts(req: pd.DataFrame, corpus: pd.DataFrame) -> pd.DataFrame:
+        lookup = pd.Series(corpus[text_col].to_numpy(), index=corpus[id_col].to_numpy())
+        return req.assign(text=req["key"].map(lookup))
 
-    def attach_texts(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "side" not in g.columns:
-            return _typed_table(_PAIR_TEXT_SCHEMA)
-        sides = g[g["side"] != 2]
-        if sides.empty:
-            return _typed_table(_PAIR_TEXT_SCHEMA)
-        texts = g[g["side"] == 2]
-        lookup = pd.Series(texts["text"].to_numpy(), index=texts["key"].to_numpy())
-        return _typed_table(
-            _PAIR_TEXT_SCHEMA,
-            a=sides["a"].to_numpy(dtype=np.int64),
-            b=sides["b"].to_numpy(dtype=np.int64),
-            side=sides["side"].to_numpy(dtype=np.int8),
-            text=sides["key"].map(lookup).to_numpy(),
-        )
-
-    sides_with_text = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(proj_corpus, batch_format="pyarrow")
-        .union(pairs.map_batches(proj_pair_sides, batch_format="pyarrow"))
-        .groupby("_part")
-        .map_groups(attach_texts, batch_format="pandas")
+    sides_with_text = co_shuffle(
+        pairs.map_batches(requests, batch_format="pyarrow"),
+        ds.select_columns([id_col, text_col]),
+        "key", id_col, num_partitions, attach_texts, _PAIR_TEXT_SCHEMA,
     )
 
-    def pair_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return _typed_table(_PAIR_TEXT_SCHEMA.append(pa.field("_part", pa.int64())))
-        h = pd.util.hash_pandas_object(
-            pd.DataFrame(
-                {
-                    "a": t.column("a").to_numpy(zero_copy_only=False),
-                    "b": t.column("b").to_numpy(zero_copy_only=False),
-                }
-            ),
-            index=False,
-        ).to_numpy()
-        return t.append_column("_part", pa.array((h % num_partitions).astype(np.int64), pa.int64()))
-
-    def assemble_verify(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "side" not in g.columns:
-            return _typed_table(_PAIR_SCHEMA)
+    def assemble_verify(g: pd.DataFrame) -> pd.DataFrame | None:
         wide = g.pivot_table(index=["a", "b"], columns="side", values="text", aggfunc="first")
         if 0 not in wide.columns or 1 not in wide.columns:
-            return _typed_table(_PAIR_SCHEMA)
+            return None
         wide = wide.dropna(subset=[0, 1])
         rows = ((a, b, ta, tb) for (a, b), ta, tb in zip(wide.index, wide[0], wide[1]))
-        kept = _surviving_pairs(rows, hash_kind, param, threshold)
-        arr = np.array(kept, dtype=np.int64).reshape(-1, 2)
-        return _typed_table(_PAIR_SCHEMA, a=arr[:, 0], b=arr[:, 1])
+        return pd.DataFrame(_surviving_pairs(rows, hash_kind, param, threshold), columns=["a", "b"])
 
-    return (
-        sides_with_text.map_batches(pair_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(assemble_verify, batch_format="pandas")
+    return hash_partition(
+        sides_with_text, _pair_hash, num_partitions, assemble_verify, _PAIR_SCHEMA
     )
 
 
@@ -760,15 +626,15 @@ def _verified_drop_anti_join(
     JoinOperators (their per-query aggregator actor pools cost ~12s of
     spawn/teardown at test scale and deadlock when several coexist):
 
-      exchange A: corpus(id, text) UNION pair-side requests, ONE
-                  co-shuffle on hash(doc_id) mod P -> each pair side
-                  picks up its text in-partition
-      exchange B: pair sides co-shuffled on hash(a,b) -> assemble
+      exchange A: pair-side requests co_shuffle with corpus(id, text)
+                  on id mod P -> each pair side picks up its text
+                  in-partition
+      exchange B: pair sides hash_partition on hash(a,b) -> assemble
                   (a, b, text_a, text_b), vectorized verify ->
-                  drop-id Dataset (tiny, materialized in the object
+                  verified pairs (tiny, materialized in the object
                   store for the empty-fast-path count)
-      exchange C: anti_join_ids — corpus UNION drop rows, ONE
-                  co-shuffle on hash(id) -> per-partition filter
+      exchange C: the anti join — corpus co_shuffle with the pairs'
+                  larger ids on id mod P -> per-partition filter
 
     Two corpus-sized exchanges (A, C) + one candidate-sized one (B) —
     the honest big-data shape; at extreme scale the pair-side requests
@@ -792,17 +658,7 @@ def _verified_drop_anti_join(
     vp = _verified_pairs_shuffle(
         ds, pairs, hash_kind, param, threshold, id_col, text_col, num_partitions
     )
-
-    def to_drops(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "b" not in t.column_names:
-            return _typed_table(_DROP_SCHEMA)
-        b = np.asarray(t.column("b").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return _typed_table(_DROP_SCHEMA, drop_id=np.unique(b))
-
-    drops = vp.map_batches(to_drops, batch_format="pyarrow").materialize()
-    if drops.count() == 0:
-        return ds
-    return anti_join_ids(ds, drops, id_col=id_col, num_partitions=num_partitions)
+    return _anti_join(ds, vp, "b", id_col, num_partitions)
 
 
 def minhash_dedup(
@@ -946,9 +802,9 @@ def hash64_pigeonhole_pairs(
     (shared by simhash text dedup and perceptual-hash image dedup):
     split each hash into max_hamming + 1 contiguous bit segments — two
     hashes within the hamming budget MUST agree exactly on at least
-    one segment — bucket on (seg_id, seg_val), co-shuffle buckets on
-    hash(bucket) mod P, and hamming-verify inside multi-member buckets
-    only. Emits the DISTINCT (a, b) pair Dataset with a < b (a pair
+    one segment — bucket on (seg_id, seg_val), hash_partition buckets
+    on hash(bucket) mod P, and hamming-verify inside multi-member
+    buckets only. Emits the DISTINCT (a, b) pair Dataset with a < b (a pair
     sharing several segments is found in several buckets; the shared
     dedup_pairs_ds shuffle collapses the copies exactly once).
 
@@ -977,18 +833,16 @@ def hash64_pigeonhole_pairs(
                 "seg_val": flat.astype(np.int64),
                 "_id": np.repeat(batch[id_col].to_numpy(), n_segs),
                 "_hash": np.repeat(h, n_segs),
-                "_part": (
-                    (flat * np.uint64(n_segs) + seg_ids.astype(np.uint64))
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
             }
         )
+
+    def bucket_hash(t: pa.Table) -> np.ndarray:
+        seg_val, seg_id = (t.column(c).to_numpy().astype(np.uint64) for c in ("seg_val", "seg_id"))
+        return seg_val * np.uint64(n_segs) + seg_id
 
     def pairs_in_partition(g: pd.DataFrame) -> pa.Table:
         # complete (seg_id, seg_val) buckets land here together (the
         # coarse-partition pattern of minhash_lsh_candidates)
-        if g.empty or "_id" not in g.columns:
-            return _typed_table(_PAIR_SCHEMA)
         sizes = g.groupby(["seg_id", "seg_val"])["_id"].transform("size")
         multi = g[sizes > 1]
         a, b = [], []
@@ -1012,10 +866,9 @@ def hash64_pigeonhole_pairs(
                         b.append(rows_[j][0])
         return _typed_table(_PAIR_SCHEMA, a=np.array(a, dtype=np.int64), b=np.array(b, dtype=np.int64))
 
-    raw = (
-        sigs.map_batches(explode, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
+    raw = hash_partition(
+        sigs.map_batches(explode, batch_format="pandas"),
+        bucket_hash, num_partitions, pairs_in_partition, _PAIR_SCHEMA,
     )
     return dedup_pairs_ds(raw, num_partitions=num_partitions)
 
@@ -1028,15 +881,7 @@ def drop_larger_of_pairs(
     transitivity guarantee (a<b<c chains drop both b and c even if
     only a~b and b~c) — acceptable for near-dup removal and
     deterministic."""
-
-    def to_drops(b: pd.DataFrame) -> pa.Table:
-        vals = b["b"].to_numpy() if len(b) and "b" in b.columns else np.array([], dtype=np.int64)
-        return _typed_table(_DROP_SCHEMA, drop_id=np.unique(vals).astype(np.int64))
-
-    drops = pairs.map_batches(to_drops, batch_format="pandas").materialize()
-    if drops.count() == 0:
-        return ds
-    return anti_join_ids(ds, drops, id_col=id_col)
+    return _anti_join(ds, pairs, "b", id_col, 32)
 
 
 def simhash_dedup(ds: ray.data.Dataset, max_hamming: int = 3, ngram: int = 3) -> ray.data.Dataset:
@@ -1055,7 +900,7 @@ def simhash_dedup(ds: ray.data.Dataset, max_hamming: int = 3, ngram: int = 3) ->
 # ---------------------------------------------------------------------------
 
 _CC_LABEL_SCHEMA = pa.schema([("node", pa.int64()), ("lbl", pa.int64())])
-_CC_EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64()), ("_part", pa.int64())])
+_CC_FOLD_SCHEMA = _CC_LABEL_SCHEMA.append(pa.field("changed", pa.int64()))
 _CC_OUT_SCHEMA = pa.schema([("node", pa.int64()), ("component", pa.int64())])
 
 
@@ -1103,14 +948,14 @@ def connected_components(
     Kiveris et al. 2014 "Connected Components in MapReduce and
     Beyond" for the family): labels start as the node id; each round,
     every node takes the min of its own label and its neighbors'
-    labels, via two hash-mod-P exchanges (edges+labels co-shuffled on
-    src to stamp messages, messages reduced on dst) — never a
-    JoinOperator. Rounds = O(component diameter), bounded by
-    `max_iters` (raises if not converged — a diameter that large means
-    the pair graph is degenerate and the caller should star-cap its
-    pair generation, see _pairs_in_buckets). The label table is one
-    row per node APPEARING IN A PAIR — the small side by construction;
-    the corpus itself is never touched.
+    labels, via two co_shuffles on node id mod P (edges with labels
+    on src to stamp messages, labels with messages on dst to fold
+    them) — never a JoinOperator. Rounds = O(component diameter),
+    bounded by `max_iters` (raises if not converged — a diameter that
+    large means the pair graph is degenerate and the caller should
+    star-cap its pair generation, see _pairs_in_buckets). The label
+    table is one row per node APPEARING IN A PAIR — the small side by
+    construction; the corpus itself is never touched.
 
     Output: (node, component), one row per distinct node in `pairs`.
     """
@@ -1127,145 +972,38 @@ def connected_components(
         if "a" not in df.columns:
             return ray.data.from_arrow(_typed_table(_CC_OUT_SCHEMA))
         return ray.data.from_arrow(_union_find_components(df))
-    # blocks out of upstream groupbys may be schema-less when empty
-    edges = edges.map_batches(
-        lambda t: _typed_table(
-            _PAIR_SCHEMA,
-            a=(t.column("a").to_numpy(zero_copy_only=False) if "a" in t.column_names else []),
-            b=(t.column("b").to_numpy(zero_copy_only=False) if "b" in t.column_names else []),
-        ),
-        batch_format="pyarrow",
-    )
 
     def symmetrize(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("a").to_numpy(zero_copy_only=False), dtype=np.int64)
-        b = np.asarray(t.column("b").to_numpy(zero_copy_only=False), dtype=np.int64)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        return pa.Table.from_arrays(
-            [
-                pa.array(src, pa.int64()),
-                pa.array(dst, pa.int64()),
-                pa.array(src % num_partitions, pa.int64()),
-            ],
-            schema=_CC_EDGE_SCHEMA,
-        )
+        a = np.asarray(t.column("a").to_numpy(), dtype=np.int64)
+        b = np.asarray(t.column("b").to_numpy(), dtype=np.int64)
+        return pa.table({"src": np.concatenate([a, b]), "dst": np.concatenate([b, a])})
 
     sym = edges.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
-    def init_labels(t: pa.Table) -> pa.Table:
-        nodes = np.unique(np.asarray(t.column("src").to_numpy(zero_copy_only=False)))
-        return _typed_table(_CC_LABEL_SCHEMA, node=nodes, lbl=nodes)
+    def init_labels(g: pd.DataFrame) -> pd.DataFrame:
+        nodes = np.unique(g["src"].to_numpy())
+        return pd.DataFrame({"node": nodes, "lbl": nodes})
 
-    # per-block unique then one grouped min -> distinct nodes
-    labels = (
-        sym.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("node")
-        .min("lbl")
-        .map_batches(
-            lambda t: _typed_table(
-                _CC_LABEL_SCHEMA,
-                node=t.column("node").to_numpy(zero_copy_only=False),
-                lbl=t.column("min(lbl)").to_numpy(zero_copy_only=False),
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
+    labels = hash_partition(sym, "src", num_partitions, init_labels, _CC_LABEL_SCHEMA).materialize()
 
-    msg_schema = pa.schema(
-        [("node", pa.int64()), ("lbl", pa.int64()), ("own", pa.int8()), ("_part", pa.int64())]
-    )
-
-    def proj_labels_by_node(t: pa.Table) -> pa.Table:
-        n = np.asarray(t.column("node").to_numpy(zero_copy_only=False), dtype=np.int64)
-        lb = np.asarray(t.column("lbl").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(n, pa.int64()),
-                pa.array(lb, pa.int64()),
-                pa.array(np.ones(len(n), dtype=np.int8)),
-                pa.array(n % num_partitions, pa.int64()),
-            ],
-            schema=msg_schema,
-        )
-
-    def stamp_messages(g: pd.DataFrame) -> pa.Table:
-        # partition keyed by src: attach lbl[src] to each outgoing edge
-        if g.empty or "own" not in g.columns:
-            return _typed_table(msg_schema)
-        lab = g[g["own"] == 1]
-        edg = g[g["own"] == 0]
-        if edg.empty:
-            return _typed_table(msg_schema)
+    def stamp(edg: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        # partition keyed by src: each edge carries lbl[src] to its dst
         lookup = pd.Series(lab["lbl"].to_numpy(), index=lab["node"].to_numpy())
-        dst = edg["dst_"].to_numpy(dtype=np.int64)
-        lb = edg["node"].map(lookup).to_numpy(dtype=np.int64)
-        return _typed_table(
-            msg_schema,
-            node=dst,
-            lbl=lb,
-            own=np.zeros(len(dst), dtype=np.int8),
-            _part=dst % num_partitions,
-        )
+        return pd.DataFrame({"node": edg["dst"], "lbl": edg["src"].map(lookup)})
 
-    def proj_edges_as_msgs(t: pa.Table) -> pa.Table:
-        # edges enter the src-keyed exchange as (node=src, dst_=dst)
-        src = np.asarray(t.column("src").to_numpy(zero_copy_only=False), dtype=np.int64)
-        dst = np.asarray(t.column("dst").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(src, pa.int64()),
-                pa.array(dst, pa.int64()),
-                pa.array(np.zeros(len(src), dtype=np.int8)),
-                pa.array(src % num_partitions, pa.int64()),
-            ],
-            schema=pa.schema(
-                [("node", pa.int64()), ("dst_", pa.int64()), ("own", pa.int8()), ("_part", pa.int64())]
-            ),
-        )
-
-    def reduce_min(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "lbl" not in g.columns:
-            return _typed_table(pa.schema(
-                [("node", pa.int64()), ("lbl", pa.int64()), ("changed", pa.int64())]
-            ))
-        own = g[g["own"] == 1].set_index("node")["lbl"]
-        new = g.groupby("node", sort=False)["lbl"].min()
-        changed = (new < own.reindex(new.index)).sum()
-        return _typed_table(
-            pa.schema([("node", pa.int64()), ("lbl", pa.int64()), ("changed", pa.int64())]),
-            node=new.index.to_numpy(dtype=np.int64),
-            lbl=new.to_numpy(dtype=np.int64),
-            changed=np.full(len(new), 0, dtype=np.int64) if len(new) == 0 else
-            np.concatenate([[int(changed)], np.zeros(len(new) - 1, dtype=np.int64)]),
-        )
+    def fold(own: pd.DataFrame, msgs: pd.DataFrame) -> pd.DataFrame:
+        # partition keyed by node: new label = min(own, neighbors')
+        new = pd.concat([own[["node", "lbl"]], msgs]).groupby("node", sort=False)["lbl"].min()
+        old = own.set_index("node")["lbl"].reindex(new.index)
+        changed = (new < old).to_numpy(dtype=np.int64)
+        return pd.DataFrame({"node": new.index, "lbl": new.to_numpy(), "changed": changed})
 
     for _ in range(max_iters):
-        # exchange 1 (on src): stamp each edge with its source's label
-        msgs = (
-            labels.map_batches(proj_labels_by_node, batch_format="pyarrow")
-            .union(sym.map_batches(proj_edges_as_msgs, batch_format="pyarrow"))
-            .groupby("_part")
-            .map_groups(stamp_messages, batch_format="pandas")
-        )
-        # exchange 2 (on dst): fold neighbor labels into each node's own
-        folded = (
-            msgs.union(labels.map_batches(proj_labels_by_node, batch_format="pyarrow"))
-            .groupby("_part")
-            .map_groups(reduce_min, batch_format="pandas")
-            .materialize()
-        )
-        n_changed = int(folded.sum("changed") or 0)
-        labels = folded.map_batches(
-            lambda t: _typed_table(
-                _CC_LABEL_SCHEMA,
-                node=t.column("node").to_numpy(zero_copy_only=False),
-                lbl=t.column("lbl").to_numpy(zero_copy_only=False),
-            ),
-            batch_format="pyarrow",
+        msgs = co_shuffle(sym, labels, "src", "node", num_partitions, stamp, _CC_LABEL_SCHEMA)
+        labels = co_shuffle(
+            labels, msgs, "node", "node", num_partitions, fold, _CC_FOLD_SCHEMA
         ).materialize()
-        if n_changed == 0:
+        if int(labels.sum("changed") or 0) == 0:
             break
     else:
         raise RuntimeError(
@@ -1275,9 +1013,7 @@ def connected_components(
 
     return labels.map_batches(
         lambda t: _typed_table(
-            _CC_OUT_SCHEMA,
-            node=t.column("node").to_numpy(zero_copy_only=False),
-            component=t.column("lbl").to_numpy(zero_copy_only=False),
+            _CC_OUT_SCHEMA, node=t.column("node").to_numpy(), component=t.column("lbl").to_numpy()
         ),
         batch_format="pyarrow",
     )
@@ -1321,40 +1057,21 @@ def dup_ngram_components(
         )
         g = df.groupby(["doc_id", "gram"], sort=False).size().reset_index(name="m")
         g["m"] = g["m"].astype("int64")
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
         return g
 
-    def star_edges(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "gram" not in g.columns:
-            return _typed_table(_PAIR_SCHEMA)
+    def star_edges(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby("gram", sort=False)["m"].transform("sum")
         dup = g[tot.to_numpy() > max_count]
-        if dup.empty:
-            return _typed_table(_PAIR_SCHEMA)
         root = dup.groupby("gram", sort=False)["doc_id"].transform("min")
-        return _typed_table(
-            _PAIR_SCHEMA,
-            a=root.to_numpy(dtype=np.int64),
-            b=dup["doc_id"].to_numpy(dtype=np.int64),
-        )
+        return pd.DataFrame({"a": root.to_numpy(), "b": dup["doc_id"].to_numpy()})
 
-    pairs = (
-        ds.map_batches(explode_grams, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(star_edges, batch_format="pandas")
+    pairs = hash_partition(
+        ds.map_batches(explode_grams, batch_format="pandas"),
+        lambda t: pd.util.hash_array(t.column("gram").to_numpy(zero_copy_only=False)),
+        num_partitions, star_edges, _PAIR_SCHEMA,
     )
     out = connected_components(pairs, num_partitions=num_partitions)
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                id_col: t.column("node"),
-                "component": t.column("component"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return out.rename_columns({"node": id_col})
 
 
 # ---------------------------------------------------------------------------
@@ -1363,6 +1080,99 @@ def dup_ngram_components(
 
 
 _DROP_PAIR_SCHEMA = pa.schema([("drop_id", pa.int64()), ("drop_pidx", pa.int64())])
+_PARA_CACHE: dict = {}  # per-worker resolved broadcast drop maps
+
+
+def _units_schema(id_col: str, text_col: str, count_col: str) -> pa.Schema:
+    return pa.schema(
+        [
+            (id_col, pa.int64()),
+            (text_col, pa.large_string()),
+            (count_col, pa.int64()),
+            ("n_removed", pa.int64()),
+        ]
+    )
+
+
+def _unit_hashes(batch: pd.DataFrame, text_col: str, id_col: str, sep: str) -> pd.DataFrame:
+    """Slim (_h, _h2, id, _pidx) rows, one per non-blank `sep`-unit of
+    every document in the batch: what paragraph_dedup and
+    boilerplate_line_filter shuffle instead of the unit text. Same
+    128-bit md5 content key (_md5_128) and collision margin as
+    exact_dedup."""
+    batch = batch.reset_index(drop=True)
+    ex = batch[text_col].astype(str).str.split(sep).explode()
+    pidx = ex.groupby(level=0).cumcount().to_numpy(dtype=np.int64)
+    ids = batch[id_col].reindex(ex.index).to_numpy(dtype=np.int64)
+    units = ex.to_numpy(dtype=object)
+    nonblank = np.fromiter((bool(p.strip()) for p in units), dtype=bool, count=len(units))
+    h1, h2 = _md5_128([str(p) for p in units[nonblank]])
+    return pd.DataFrame({"_h": h1, "_h2": h2, id_col: ids[nonblank], "_pidx": pidx[nonblank]})
+
+
+def _drop_units(
+    ds: ray.data.Dataset,
+    drops: ray.data.Dataset,
+    text_col: str,
+    id_col: str,
+    sep: str,
+    count_col: str,
+    num_partitions: int,
+    broadcast_max_pairs: int,
+) -> ray.data.Dataset:
+    """Rebuild every document of `ds` as the `sep`-join of its units
+    minus the (drop_id, drop_pidx) pairs of the materialized `drops`;
+    emits (id_col, text_col, count_col = units before, n_removed). The
+    drop pairs broadcast once up to `broadcast_max_pairs` (zero corpus
+    exchange), else co-shuffle with the corpus on id mod P. Documents
+    rebuild locally by re-splitting."""
+    schema = _units_schema(id_col, text_col, count_col)
+    empty = np.empty(0, dtype=np.int64)
+
+    def by_doc(rem: pd.DataFrame) -> dict:
+        return {
+            int(k): np.sort(v.to_numpy(dtype=np.int64))
+            for k, v in rem.groupby("drop_id", sort=False)["drop_pidx"]
+        }
+
+    def rebuild(docs: pd.DataFrame, gone_of: dict) -> pa.Table:
+        out_texts, n_units, n_rem = [], [], []
+        for i, t in zip(docs[id_col], docs[text_col]):
+            parts_i = str(t).split(sep)
+            gone = gone_of.get(int(i), empty)
+            if len(gone):
+                keep = np.ones(len(parts_i), dtype=bool)
+                keep[gone] = False
+                out_texts.append(sep.join(p for p, k in zip(parts_i, keep) if k))
+            else:
+                out_texts.append(sep.join(parts_i))
+            n_units.append(len(parts_i))
+            n_rem.append(len(gone))
+        return _typed_table(
+            schema,
+            **{
+                id_col: docs[id_col].to_numpy(dtype=np.int64),
+                text_col: out_texts,
+                count_col: np.asarray(n_units, dtype=np.int64),
+                "n_removed": np.asarray(n_rem, dtype=np.int64),
+            },
+        )
+
+    n_pairs = drops.count()
+    if n_pairs <= broadcast_max_pairs:
+        ref = ray.put(by_doc(drops.to_pandas()) if n_pairs else {})
+
+        def apply_bc(batch: pd.DataFrame) -> pa.Table:
+            m = _PARA_CACHE.get(ref.hex())
+            if m is None:
+                m = _PARA_CACHE[ref.hex()] = ray.get(ref)
+            return rebuild(batch, m)
+
+        return ds.map_batches(apply_bc, batch_format="pandas")
+    return co_shuffle(
+        ds.select_columns([id_col, text_col]), drops, id_col, "drop_id", num_partitions,
+        lambda docs, rem: rebuild(docs, by_doc(rem)), schema,
+    )
 
 
 def paragraph_dedup(
@@ -1396,22 +1206,15 @@ def paragraph_dedup(
     resolve per hash-mod-P partition, and the loser (id, pidx) pairs
     — tiny when duplication is rare, the crawl common case —
     broadcast once under `broadcast_max_pairs`, else co-shuffle with
-    the corpus on hash(id) mod P (the anti_join_ids union idiom).
-    Paragraph TEXT never enters an exchange; documents rebuild
-    locally by re-splitting. Same 128-bit md5 content key (_md5_128)
-    and collision margin as exact_dedup."""
+    the corpus on id mod P (_drop_units). Paragraph TEXT never enters
+    an exchange; documents rebuild locally by re-splitting. Same
+    128-bit md5 content key (_md5_128) and collision margin as
+    exact_dedup."""
     if scope not in ("corpus", "doc"):
         raise ValueError(f"scope must be 'corpus' or 'doc', got {scope!r}")
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            (text_col, pa.large_string()),
-            ("n_paragraphs", pa.int64()),
-            ("n_removed", pa.int64()),
-        ]
-    )
 
     if scope == "doc":
+        out_schema = _units_schema(id_col, text_col, "n_paragraphs")
 
         def dedup_within(batch: pd.DataFrame) -> pa.Table:
             ids_o, texts_o, np_o, nr_o = [], [], [], []
@@ -1445,26 +1248,12 @@ def paragraph_dedup(
         return ds.map_batches(dedup_within, batch_format="pandas")
 
     def slim_triples(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.reset_index(drop=True)
-        parts = batch[text_col].astype(str).str.split(sep)
-        ex = parts.explode()
-        pidx = ex.groupby(level=0).cumcount().to_numpy(dtype=np.int64)
-        ids = batch[id_col].reindex(ex.index).to_numpy(dtype=np.int64)
-        paras = ex.to_numpy(dtype=object)
-        nonblank = np.fromiter(
-            (bool(p.strip()) for p in paras), dtype=bool, count=len(paras)
-        )
-        h1, h2 = _md5_128([str(p) for p in paras[nonblank]])
-        out = pd.DataFrame(
-            {"_h": h1, "_h2": h2, id_col: ids[nonblank], "_pidx": pidx[nonblank]}
-        ).sort_values([id_col, "_pidx"], kind="stable")
+        out = _unit_hashes(batch, text_col, id_col, sep)
+        out = out.sort_values([id_col, "_pidx"], kind="stable")
         out["_lose"] = out.duplicated(["_h", "_h2"], keep="first").to_numpy().astype(np.int8)
-        out["_part"] = (
-            out["_h"].to_numpy().view(np.uint64) % np.uint64(num_partitions)
-        ).astype(np.int64)
         return out
 
-    def losers_in_part(g: pd.DataFrame) -> pa.Table:
+    def losers_in_part(g: pd.DataFrame) -> pd.DataFrame:
         cand = g[g["_lose"] == 0].sort_values([id_col, "_pidx"], kind="stable")
         lost = pd.concat(
             [
@@ -1472,130 +1261,16 @@ def paragraph_dedup(
                 cand.loc[cand.duplicated(["_h", "_h2"], keep="first"), [id_col, "_pidx"]],
             ]
         )
-        return _typed_table(
-            _DROP_PAIR_SCHEMA,
-            drop_id=lost[id_col].to_numpy(dtype=np.int64),
-            drop_pidx=lost["_pidx"].to_numpy(dtype=np.int64),
-        )
+        return pd.DataFrame({"drop_id": lost[id_col], "drop_pidx": lost["_pidx"]})
 
-    drops = (
-        ds.map_batches(slim_triples, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(losers_in_part, batch_format="pandas")
-        .materialize()
+    drops = hash_partition(
+        ds.map_batches(slim_triples, batch_format="pandas"),
+        "_h", num_partitions, losers_in_part, _DROP_PAIR_SCHEMA,
+    ).materialize()
+    return _drop_units(
+        ds, drops, text_col, id_col, sep, "n_paragraphs", num_partitions, broadcast_max_pairs
     )
 
-    def rebuild_rows(ids, texts, drop_of) -> pa.Table:
-        out_ids, out_texts, n_paras, n_rem = [], [], [], []
-        empty = np.empty(0, dtype=np.int64)
-        for i, t in zip(ids, texts):
-            parts_i = str(t).split(sep)
-            gone = drop_of(int(i))
-            if len(gone):
-                keep = np.ones(len(parts_i), dtype=bool)
-                keep[gone] = False
-                kept = [p for p, k in zip(parts_i, keep) if k]
-            else:
-                kept = parts_i
-            out_ids.append(int(i))
-            out_texts.append(sep.join(kept))
-            n_paras.append(len(parts_i))
-            n_rem.append(len(gone) if len(gone) else 0)
-        return _typed_table(
-            out_schema,
-            **{
-                id_col: np.asarray(out_ids, dtype=np.int64),
-                text_col: out_texts,
-                "n_paragraphs": np.asarray(n_paras, dtype=np.int64),
-                "n_removed": np.asarray(n_rem, dtype=np.int64),
-            },
-        )
-
-    n_pairs = drops.count()
-    if n_pairs <= broadcast_max_pairs:
-        # broadcast tier: drop pairs ship once; zero corpus exchange
-        tbl = drops.to_pandas() if n_pairs else pd.DataFrame(columns=["drop_id", "drop_pidx"])
-        by_doc = {
-            int(k): np.sort(v.to_numpy(dtype=np.int64))
-            for k, v in tbl.groupby("drop_id")["drop_pidx"]
-        }
-        ref = ray.put(by_doc)
-        empty = np.empty(0, dtype=np.int64)
-
-        def apply_bc(batch: pd.DataFrame) -> pa.Table:
-            key = ("paradedup", ref.hex())
-            m = _PARA_CACHE.get(key)
-            if m is None:
-                m = _PARA_CACHE[key] = ray.get(ref)
-            return rebuild_rows(
-                batch[id_col], batch[text_col], lambda i: m.get(i, empty)
-            )
-
-        return ds.map_batches(apply_bc, batch_format="pandas")
-
-    # co-shuffle tier: union corpus + drop pairs on hash(id) mod P
-    side_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("_pidx", pa.int64()),
-            (text_col, pa.large_string()),
-            ("_side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def proj_docs(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                t.column(text_col).cast(pa.large_string()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    def proj_drops(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "drop_id" not in t.column_names:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column("drop_id").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("drop_pidx").cast(pa.int64()),
-                pa.nulls(t.num_rows, pa.large_string()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(proj_docs, batch_format="pyarrow")
-        .union(drops.map_batches(proj_drops, batch_format="pyarrow"))
-    )
-
-    def rebuild_partition(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_side" not in g.columns:
-            return _typed_table(out_schema)
-        docs = g[g["_side"] == 0]
-        rem = g[g["_side"] == 1]
-        by_doc = {
-            int(k): np.sort(v.to_numpy(dtype=np.int64))
-            for k, v in rem.groupby(id_col, sort=False)["_pidx"]
-        }
-        empty = np.empty(0, dtype=np.int64)
-        return rebuild_rows(
-            docs[id_col], docs[text_col], lambda i: by_doc.get(i, empty)
-        )
-
-    return both.groupby("_part").map_groups(rebuild_partition, batch_format="pandas")
-
-
-_PARA_CACHE: dict = {}  # per-worker resolved broadcast drop maps
 
 def boilerplate_line_filter(
     ds: ray.data.Dataset,
@@ -1626,164 +1301,24 @@ def boilerplate_line_filter(
     count is bounded by occurrences of hot lines, so crawl-scale runs
     with pervasive chrome should lower min_docs pressure by
     pre-stripping with source_prefix_strip), else they co-shuffle
-    with the corpus on hash(id) mod P. Line TEXT never enters an
-    exchange; documents rebuild locally by re-splitting. Same 128-bit
-    md5 content key (_md5_128) and collision margin as exact_dedup."""
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            (text_col, pa.large_string()),
-            ("n_lines", pa.int64()),
-            ("n_removed", pa.int64()),
-        ]
-    )
+    with the corpus on id mod P (_drop_units). Line TEXT never enters
+    an exchange; documents rebuild locally by re-splitting. Same
+    128-bit md5 content key (_md5_128) and collision margin as
+    exact_dedup."""
 
-    def slim_triples(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.reset_index(drop=True)
-        parts = batch[text_col].astype(str).str.split(sep)
-        ex = parts.explode()
-        pidx = ex.groupby(level=0).cumcount().to_numpy(dtype=np.int64)
-        ids = batch[id_col].reindex(ex.index).to_numpy(dtype=np.int64)
-        lines = ex.to_numpy(dtype=object)
-        nonblank = np.fromiter(
-            (bool(p.strip()) for p in lines), dtype=bool, count=len(lines)
-        )
-        h1, h2 = _md5_128([str(p) for p in lines[nonblank]])
-        out = pd.DataFrame(
-            {"_h": h1, "_h2": h2, id_col: ids[nonblank], "_pidx": pidx[nonblank]}
-        )
-        out["_part"] = (
-            out["_h"].to_numpy().view(np.uint64) % np.uint64(num_partitions)
-        ).astype(np.int64)
-        return out
-
-    def hot_drops(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_h" not in g.columns:
-            return _typed_table(_DROP_PAIR_SCHEMA)
+    def hot_drops(g: pd.DataFrame) -> pd.DataFrame:
         df = g.groupby(["_h", "_h2"], sort=False)[id_col].nunique()
         hot = df.index[df.to_numpy() >= min_docs]
-        key = pd.MultiIndex.from_arrays([g["_h"], g["_h2"]])
-        lost = g[key.isin(hot)]
-        return _typed_table(
-            _DROP_PAIR_SCHEMA,
-            drop_id=lost[id_col].to_numpy(dtype=np.int64),
-            drop_pidx=lost["_pidx"].to_numpy(dtype=np.int64),
-        )
+        lost = g[pd.MultiIndex.from_arrays([g["_h"], g["_h2"]]).isin(hot)]
+        return pd.DataFrame({"drop_id": lost[id_col], "drop_pidx": lost["_pidx"]})
 
-    drops = (
-        ds.map_batches(slim_triples, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(hot_drops, batch_format="pandas")
-        .materialize()
+    drops = hash_partition(
+        ds.map_batches(_unit_hashes, fn_args=(text_col, id_col, sep), batch_format="pandas"),
+        "_h", num_partitions, hot_drops, _DROP_PAIR_SCHEMA,
+    ).materialize()
+    return _drop_units(
+        ds, drops, text_col, id_col, sep, "n_lines", num_partitions, broadcast_max_pairs
     )
-
-    def rebuild_rows(ids, texts, drop_of) -> pa.Table:
-        out_ids, out_texts, n_lines, n_rem = [], [], [], []
-        for i, t in zip(ids, texts):
-            parts_i = str(t).split(sep)
-            gone = drop_of(int(i))
-            if len(gone):
-                keep = np.ones(len(parts_i), dtype=bool)
-                keep[gone] = False
-                kept = [p for p, k in zip(parts_i, keep) if k]
-            else:
-                kept = parts_i
-            out_ids.append(int(i))
-            out_texts.append(sep.join(kept))
-            n_lines.append(len(parts_i))
-            n_rem.append(len(gone) if len(gone) else 0)
-        return _typed_table(
-            out_schema,
-            **{
-                id_col: np.asarray(out_ids, dtype=np.int64),
-                text_col: out_texts,
-                "n_lines": np.asarray(n_lines, dtype=np.int64),
-                "n_removed": np.asarray(n_rem, dtype=np.int64),
-            },
-        )
-
-    n_pairs = drops.count()
-    if n_pairs <= broadcast_max_pairs:
-        tbl = drops.to_pandas() if n_pairs else pd.DataFrame(columns=["drop_id", "drop_pidx"])
-        by_doc = {
-            int(k): np.sort(v.to_numpy(dtype=np.int64))
-            for k, v in tbl.groupby("drop_id")["drop_pidx"]
-        }
-        ref = ray.put(by_doc)
-        empty = np.empty(0, dtype=np.int64)
-
-        def apply_bc(batch: pd.DataFrame) -> pa.Table:
-            key = ("linefilter", ref.hex())
-            m = _PARA_CACHE.get(key)
-            if m is None:
-                m = _PARA_CACHE[key] = ray.get(ref)
-            return rebuild_rows(
-                batch[id_col], batch[text_col], lambda i: m.get(i, empty)
-            )
-
-        return ds.map_batches(apply_bc, batch_format="pandas")
-
-    # co-shuffle tier: union corpus + drop pairs on hash(id) mod P
-    side_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("_pidx", pa.int64()),
-            (text_col, pa.large_string()),
-            ("_side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def proj_docs(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                t.column(text_col).cast(pa.large_string()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    def proj_drops(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "drop_id" not in t.column_names:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column("drop_id").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("drop_pidx").cast(pa.int64()),
-                pa.nulls(t.num_rows, pa.large_string()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(proj_docs, batch_format="pyarrow")
-        .union(drops.map_batches(proj_drops, batch_format="pyarrow"))
-    )
-
-    def rebuild_partition(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_side" not in g.columns:
-            return _typed_table(out_schema)
-        docs = g[g["_side"] == 0]
-        rem = g[g["_side"] == 1]
-        by_doc = {
-            int(k): np.sort(v.to_numpy(dtype=np.int64))
-            for k, v in rem.groupby(id_col, sort=False)["_pidx"]
-        }
-        empty = np.empty(0, dtype=np.int64)
-        return rebuild_rows(
-            docs[id_col], docs[text_col], lambda i: by_doc.get(i, empty)
-        )
-
-    return both.groupby("_part").map_groups(rebuild_partition, batch_format="pandas")
-
 
 
 # ---------------------------------------------------------------------------
@@ -1817,13 +1352,11 @@ def dedup_against(
       when the EXISTING corpus is the big side but its distinct-hash
       set still fits a worker heap.
     - co-shuffle tier: both sides' slim rows — (hash, id) for new,
-      (hash,) for existing — co-shuffle on hash mod P; a new id with
+      (hash,) for existing — co_shuffle on hash mod P; a new id with
       an existing-side hash in its partition becomes a drop;
       anti_join_ids filters the shard. Nothing about either corpus'
       text enters an exchange.
     """
-    import pyarrow.compute as pc
-
     def slim_existing(batch: pd.DataFrame) -> pd.DataFrame:
         h1, h2 = _md5_128(list(batch[text_col].astype(str)))
         return pd.DataFrame({"_h": h1, "_h2": h2}).drop_duplicates()
@@ -1855,68 +1388,33 @@ def dedup_against(
         return ds_new.map_batches(drop_known, batch_format="pyarrow")
 
     # ---- co-shuffle tier ----
-    pair_schema = pa.schema(
-        [
-            ("_h", pa.int64()),
-            ("_h2", pa.int64()),
-            (id_col, pa.int64()),
-            ("_side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def slim_new(batch: pd.DataFrame) -> pa.Table:
+    def slim_new(batch: pd.DataFrame) -> pd.DataFrame:
         h1, h2 = _md5_128(list(batch[text_col].astype(str)))
-        return _typed_table(
-            pair_schema,
-            _h=h1,
-            _h2=h2,
-            **{id_col: batch[id_col].to_numpy(dtype=np.int64)},
-            _side=np.zeros(len(batch), dtype=np.int8),
-            _part=(h1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int64),
-        )
+        return pd.DataFrame({"_h": h1, "_h2": h2, id_col: batch[id_col].to_numpy(dtype=np.int64)})
 
-    def slim_ex_side(batch: pd.DataFrame) -> pa.Table:
-        h1 = batch["_h"].to_numpy(dtype=np.int64)
-        return _typed_table(
-            pair_schema,
-            _h=h1,
-            _h2=batch["_h2"].to_numpy(dtype=np.int64),
-            **{id_col: np.zeros(len(batch), dtype=np.int64)},
-            _side=np.ones(len(batch), dtype=np.int8),
-            _part=(h1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int64),
-        )
-
-    both = (
-        ds_new.select_columns([id_col, text_col])
-        .map_batches(slim_new, batch_format="pandas")
-        .union(ex_hashes.map_batches(slim_ex_side, batch_format="pandas"))
-    )
-
-    def drops_in_part(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_side" not in g.columns:
-            return _typed_table(_DROP_ID_SCHEMA)
-        ex_side = g[g["_side"] == 1]
+    def drops_in_part(news: pd.DataFrame, old: pd.DataFrame) -> pd.DataFrame:
         known = np.unique(
-            _pack128(
-                ex_side["_h"].to_numpy(dtype=np.int64),
-                ex_side["_h2"].to_numpy(dtype=np.int64),
-            )
+            _pack128(old["_h"].to_numpy(dtype=np.int64), old["_h2"].to_numpy(dtype=np.int64))
         )
-        news = g[g["_side"] == 0]
         hit = np.isin(
-            _pack128(
-                news["_h"].to_numpy(dtype=np.int64),
-                news["_h2"].to_numpy(dtype=np.int64),
-            ),
+            _pack128(news["_h"].to_numpy(dtype=np.int64), news["_h2"].to_numpy(dtype=np.int64)),
             known,
         )
-        return _typed_table(
-            _DROP_ID_SCHEMA, drop_id=news.loc[hit, id_col].to_numpy(dtype=np.int64)
-        )
+        return pd.DataFrame({"drop_id": news.loc[hit, id_col]})
 
-    drops = both.groupby("_part").map_groups(drops_in_part, batch_format="pandas")
+    drops = co_shuffle(
+        ds_new.select_columns([id_col, text_col]).map_batches(slim_new, batch_format="pandas"),
+        ex_hashes, "_h", "_h", num_partitions, drops_in_part, _DROP_ID_SCHEMA,
+    )
     return anti_join_ids(ds_new, drops, id_col=id_col, num_partitions=num_partitions)
+
+
+def _cross_side_pairs(t: pa.Table) -> pa.Table:
+    """Keep the (a, b) pairs whose ids are 2*id + side encoded with
+    different side bits: one new document, one existing."""
+    a, b = t.column("a").to_numpy(), t.column("b").to_numpy()
+    keep = (a & 1) != (b & 1)
+    return _typed_table(_PAIR_SCHEMA, a=a[keep], b=b[keep])
 
 
 def near_dedup_against(
@@ -1974,25 +1472,14 @@ def near_dedup_against(
     sigs = minhash_signatures(combined, num_perm=num_perm, k=k)
     pairs = minhash_lsh_candidates(sigs, bands=bands, rows=rows, num_partitions=num_partitions)
 
-    def cross_only(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return _typed_table(_PAIR_SCHEMA)
-        a = np.asarray(t.column("a").to_numpy(zero_copy_only=False), dtype=np.int64)
-        b = np.asarray(t.column("b").to_numpy(zero_copy_only=False), dtype=np.int64)
-        keep = (a & 1) != (b & 1)
-        return _typed_table(_PAIR_SCHEMA, a=a[keep], b=b[keep])
-
-    cross = pairs.map_batches(cross_only, batch_format="pyarrow")
+    cross = pairs.map_batches(_cross_side_pairs, batch_format="pyarrow")
     verified = _verified_pairs_shuffle(
         combined, cross, hash_kind="char", param=k, threshold=threshold,
         num_partitions=num_partitions,
     )
 
     def to_drops(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "b" not in t.column_names:
-            return _typed_table(_DROP_ID_SCHEMA)
-        a = np.asarray(t.column("a").to_numpy(zero_copy_only=False), dtype=np.int64)
-        b = np.asarray(t.column("b").to_numpy(zero_copy_only=False), dtype=np.int64)
+        a, b = t.column("a").to_numpy(), t.column("b").to_numpy()
         new_side = np.where((a & 1) == 1, a, b)  # exactly one side is new
         return _typed_table(_DROP_ID_SCHEMA, drop_id=np.unique(new_side >> 1))
 
@@ -2031,88 +1518,21 @@ def near_dedup_keep_best(
         return ds
     comp = connected_components(vp, num_partitions=num_partitions)
 
-    # co-shuffle (id, component) with (id, quality) on hash(id) mod P,
-    # then (component) -> per-family argmax on hash(component) mod P
-    side_schema = pa.schema(
-        [
-            ("node", pa.int64()),
-            ("component", pa.int64()),
-            ("_q", pa.float64()),
-            ("_side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
+    # co-shuffle (id, component) with (id, quality) on id mod P, then
+    # (component) -> per-family argmax on component mod P
+    def attach_quality(members: pd.DataFrame, qs: pd.DataFrame) -> pd.DataFrame:
+        lookup = pd.Series(qs[quality_col].to_numpy(dtype=np.float64), index=qs["doc_id"])
+        return members.assign(_q=members["node"].map(lookup))
 
-    def proj_comp(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.column_names:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column("node").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("component").cast(pa.int64()),
-                pa.nulls(t.num_rows, pa.float64()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    def proj_quality(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column("doc_id").to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                t.column(quality_col).cast(pa.float64()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = comp.map_batches(proj_comp, batch_format="pyarrow").union(
-        ds.select_columns(["doc_id", quality_col]).map_batches(
-            proj_quality, batch_format="pyarrow"
-        )
-    )
-
-    member_schema = pa.schema(
-        [("node", pa.int64()), ("component", pa.int64()), ("_q", pa.float64()), ("_part", pa.int64())]
-    )
-
-    def attach_quality(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_side" not in g.columns:
-            return _typed_table(member_schema)
-        members = g[g["_side"] == 0]
-        if members.empty:
-            return _typed_table(member_schema)
-        qs = g[g["_side"] == 1]
-        lookup = pd.Series(qs["_q"].to_numpy(), index=qs["node"].to_numpy())
-        comp_ids = members["component"].to_numpy(dtype=np.int64)
-        return _typed_table(
-            member_schema,
-            node=members["node"].to_numpy(dtype=np.int64),
-            component=comp_ids,
-            _q=members["node"].map(lookup).to_numpy(dtype=np.float64),
-            _part=comp_ids % num_partitions,
-        )
-
-    def losers_per_family(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "component" not in g.columns:
-            return _typed_table(_DROP_ID_SCHEMA)
+    def losers_per_family(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["component", "_q", "node"], ascending=[True, False, True], kind="stable")
-        lose = g.duplicated("component", keep="first")
-        return _typed_table(
-            _DROP_ID_SCHEMA, drop_id=g.loc[lose, "node"].to_numpy(dtype=np.int64)
-        )
+        return pd.DataFrame({"drop_id": g.loc[g.duplicated("component", keep="first"), "node"]})
 
-    drops = (
-        both.groupby("_part")
-        .map_groups(attach_quality, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(losers_per_family, batch_format="pandas")
+    members = co_shuffle(
+        comp, ds.select_columns(["doc_id", quality_col]), "node", "doc_id", num_partitions,
+        attach_quality, _CC_OUT_SCHEMA.append(pa.field("_q", pa.float64())),
     )
+    drops = hash_partition(members, "component", num_partitions, losers_per_family, _DROP_ID_SCHEMA)
     return anti_join_ids(ds, drops, id_col="doc_id", num_partitions=num_partitions)
 
 
@@ -2178,40 +1598,11 @@ def anchor_gram_candidates(
     (boilerplate grams shared by everything star-pair, as in LSH)."""
     thresh = np.uint64(1) << np.uint64(64 - anchor_rate_log2)
 
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        gram_out: list[np.ndarray] = []
-        id_out: list[np.ndarray] = []
-        for doc_id, text in zip(batch[id_col], batch[text_col]):
-            h = _shingle_hashes(str(text), k)
-            sel = h[h < thresh]
-            if len(sel):
-                gram_out.append(sel)
-                id_out.append(np.full(len(sel), doc_id, dtype=np.int64))
-        if not gram_out:
-            return pd.DataFrame(
-                {
-                    "gram": pd.Series(dtype="int64"),
-                    "doc_id": pd.Series(dtype="int64"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        grams = np.concatenate(gram_out)
-        return pd.DataFrame(
-            {
-                "gram": grams.astype(np.int64),  # wrap-cast; identity preserved
-                "doc_id": np.concatenate(id_out),
-                "_part": (grams % np.uint64(num_partitions)).astype(np.int64),
-            }
-        )
+    def anchors(batch: pd.DataFrame) -> pd.DataFrame:
+        hs = [_shingle_hashes(str(t), k) for t in batch[text_col]]
+        return pd.DataFrame({"doc_id": batch[id_col].to_numpy(), "anchor": [h[h < thresh] for h in hs]})
 
-    def pairs_in_partition(g: pd.DataFrame) -> pa.Table:
-        return _pairs_in_buckets(g, ["gram"])
-
-    pairs = (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-    )
+    pairs = _anchor_pairs_from_col(ds.map_batches(anchors, batch_format="pandas"), num_partitions)
     return dedup_pairs_ds(pairs, num_partitions=num_partitions)
 
 
@@ -2246,40 +1637,23 @@ def _anchor_pairs_from_col(
     combo: ray.data.Dataset, num_partitions: int
 ) -> ray.data.Dataset:
     """Candidate pairs from a precomputed per-doc anchor-gram column
-    (see _sig_anchor_task); same exchange shape as
-    anchor_gram_candidates but without re-hashing the text."""
+    (see _sig_anchor_task): the sampled-gram exchange of
+    anchor_gram_candidates, hash-partitioned on gram. A pair sharing
+    several anchors repeats; callers dedup (dedup_pairs_ds)."""
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        gram_out: list[np.ndarray] = []
-        id_out: list[np.ndarray] = []
-        for doc_id, sel in zip(batch["doc_id"], batch["anchor"]):
-            sel = np.asarray(sel, dtype=np.uint64)
-            if len(sel):
-                gram_out.append(sel)
-                id_out.append(np.full(len(sel), doc_id, dtype=np.int64))
-        if not gram_out:
-            return pd.DataFrame(
-                {
-                    "gram": pd.Series(dtype="int64"),
-                    "doc_id": pd.Series(dtype="int64"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        grams = np.concatenate(gram_out)
+        sel = [np.asarray(a, dtype=np.uint64) for a in batch["anchor"]]
         return pd.DataFrame(
             {
-                "gram": grams.astype(np.int64),
-                "doc_id": np.concatenate(id_out),
-                "_part": (grams % np.uint64(num_partitions)).astype(np.int64),
+                "gram": np.concatenate(sel).astype(np.int64),  # wrap-cast; identity preserved
+                "doc_id": np.repeat(batch["doc_id"].to_numpy(dtype=np.int64), [len(a) for a in sel]),
             }
         )
 
-    pairs = (
-        combo.map_batches(explode, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(lambda g: _pairs_in_buckets(g, ["gram"]), batch_format="pandas")
+    return hash_partition(
+        combo.map_batches(explode, batch_format="pandas"),
+        "gram", num_partitions, lambda g: _pairs_in_buckets(g, ["gram"]), _PAIR_SCHEMA,
     )
-    return dedup_pairs_ds(pairs, num_partitions=num_partitions)
 
 
 def containment_pairs(
@@ -2366,13 +1740,13 @@ def mirror_pairs(
     min(n_a, n_b) over DISTINCT text values (integer gate, bit-exact
     cross-engine).
 
-    Scale shape: per-batch DISTINCT (text, group) partials co-shuffle
-    on hash(text) mod P — each text value lands in exactly one
-    partition, so its source set is complete there and both the
-    per-source distinct-text totals AND the C(k,2) pair partials are
-    partition-local sums (k is bounded by group cardinality, so the
-    worst-case fan-out per text is bounded; text strings never leave
-    the first exchange). The tiny (pair -> sum) and (group -> total)
+    Scale shape: per-batch DISTINCT (text, group) partials
+    hash_partition on hash(text) mod P — each text value lands in
+    exactly one partition, so its source set is complete there and
+    both the per-source distinct-text totals AND the C(k,2) pair
+    partials are partition-local sums (k is bounded by group
+    cardinality, so the worst-case fan-out per text is bounded; text
+    strings never leave the first exchange). The tiny (pair -> sum) and (group -> total)
     tables reduce via grouped_sum; the final gate joins k^2-bounded
     rows on the driver-free map_batches path with a broadcast totals
     dict (temperature_sample contract)."""
@@ -2382,18 +1756,9 @@ def mirror_pairs(
 
     def distinct_pairs_partial(b: pd.DataFrame) -> pd.DataFrame:
         d = b[[text_col, group_col]].dropna().drop_duplicates()
-        d = d[d[text_col].astype(str).str.strip() != ""]
-        d["_part"] = (
-            pd.util.hash_array(d[text_col].astype(str).to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return d
-
-    exploded = ds.map_batches(distinct_pairs_partial, batch_format="pandas")
+        return d[d[text_col].astype(str).str.strip() != ""]
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {"src_a": "object", "src_b": "object", "c": "int64"}
-        if g.empty or text_col not in g.columns:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
         d = g[[text_col, group_col]].drop_duplicates()
         # per-source distinct-text totals ride the same output as
         # (src, src) self-rows — one exchange, no second job
@@ -2412,7 +1777,12 @@ def mirror_pairs(
         out["c"] = out["c"].astype("int64")
         return out
 
-    partials = exploded.groupby("_part").map_groups(per_partition, batch_format="pandas")
+    # group values keep the caller's type: the output schema is inferred
+    partials = hash_partition(
+        ds.map_batches(distinct_pairs_partial, batch_format="pandas"),
+        lambda t: pd.util.hash_array(t.column(text_col).to_pandas().astype(str).to_numpy()),
+        num_partitions, per_partition, None,
+    )
     sums = grouped_sum(partials, ["src_a", "src_b"], ["c"], counts=False).to_pandas()
     # bounded by group-cardinality^2 — driver-held by design
     totals = {
@@ -2525,42 +1895,18 @@ def cdc_shared_bytes(
     )
 
     def chunk_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        ids_o, h_o, nb_o = [], [], []
-        base_rows = []
+        # chunk rows (_kind 0: chunk hash, doc, bytes) and one base row
+        # per doc (_kind 1: n_chunks rides in _h, n_bytes in _nb)
+        rows = []
         for i, t in zip(batch[id_col], batch[text_col].astype(str)):
             data = t.encode("utf-8")
             spans = _cdc_cut_chunks(data, window, mask, min_size, max_size)
-            base_rows.append((int(i), len(data), len(spans)))
-            for s, e in spans:
-                ids_o.append(int(i))
-                h_o.append(
-                    int.from_bytes(hashlib.sha1(data[s:e]).digest()[:8], "big") >> 1
-                )
-                nb_o.append(e - s)
-        ch = pd.DataFrame(
-            {
-                "_h": pd.Series(h_o, dtype="int64"),
-                "_doc": pd.Series(ids_o, dtype="int64"),
-                "_nb": pd.Series(nb_o, dtype="int64"),
-                "_kind": np.int8(0),
-            }
-        )
-        ch["_part"] = ch["_h"] % num_partitions
-        base = pd.DataFrame(
-            base_rows, columns=["_doc", "_nb", "_h"]
-        ) if base_rows else pd.DataFrame({"_doc": [], "_nb": [], "_h": []})
-        base = pd.DataFrame(
-            {
-                "_h": base["_h"].astype("int64"),   # n_chunks rides in _h
-                "_doc": base["_doc"].astype("int64"),
-                "_nb": base["_nb"].astype("int64"),
-                "_kind": np.int8(1),
-            }
-        )
-        base["_part"] = (
-            pd.util.hash_array(base["_doc"].to_numpy()) % num_partitions
-        ).astype(np.int64)
-        return pd.concat([ch, base], ignore_index=True)
+            rows.append((len(spans), int(i), len(data), 1))
+            rows.extend(
+                (int.from_bytes(hashlib.sha1(data[s:e]).digest()[:8], "big") >> 1, int(i), e - s, 0)
+                for s, e in spans
+            )
+        return pd.DataFrame(rows, columns=["_h", "_doc", "_nb", "_kind"]).astype("int64")
 
     tagged = (
         ds.select_columns([id_col, text_col])
@@ -2568,97 +1914,41 @@ def cdc_shared_bytes(
         .materialize()  # consumed by BOTH the chunk and base sides; slim rows only
     )
 
+    def kind(k: int):
+        return lambda t: t.filter(pc.equal(t.column("_kind"), k))
+
     def shared_partials(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "_doc": pd.Series(dtype="int64"),
-                "_sb": pd.Series(dtype="int64"),
-                "_part": pd.Series(dtype="int64"),
-                "_nchunks": pd.Series(dtype="int64"),
-            }
-        )
-        if g.empty or "_kind" not in g.columns:
-            return empty
-        g = g[g["_kind"] == 0]
-        if g.empty:
-            return empty
-        ndocs = g.groupby("_h", sort=False)["_doc"].transform("nunique")
-        hot = g[ndocs >= 2]
-        if hot.empty:
-            return empty
-        per_doc = hot.groupby("_doc", sort=False)["_nb"].sum().reset_index()
-        out = pd.DataFrame(
-            {"_doc": per_doc["_doc"].astype("int64"), "_sb": per_doc["_nb"].astype("int64")}
-        )
-        out["_part"] = (
-            pd.util.hash_array(out["_doc"].to_numpy()) % num_partitions
-        ).astype(np.int64)
-        out["_nchunks"] = np.int64(0)
-        return out
+        # complete chunk-hash groups: shared bytes per doc in this partition
+        hot = g[g.groupby("_h", sort=False)["_doc"].transform("nunique") >= 2]
+        return hot.groupby("_doc", sort=False)["_nb"].sum().reset_index()
 
     # chunk rows group by CHUNK-hash partition to find shared hashes...
-    chunk_side = (
-        tagged.map_batches(
-            lambda b: b[b["_kind"] == 0]
-            if len(b) and "_kind" in b.columns
-            else b,
-            batch_format="pandas",
-        )
-        .groupby("_part")
-        .map_groups(shared_partials, batch_format="pandas")
-    )
-    # ...then partials + base stats co-shuffle on hash(doc) mod P
-    base_side = tagged.map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "_doc": b.loc[b["_kind"] == 1, "_doc"],
-                "_sb": -1 - b.loc[b["_kind"] == 1, "_nb"],  # base marker: -(n_bytes+1)
-                "_part": b.loc[b["_kind"] == 1, "_part"],
-                "_nchunks": b.loc[b["_kind"] == 1, "_h"],
-            }
-        )
-        if len(b) and "_kind" in b.columns
-        else pd.DataFrame(
-            {
-                "_doc": pd.Series(dtype="int64"),
-                "_sb": pd.Series(dtype="int64"),
-                "_part": pd.Series(dtype="int64"),
-                "_nchunks": pd.Series(dtype="int64"),
-            }
-        ),
-        batch_format="pandas",
+    shared = hash_partition(
+        tagged.map_batches(kind(0), batch_format="pyarrow"), "_h", num_partitions,
+        shared_partials, pa.schema([("_doc", pa.int64()), ("_nb", pa.int64())]),
     )
 
-    def finish(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_doc" not in g.columns:
-            return _typed_table(out_schema)
-        if "_nchunks" not in g.columns:
-            g = g.assign(_nchunks=np.int64(0))
-        g = g.copy()
-        g["_nchunks"] = g["_nchunks"].fillna(0).astype("int64")
-        base = g[g["_sb"] < 0]
-        sh = g[g["_sb"] >= 0].groupby("_doc", sort=False)["_sb"].sum()
-        docs = base["_doc"].to_numpy(dtype=np.int64)
-        nb = (-base["_sb"].to_numpy(dtype=np.int64)) - 1
-        nch = base["_nchunks"].to_numpy(dtype=np.int64)
-        sb = sh.reindex(base["_doc"]).fillna(0).to_numpy(dtype=np.int64)
-        frac = sb / np.maximum(nb, 1)
-        order = np.argsort(docs, kind="stable")
-        return _typed_table(
-            out_schema,
-            **{
-                id_col: docs[order],
-                "n_bytes": nb[order],
-                "n_chunks": nch[order],
-                "shared_bytes": sb[order],
-                "shared_fraction": frac[order],
-            },
+    def finish(base: pd.DataFrame, sh: pd.DataFrame) -> pd.DataFrame:
+        sb = sh.groupby("_doc")["_nb"].sum() if len(sh) else pd.Series(dtype="int64")
+        nb = base["_nb"].to_numpy(dtype=np.int64)
+        sbv = sb.reindex(base["_doc"]).fillna(0).to_numpy(dtype=np.int64)
+        return pd.DataFrame(
+            {
+                id_col: base["_doc"],
+                "n_bytes": nb,
+                "n_chunks": base["_h"],
+                "shared_bytes": sbv,
+                "shared_fraction": sbv / np.maximum(nb, 1),
+            }
         )
 
-    return (
-        chunk_side.union(base_side)
-        .groupby("_part")
-        .map_groups(finish, batch_format="pandas")
+    # ...then partials co-shuffle with the base stats on hash(doc) mod P
+    def doc_hash(t: pa.Table) -> np.ndarray:
+        return pd.util.hash_array(t.column("_doc").to_numpy())
+
+    return co_shuffle(
+        tagged.map_batches(kind(1), batch_format="pyarrow"), shared, doc_hash, doc_hash,
+        num_partitions, finish, out_schema,
     )
 
 
@@ -2824,23 +2114,18 @@ def near_dedup_against_sigs(
     Shape: new-side signatures compute in the stateful task pool; both
     sig tables (encoded 2*id + side) flow through the SAME band-bucket
     LSH shuffle; cross-side candidate pairs attach their two
-    signatures via two hash-mod-P co-shuffles (pairs are rare, sigs
+    signatures via two co_shuffles on hash(id) mod P (pairs are rare, sigs
     1 KB — the exchange is pair-bounded); agreement filters row-local;
     drops anti-join. Nothing driver-sized anywhere."""
 
     def enc_sig(side: int):
         def f(b: pd.DataFrame) -> pd.DataFrame:
-            if len(b) == 0 or "doc_id" not in b.columns:
-                return pd.DataFrame(
-                    {"doc_id": pd.Series(dtype="int64"), "sig": pd.Series(dtype="object")}
-                )
-            out = pd.DataFrame(
+            return pd.DataFrame(
                 {
                     "doc_id": b["doc_id"].to_numpy(dtype=np.int64) * 2 + side,
                     "sig": [np.asarray(s, dtype=np.uint64) for s in b["sig"]],
                 }
             )
-            return out
 
         return f
 
@@ -2857,114 +2142,41 @@ def near_dedup_against_sigs(
     all_sigs = old_sigs.union(new_sigs).materialize()  # consumed twice (LSH + attach)
 
     pairs = minhash_lsh_candidates(all_sigs, bands=bands, rows=rows, num_partitions=num_partitions)
-
-    def cross_only(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return _typed_table(_PAIR_SCHEMA)
-        a = np.asarray(t.column("a").to_numpy(zero_copy_only=False), dtype=np.int64)
-        b = np.asarray(t.column("b").to_numpy(zero_copy_only=False), dtype=np.int64)
-        keep = (a & 1) != (b & 1)
-        return _typed_table(_PAIR_SCHEMA, a=a[keep], b=b[keep])
-
-    cross = pairs.map_batches(cross_only, batch_format="pyarrow")
-
-    # --- attach sig of key column via hash-mod-P union co-shuffle ---
-    def attach(pair_ds: ray.data.Dataset, key: str, out_col: str) -> ray.data.Dataset:
-        def tag_pairs(b: pd.DataFrame) -> pd.DataFrame:
-            cols = {
-                "a": pd.Series(dtype="int64"),
-                "b": pd.Series(dtype="int64"),
-                "sig_a": pd.Series(dtype="object"),
-                "sig_b": pd.Series(dtype="object"),
-                "_key": pd.Series(dtype="int64"),
-                "_side": pd.Series(dtype="int8"),
-                "_part": pd.Series(dtype="int64"),
+    cross = pairs.map_batches(_cross_side_pairs, batch_format="pyarrow")
+    # sigs cross the attach exchanges as BYTES (binary column)
+    sig_bytes = all_sigs.map_batches(
+        lambda b: pd.DataFrame(
+            {
+                "doc_id": b["doc_id"].to_numpy(dtype=np.int64),
+                "sig": [np.asarray(x, dtype=np.uint64).tobytes() for x in b["sig"]],
             }
-            if len(b) == 0 or "a" not in b.columns:
-                return pd.DataFrame(cols)
-            out = pd.DataFrame(
-                {
-                    "a": b["a"].to_numpy(dtype=np.int64),
-                    "b": b["b"].to_numpy(dtype=np.int64),
-                    # sigs travel as BYTES: object columns of ndarrays
-                    # trip Ray's pandas TensorArray inference when a
-                    # block mixes arrays with missing markers
-                    "sig_a": b["sig_a"] if "sig_a" in b.columns else [b""] * len(b),
-                    "sig_b": b["sig_b"] if "sig_b" in b.columns else [b""] * len(b),
-                }
-            )
-            out["_key"] = out[key]
-            out["_side"] = np.int8(1)
-            out["_part"] = (
-                pd.util.hash_array(out["_key"].to_numpy()) % num_partitions
-            ).astype(np.int64)
-            return out
+        ),
+        batch_format="pandas",
+    )
 
-        def tag_sigs(b: pd.DataFrame) -> pd.DataFrame:
-            cols = {
-                "a": pd.Series(dtype="int64"),
-                "b": pd.Series(dtype="int64"),
-                "sig_a": pd.Series(dtype="object"),
-                "sig_b": pd.Series(dtype="object"),
-                "_key": pd.Series(dtype="int64"),
-                "_side": pd.Series(dtype="int8"),
-                "_part": pd.Series(dtype="int64"),
-            }
-            if len(b) == 0 or "doc_id" not in b.columns:
-                return pd.DataFrame(cols)
-            out = pd.DataFrame(
-                {
-                    "a": np.zeros(len(b), dtype=np.int64),
-                    "b": np.zeros(len(b), dtype=np.int64),
-                    "sig_a": [np.asarray(x, dtype=np.uint64).tobytes() for x in b["sig"]],
-                    "sig_b": [b""] * len(b),
-                }
-            )
-            out["_key"] = b["doc_id"].to_numpy(dtype=np.int64)
-            out["_side"] = np.int8(0)
-            out["_part"] = (
-                pd.util.hash_array(out["_key"].to_numpy()) % num_partitions
-            ).astype(np.int64)
-            return out
-
-        def join_part(g: pd.DataFrame) -> pd.DataFrame:
-            empty = pd.DataFrame(
-                {
-                    "a": pd.Series(dtype="int64"),
-                    "b": pd.Series(dtype="int64"),
-                    "sig_a": pd.Series(dtype="object"),
-                    "sig_b": pd.Series(dtype="object"),
-                }
-            )
-            if g.empty or "_side" not in g.columns:
-                return empty
+    # --- attach the sig of the `key` side via a co_shuffle on hash(id) ---
+    def attach(pair_ds: ray.data.Dataset, key: str, schema: pa.Schema) -> ray.data.Dataset:
+        def join_part(prs: pd.DataFrame, sg: pd.DataFrame) -> pd.DataFrame:
             # a persisted index grown by appends can hold the same
             # doc id twice (retained recrawl / double export) — a
             # duplicated lookup index makes Series.map raise; keep the
             # first signature per key (they encode the same document)
-            side0 = g[g["_side"] == 0].drop_duplicates("_key", keep="first")
-            sigs = side0.set_index("_key")["sig_a"]
-            pr = g[g["_side"] == 1]
-            if pr.empty:
-                return empty
-            fetched = pr["_key"].map(sigs)
-            out = pr[["a", "b", "sig_a", "sig_b"]].copy()
-            out[out_col] = [x if isinstance(x, bytes) else b"" for x in fetched]
-            return out
+            sigs = sg.drop_duplicates("doc_id", keep="first").set_index("doc_id")["sig"]
+            return prs.assign(**{f"sig_{key}": prs[key].map(sigs)})
 
-        return (
-            pair_ds.map_batches(tag_pairs, batch_format="pandas")
-            .union(all_sigs.map_batches(tag_sigs, batch_format="pandas"))
-            .groupby("_part")
-            .map_groups(join_part, batch_format="pandas")
+        def key_hash(col: str):
+            return lambda t: pd.util.hash_array(t.column(col).to_numpy())
+
+        return co_shuffle(
+            pair_ds, sig_bytes, key_hash(key), key_hash("doc_id"), num_partitions, join_part, schema
         )
 
-    with_a = attach(cross, "a", "sig_a")
-    with_both = attach(with_a, "b", "sig_b")
+    sig_pairs = pa.schema(
+        [("a", pa.int64()), ("b", pa.int64()), ("sig_a", pa.binary()), ("sig_b", pa.binary())]
+    )
+    with_both = attach(attach(cross, "a", sig_pairs.remove(3)), "b", sig_pairs)
 
     def drops_from(b: pd.DataFrame) -> pa.Table:
-        if len(b) == 0 or "sig_a" not in b.columns:
-            return _typed_table(_DROP_ID_SCHEMA)
         keep_ids = []
         for a, bb, sa, sb in zip(b["a"], b["b"], b["sig_a"], b["sig_b"]):
             if not sa or not sb:
@@ -3003,7 +2215,7 @@ def dup_rate_by_group(
     skip the expensive near-dup passes entirely.
 
     Scale shape (the exact_dedup exchange): slim (content-key, group)
-    rows shuffle on hash mod P; per-partition value_counts give every
+    rows hash_partition on key mod P; per-partition value_counts give every
     row its GLOBAL cluster size (equal keys are co-located); one
     (group, n, n_dup) partial per partition feeds a driver-bounded
     grouped_sum. The corpus scans once; no text crosses the exchange.
@@ -3024,7 +2236,6 @@ def dup_rate_by_group(
                 "_k": key,
                 "_k2": md5_u52_tail(texts).astype("int64"),
                 group_col: batch[group_col],
-                "_part": key % num_partitions,
             }
         )
 
@@ -3034,10 +2245,9 @@ def dup_rate_by_group(
         out["n_docs"] = np.int64(1)
         return out.groupby(group_col, as_index=False)[["n_docs", "n_dup"]].sum()
 
-    parts = (
-        ds.map_batches(slim, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(partial, batch_format="pandas")
+    # group values keep the caller's type: the output schema is inferred
+    parts = hash_partition(
+        ds.map_batches(slim, batch_format="pandas"), "_k", num_partitions, partial, None
     )
     stats = grouped_sum(parts, [group_col], ["n_docs", "n_dup"], counts=False).to_pandas()
     n = stats["sum_n_docs"].to_numpy(dtype="int64")

@@ -2510,6 +2510,65 @@ def test_dedup_against_tiers(ray_session):
     assert sorted(out.doc_id) == [1, 3, 5, 7]
 
 
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_anti_join_ids_shuffle_tier_matches_broadcast(ray_session, monkeypatch, n_blocks):
+    """anti_join_ids' co-shuffle tier (taken above _BROADCAST_MAX_PAIRS
+    drop ids) must keep exactly the rows the broadcast tier keeps, and
+    hand int64 corpus columns back as int64."""
+    import ray.data
+
+    from pdf_extractor_ray.ops import dedup
+
+    corpus = pd.DataFrame(
+        {
+            "doc_id": np.arange(40, dtype="int64"),
+            "n_chars": np.arange(40, dtype="int64") * 7 + 3,
+            "text": [f"doc {i}" for i in range(40)],
+        }
+    )
+    ds = ray.data.from_pandas(corpus).repartition(n_blocks)
+    drops = ray.data.from_pandas(pd.DataFrame({"drop_id": np.array([0, 5, 6, 17, 39, 99], dtype="int64")}))
+
+    def run() -> pd.DataFrame:
+        return dedup.anti_join_ids(ds, drops).to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+    broadcast = run()
+    monkeypatch.setattr(dedup, "_BROADCAST_MAX_PAIRS", 0)
+    shuffled = run()
+    assert list(broadcast.doc_id) == [i for i in range(40) if i not in (0, 5, 6, 17, 39)]
+    pd.testing.assert_frame_equal(shuffled, broadcast)
+    assert shuffled["doc_id"].dtype == np.int64 and shuffled["n_chars"].dtype == np.int64
+
+
+def test_drop_larger_of_pairs_tier_gate_counts_distinct_ids(ray_session, monkeypatch):
+    """Six pair rows name two distinct larger ids: with the gate at 2
+    the drops still broadcast (no co_shuffle), and at 1 they take the
+    co-shuffle tier with the same result."""
+    import ray.data
+
+    from pdf_extractor_ray.ops import dedup
+
+    ds = ray.data.from_pandas(pd.DataFrame({"doc_id": np.arange(12, dtype="int64")}))
+    pairs = ray.data.from_pandas(
+        pd.DataFrame({"a": [0, 1, 2, 0, 1, 2], "b": [7, 7, 7, 9, 9, 9]}, dtype="int64")
+    )
+    real_co_shuffle = dedup.co_shuffle
+
+    def no_co_shuffle(*args, **kwargs):
+        raise AssertionError("broadcast tier expected")
+
+    def run() -> list:
+        return sorted(dedup.drop_larger_of_pairs(ds, pairs, "doc_id").to_pandas().doc_id)
+
+    expected = [i for i in range(12) if i not in (7, 9)]
+    monkeypatch.setattr(dedup, "_BROADCAST_MAX_PAIRS", 2)
+    monkeypatch.setattr(dedup, "co_shuffle", no_co_shuffle)
+    assert run() == expected
+    monkeypatch.setattr(dedup, "_BROADCAST_MAX_PAIRS", 1)
+    monkeypatch.setattr(dedup, "co_shuffle", real_co_shuffle)
+    assert run() == expected
+
+
 def test_weighted_sample_exponential_race(ray_session):
     """weighted_sample must equal the brute-force hashlib reference
     (k smallest -ln(u)/w keys, u = (md5_u52+1)/2^52), exclude
