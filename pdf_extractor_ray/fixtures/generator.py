@@ -504,8 +504,8 @@ def generate_corpus(n_rows: int, seed: int = 42, skew: bool = True, fat: int = 1
             # same golden in all encodings).
             # "pdfwild" serializes in the ordinary-producer grammar
             # (simple fonts, literal strings, marked content) so the
-            # generic tokenizer is corpus-exercised, not just the
-            # writer-canonical fast path
+            # content interpreter's token loop is corpus-exercised, not
+            # just its word-block lane
             enc = ("pdf", "pdf15", "pdfwild", "pdf15p", "fixture-json")[n_pdf_docs % 5]
             if enc == "pdf":
                 # sub-rotate classic docs through the standard security

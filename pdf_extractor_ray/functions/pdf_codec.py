@@ -47,12 +47,14 @@ the matching /DecodeParms entry. PDF 1.5+ structure (§7.5.7-7.5.8):
 ``/Prev`` chains) decode as the primary object locator and ``/Type
 /ObjStm`` containers expand so member objects resolve like direct
 ones; the writer's ``pdf15=True`` mode emits exactly that layout so
-the path is round-trip-tested. The generic content tokenizer reads
-ordinary wild-PDF text streams: literal strings with escapes
-(§7.3.4.2), ``TJ`` arrays with kerning, simple Type1/TrueType fonts
-(embedded ``/FirstChar``+``/Widths``, /Encoding /Differences via an
-AGL subset, cp1252/MacRoman bases; space-split into words with exact
-per-run positions), standard-14 faces WITHOUT widths for the carried
+the path is round-trip-tested. One content interpreter reads the
+writer's streams and ordinary wild-PDF ones alike; the word blocks
+``[Tf] [Tz] Tm string Tj`` this package's writers emit run as one regex
+step inside its operator loop. It reads hex strings (§7.3.4.3), literal
+strings with escapes (§7.3.4.2), ``TJ`` arrays with kerning, simple
+Type1/TrueType fonts (embedded ``/FirstChar``+``/Widths``, /Encoding
+/Differences via an AGL subset, cp1252/MacRoman bases; space-split
+into words with exact per-run positions), standard-14 faces WITHOUT widths for the carried
 AFM tables (Courier family, Helvetica, Times-Roman — §9.6.2.2),
 Type0/Identity-H CID fonts with /ToUnicode CMaps and per-CID /W
 widths, full affine CTM composition with ``q``/``Q`` stacks, form
@@ -79,6 +81,8 @@ keyword no longer truncate the object.
 
 from __future__ import annotations
 
+import binascii
+import codecs
 import re
 
 __all__ = ["UnsupportedPdfError", "pages_to_pdf_bytes", "parse_pdf_bytes"]
@@ -556,19 +560,19 @@ def _register_wild_filters() -> None:
 
 def pages_to_pdf_bytes_wild(pages: list[dict], *, stream_filter: str | None = None) -> bytes:
     """Serialize page dicts in WILD style — the grammar ordinary PDF
-    producers emit, exercising the generic tokenizer end-to-end
-    instead of the writer-canonical fast path:
+    producers emit, exercising the content interpreter's token loop
+    around its word-block lane:
 
     - space-free ASCII upright words use simple TrueType fonts (/S0 or
       /S1 by box-height ratio, uniform /Widths 500) shown as LITERAL
       strings with escapes; Tz encodes the exact word width;
     - non-ASCII / rotated / space-containing words keep the
-      Type0/Identity-H hex path (the generic tokenizer space-splits
+      Type0/Identity-H hex path (the interpreter space-splits
       simple-font show strings, so a space inside a word's text would
       change the parsed word list);
     - the content wraps in a marked-content sequence (/Doc <</MCID 0>>
-      BDC ... EMC) and a no-op q/cm/Q pair, so the fast parser bails
-      and preclean + the generic grammar carry the corpus rows.
+      BDC ... EMC) and a no-op q/cm/Q pair, which preclean and the
+      token loop carry; the word blocks inside run in the lane.
 
     Parses back to the same page dicts as pages_to_pdf_bytes (modulo
     fontname labels), so the extraction goldens are encoding-blind.
@@ -618,7 +622,7 @@ def pages_to_pdf_bytes_wild(pages: list[dict], *, stream_filter: str | None = No
         s = float(w["size"])
         x0, x1, top, bottom = float(w["x0"]), float(w["x1"]), float(w["top"]), float(w["bottom"])
         upright = w.get("upright", True) is not False
-        # space-free ASCII only: the generic tokenizer space-splits
+        # space-free ASCII only: the interpreter space-splits
         # simple-font show strings into words (wild-producer semantics),
         # so a word whose TEXT contains a space must keep the CID hex
         # path or it would parse back as several words / vanish
@@ -709,14 +713,20 @@ _REF_RE = re.compile(rb"(\d+)\s+\d+\s+R")
 # pinned-integer /Length (see _stream_of for the backtracking trap)
 _LENGTH_RE = re.compile(rb"/Length\s+(\d+)(?![0-9])(?!\s+\d+\s+R)")
 _NUM_RE = re.compile(rb"/(\w+)\s+(-?[\d.]+)")
+# literal-string body without nested parens; an escape takes any byte
+# (the patterns compile with re.S), so a backslash-EOL continuation
+# (§7.3.4.2) stays inside the string
+_LIT_BODY = rb"[^()\\]*+(?:\\.[^()\\]*+)*+"
+_LIT = rb"\((" + _LIT_BODY + rb")\)"
 _TOKEN_RE = re.compile(
     rb"<([0-9A-Fa-f\s]*)>"            # hex string
-    rb"|\(((?:[^()\\]|\\.)*)\)"       # literal string (non-nested)
+    rb"|" + _LIT +                    # literal string (non-nested)
     rb"|(-?(?:\d+\.?\d*|\.\d+))"      # number
     rb"|/([^\s/<>\[\]()]+)"           # name
     rb"|(\[|\])"                      # array delims
     rb"|(\()"                         # nested literal opener (unsupported)
-    rb"|([A-Za-z'\"*]+)"              # operator
+    rb"|([A-Za-z'\"*]+)",             # operator
+    re.S,
 )
 
 _LIT_ESCAPES = {
@@ -761,6 +771,16 @@ def _decode_literal(s: bytes) -> bytes:
             out.append(c)
             i += 1
     return bytes(out)
+
+
+def _unhex(s: bytes) -> bytes:
+    """PDF hex-string body -> raw bytes (§7.3.4.3): white space is
+    ignored and an odd final digit is taken as followed by 0."""
+    try:
+        return binascii.unhexlify(s)
+    except binascii.Error:  # white space, an odd digit count or a non-hex byte
+        s = s.translate(None, b" \t\n\r\f\v")
+        return binascii.unhexlify(s + b"0" if len(s) & 1 else s)
 
 
 def _translate(tx: float, ty: float, m: tuple[float, ...]) -> tuple[float, ...]:
@@ -1126,7 +1146,7 @@ def _patch_length(body: bytes, new_len: int) -> bytes:
     return head2 + rest
 
 
-_HEXSTR_ONLY_RE = re.compile(rb"<([0-9A-Fa-f\s]*)>")
+_HEXSTR_RE = re.compile(rb"<([0-9A-Fa-f\s]*)>")
 
 
 def _dict_string(body: bytes, key: str) -> bytes | None:
@@ -1138,13 +1158,10 @@ def _dict_string(body: bytes, key: str) -> bytes | None:
     if m is None:
         return None
     if m.group(1) == b"<":
-        hm = _HEXSTR_ONLY_RE.match(body, m.end() - 1)
+        hm = _HEXSTR_RE.match(body, m.end() - 1)
         if hm is None:
             raise UnsupportedPdfError(f"malformed hex string for /{key}")
-        hx = re.sub(rb"\s+", b"", hm.group(1))
-        if len(hx) % 2:
-            hx += b"0"
-        return bytes.fromhex(hx.decode("ascii"))
+        return _unhex(hm.group(1))
     # literal string: honor escapes, balanced parens, stop at the
     # closing unescaped paren
     out = bytearray()
@@ -1427,9 +1444,7 @@ def _asciihex_decode(data: bytes) -> bytes:
     hexdigits = re.sub(rb"[\0\t\n\f\r ]+", b"", data)
     if re.search(rb"[^0-9A-Fa-f]", hexdigits):
         raise UnsupportedPdfError("ASCIIHexDecode: non-hex character")
-    if len(hexdigits) % 2:
-        hexdigits += b"0"
-    return bytes.fromhex(hexdigits.decode("ascii"))
+    return _unhex(hexdigits)
 
 
 def _ascii85_decode(data: bytes) -> bytes:
@@ -1698,9 +1713,6 @@ def _parse_w_array(objs: dict[int, bytes], desc_body: bytes) -> dict[int, float]
     return widths
 
 
-_HEXSTR_RE = re.compile(rb"<([0-9A-Fa-f\s]*)>")
-
-
 def _parse_tounicode(objs: dict[int, bytes], font_body: bytes) -> dict[int, str] | None:
     """CID -> unicode map from the font's /ToUnicode CMap stream
     (§9.10.3; Adobe CMap grammar): beginbfchar pairs and beginbfrange
@@ -1712,27 +1724,23 @@ def _parse_tounicode(objs: dict[int, bytes], font_body: bytes) -> dict[int, str]
     data = _decode_stream(objs.get(int(tm.group(1)), b""))
     if data is None:
         raise UnsupportedPdfError("/ToUnicode without stream data")
-
-    def hx(tok: bytes) -> bytes:
-        return bytes.fromhex(tok.decode("ascii").replace(" ", ""))
-
     out: dict[int, str] = {}
     for seg in re.findall(rb"beginbfchar(.*?)endbfchar", data, re.S):
         toks = _HEXSTR_RE.findall(seg)
         if len(toks) % 2:
             raise UnsupportedPdfError("odd bfchar token count")
         for src, dst in zip(toks[::2], toks[1::2]):
-            out[int.from_bytes(hx(src), "big")] = hx(dst).decode("utf-16-be")
+            out[int.from_bytes(_unhex(src), "big")] = _unhex(dst).decode("utf-16-be")
     for seg in re.findall(rb"beginbfrange(.*?)endbfrange", data, re.S):
         # entries: <lo> <hi> <dst>   OR   <lo> <hi> [<d1> <d2> ...]
         for em in re.finditer(
             rb"<([0-9A-Fa-f\s]*)>\s*<([0-9A-Fa-f\s]*)>\s*(?:<([0-9A-Fa-f\s]*)>|\[((?:\s*<[0-9A-Fa-f\s]*>)*)\s*\])",
             seg,
         ):
-            lo = int.from_bytes(hx(em.group(1)), "big")
-            hi = int.from_bytes(hx(em.group(2)), "big")
+            lo = int.from_bytes(_unhex(em.group(1)), "big")
+            hi = int.from_bytes(_unhex(em.group(2)), "big")
             if em.group(3) is not None:
-                dst = hx(em.group(3))
+                dst = _unhex(em.group(3))
                 base = int.from_bytes(dst, "big")
                 nbytes = len(dst)
                 for cid in range(lo, hi + 1):
@@ -1742,7 +1750,7 @@ def _parse_tounicode(objs: dict[int, bytes], font_body: bytes) -> dict[int, str]
                 if len(dsts) != hi - lo + 1:
                     raise UnsupportedPdfError("bfrange array length mismatch")
                 for cid, d in zip(range(lo, hi + 1), dsts):
-                    out[cid] = hx(d).decode("utf-16-be")
+                    out[cid] = _unhex(d).decode("utf-16-be")
     return out
 
 
@@ -2028,6 +2036,9 @@ def _page_xobjects(objs: dict[int, bytes], page_body: bytes) -> dict[str, int]:
     return _named_refs(objs, res, b"XObject")
 
 
+_UTF16BE = codecs.utf_16_be_decode  # bytes.decode adds a slow Python-level wrapper
+
+
 def _word_from_state(
     fm: dict,
     size: float,
@@ -2039,9 +2050,9 @@ def _word_from_state(
     tc: float = 0.0,
     tw: float = 0.0,
 ) -> tuple[dict, float]:
-    """Glyph-box math shared by the fast and generic content parsers
-    (see module docstring). Returns (word dict, advance in text-space
-    units) so the caller can carry the text position across Tj/TJ runs.
+    """Glyph-box math of every show operator (see module docstring).
+    Returns (word dict, advance in text-space units) so the caller can
+    carry the text position across Tj/TJ runs.
     tc/tw are the Tc character- and Tw word-spacing registers (§9.3.2-3;
     Tw applies to 1-byte code 32 only, i.e. never to 2-byte CID text)."""
     if fm["kind"] == "cid":
@@ -2053,7 +2064,7 @@ def _word_from_state(
             # identity UTF-16 text + uniform /DW (the writer's own
             # fonts) — no per-CID work on the hot path
             try:
-                text = raw.decode("utf-16-be")
+                text = _UTF16BE(raw, "strict", True)[0]
             except UnicodeDecodeError as exc:
                 raise UnsupportedPdfError(
                     "CID string is not UTF-16 text (glyph-id CIDs need a /ToUnicode CMap)"
@@ -2070,7 +2081,7 @@ def _word_from_state(
                     ) from exc
             else:
                 try:
-                    text = raw.decode("utf-16-be")
+                    text = _UTF16BE(raw, "strict", True)[0]
                 except UnicodeDecodeError as exc:
                     raise UnsupportedPdfError(
                         "CID string is not UTF-16 text (glyph-id CIDs need a /ToUnicode CMap)"
@@ -2088,14 +2099,19 @@ def _word_from_state(
             text = "".join(
                 diff.get(b) or bytes([b]).decode(codec, errors="replace") for b in raw
             )
+        elif raw.isascii():
+            # both base codecs (cp1252, mac_roman) are ASCII below 0x80;
+            # the ascii codec skips their Python-level charmap wrapper
+            text = raw.decode("ascii")
         else:
             text = raw.decode(codec, errors="replace")
         widths = fm["widths"]
         first = fm["first_char"]
+        nw = len(widths)
         glyph_w = 0.0
         for b in raw:
             i = b - first
-            glyph_w += widths[i] if 0 <= i < len(widths) else 0.0
+            glyph_w += widths[i] if 0 <= i < nw else 0.0
         glyph_w = glyph_w / 1000.0 * size
         adv = (glyph_w + len(raw) * tc + raw.count(b" ") * tw) * (tz / 100.0)
     asc = fm["ascent"] / 1000.0 * size
@@ -2133,86 +2149,79 @@ def _word_from_state(
     raise UnsupportedPdfError(f"unsupported text matrix {tm}")
 
 
-_N = rb"(-?(?:\d+\.?\d*|\.\d+))"
-_S = rb"\s+"
-# one match per writer-canonical block: word (optional Tf / Tz state
-# changes, then Tm Tj), line (m l S), rect (re S), or BT/ET — a single
-# C-level regex pass over the whole stream instead of ~15 Python token
-# dispatches per word
-_FAST_RE = re.compile(
-    rb"(?:(?:/(\w+)" + _S + _N + _S + rb"Tf" + _S + rb")?(?:" + _N + _S + rb"Tz" + _S + rb")?"
-    + _N + _S + _N + _S + _N + _S + _N + _S + _N + _S + _N + _S
-    + rb"Tm\s*<([0-9A-Fa-f]*)>\s*Tj)"
-    rb"|(?:" + _N + _S + _N + _S + rb"m" + _S + _N + _S + _N + _S + rb"l" + _S + rb"S\b)"
-    rb"|(?:" + _N + _S + _N + _S + _N + _S + _N + _S + rb"re" + _S + rb"S\b)"
-    rb"|(BT|ET)"
+# atomic: no backtracking that re-splits the digits of long numbers
+_N = rb"(-?(?>\d+\.?\d*|\.\d+))\s+"
+# one word block, `[/F s Tf] [z Tz] a b c d e f Tm (<hex> | (literal)) Tj`,
+# the form this package's writers emit for every word: _parse_content
+# takes it in one regex step at an operator boundary instead of ~12
+# token dispatches
+_WORD_BLOCK_RE = re.compile(
+    rb"\s*(?:/(\w+)\s+" + _N + rb"Tf\s+)?(?:" + _N + rb"Tz\s+)?" + _N * 6
+    + rb"Tm\s*(?:<([0-9A-Fa-f]*)>|" + _LIT + rb")\s*Tj(?![A-Za-z'\"*])",
+    re.S,
 )
 
-
-def _parse_content_fast(
-    content: bytes, fonts: dict[str, dict], page_h: float
-) -> tuple[list[dict], list[dict], list[dict]] | None:
-    """Fast path for the writer's canonical operator blocks; returns
-    None (caller falls back to the generic tokenizer) when anything
-    between matches is not whitespace. Tf/Tz are PDF text-state
-    registers that persist between Tj ops, so the loop carries them."""
-    import binascii
-
-    words: list[dict] = []
-    lines: list[dict] = []
-    rects: list[dict] = []
-    font_name = None
-    fm = None
-    size = 0.0
-    tz = 100.0
-    pos = 0
-    for m in _FAST_RE.finditer(content):
-        if content[pos : m.start()].strip():
-            return None  # unexpected material: let the generic parser judge
-        pos = m.end()
-        g = m.groups()
-        if g[9] is not None:  # word block (hex string group)
-            if g[0] is not None:  # Tf state change
-                font_name = g[0].decode()
-                fm = fonts.get(font_name)
-                size = float(g[1])
-            if g[2] is not None:  # Tz state change
-                tz = float(g[2])
-            if fm is None:
-                return None
-            tm = (float(g[3]), float(g[4]), float(g[5]), float(g[6]), float(g[7]), float(g[8]))
-            try:
-                words.append(
-                    _word_from_state(
-                        fm, size, tz, tm, binascii.unhexlify(g[9]), font_name, page_h
-                    )[0]
-                )
-            except UnsupportedPdfError:
-                return None
-        elif g[10] is not None:  # line block
-            y0, y1 = page_h - float(g[11]), page_h - float(g[13])
-            lines.append(
-                {
-                    "x0": float(g[10]),
-                    "x1": float(g[12]),
-                    "top": min(y0, y1),
-                    "bottom": max(y0, y1),
-                }
-            )
-        elif g[14] is not None:  # rect block
-            x, y, w_, h_ = (float(g[i]) for i in range(14, 18))
-            rects.append({"x0": x, "x1": x + w_, "top": page_h - (y + h_), "bottom": page_h - y})
-        # else: BT/ET — no state needed on the canonical form
-    if content[pos:].strip():
-        return None
-    return words, lines, rects
-
-
-_PRECLEAN_HOT = re.compile(rb"[(<B]")
+_DELIMS = rb"\x00\t\n\f\r ()<>\[\]{}/%"  # PDF white space and delimiters
+_BI = rb"(?<![^" + _DELIMS + rb"])BI(?![^" + _DELIMS + rb"])"  # inline-image opener
+# one match from the cursor of _preclean_content: what the token
+# grammar reads as it is (whole well-formed strings included, so their
+# interiors are never taken for the rest) is skipped possessively, then
+# the match ends on the next construct to rewrite or at the end
+_PRECLEAN_RE = re.compile(
+    rb"(?:[^(<B]++"
+    rb"|\(" + _LIT_BODY + rb"\)"          # literal string without nested parens
+    rb"|<(?!<)[^>]*+>?"                  # hex string
+    rb"|(?!" + _BI + rb")B)*+"            # any other B
+    rb"(?:(\()|(<<)|(" + _BI + rb")|\Z)",  # 1: nested literal, 2: dict, 3: inline image
+    re.S,
+)
+_DICT_DELIM_RE = re.compile(rb"<<|>>")
 _INLINE_ID = re.compile(rb"(?:^|[\0\t\n\f\r >\]])ID[\0\t\n\f\r ]")
 _INLINE_EI_AT = re.compile(rb"[\0\t\n\f\r ]*EI(?=[\0\t\n\f\r ]|$)")
 _INLINE_EI_SCAN = re.compile(rb"[\0\t\n\f\r ]EI(?=[\0\t\n\f\r ]|$)")
-_DELIMS = frozenset(b"\0\t\n\f\r ()<>[]{}/%")
+
+
+def _nested_literal(content: bytes, i: int) -> tuple[bytes, int]:
+    """The literal string opening at ``content[i]`` with its balanced
+    inner parens escaped, and the offset just past it."""
+    n = len(content)
+    out = bytearray(b"(")
+    depth = 1
+    j = i + 1
+    while j < n and depth:
+        b = content[j]
+        if b == 0x5C:
+            out += content[j : j + 2]
+            j += 2
+            continue
+        if b == 0x28:
+            depth += 1
+            out += b"\\("
+        elif b == 0x29:
+            depth -= 1
+            out += b")" if depth == 0 else b"\\)"
+        else:
+            out.append(b)
+        j += 1
+    return bytes(out), j
+
+
+def _inline_image_end(content: bytes, i: int) -> int:
+    """Offset just past the inline image whose ``BI`` is at ``content[i]``."""
+    idm = _INLINE_ID.search(content, i + 2)
+    if idm is None:
+        raise UnsupportedPdfError("inline image (BI) without ID")
+    params = content[i + 2 : idm.start()]
+    lm = re.search(rb"/L(?:ength)?\s+(\d+)", params)
+    if lm:
+        em = _INLINE_EI_AT.match(content, idm.end() + int(lm.group(1)))
+        if em is None:
+            raise UnsupportedPdfError("inline image /L does not reach EI")
+    else:
+        em = _INLINE_EI_SCAN.search(content, idm.end())
+        if em is None:
+            raise UnsupportedPdfError("inline image without EI terminator")
+    return em.end()
 
 
 def _preclean_content(content: bytes) -> bytes:
@@ -2223,87 +2232,38 @@ def _preclean_content(content: bytes) -> bytes:
     which themselves parse as no-ops) each become one space; literal
     strings with legal UNESCAPED balanced nested parens (§7.3.4.2) are
     rewritten with the inner parens escaped so the token regex can
-    read them. String interiors are never excised."""
+    read them. String interiors are never excised, and everything
+    between the rewritten constructs is copied as whole slices."""
     if b"BI" not in content and b"<<" not in content and b"(" not in content:
         return content
     out = bytearray()
-    i = 0
-    n = len(content)
-    while i < n:
-        m = _PRECLEAN_HOT.search(content, i)
-        if m is None:
-            out += content[i:]
+    last = i = 0
+    while True:
+        m = _PRECLEAN_RE.match(content, i)
+        kind = m.lastindex
+        if kind is None:  # nothing left to rewrite
             break
-        out += content[i : m.start()]
-        i = m.start()
-        c = content[i]
-        if c == 0x28:  # literal string: copy, escaping nested parens
+        start = m.start(kind)
+        if kind == 1:
+            repl, i = _nested_literal(content, start)
+        elif kind == 2:  # property dict: excise to the matching >>
             depth = 1
-            out += b"("
-            j = i + 1
-            while j < n and depth:
-                b = content[j]
-                if b == 0x5C:
-                    out += content[j : j + 2]
-                    j += 2
-                    continue
-                if b == 0x28:
-                    depth += 1
-                    out += b"\\("
-                elif b == 0x29:
-                    depth -= 1
-                    out += b")" if depth == 0 else b"\\)"
-                else:
-                    out += content[j : j + 1]
-                j += 1
-            i = j
-        elif c == 0x3C:
-            if content[i : i + 2] == b"<<":  # property dict: excise to matching >>
-                depth = 1
-                j = i + 2
-                while j < n and depth:
-                    if content[j : j + 2] == b"<<":
-                        depth += 1
-                        j += 2
-                    elif content[j : j + 2] == b">>":
-                        depth -= 1
-                        j += 2
-                    else:
-                        j += 1
-                if depth:
+            i = m.end()
+            while depth:
+                dm = _DICT_DELIM_RE.search(content, i)
+                if dm is None:
                     raise UnsupportedPdfError("unterminated dictionary in content")
-                out += b" "
-                i = j
-            else:  # hex string: copy verbatim
-                j = content.find(b">", i + 1)
-                j = n if j < 0 else j + 1
-                out += content[i:j]
-                i = j
-        else:  # 'B': inline image opener?
-            if (
-                content[i : i + 2] == b"BI"
-                and (i == 0 or content[i - 1] in _DELIMS)
-                and (i + 2 >= n or content[i + 2] in _DELIMS)
-            ):
-                idm = _INLINE_ID.search(content, i + 2)
-                if idm is None:
-                    raise UnsupportedPdfError("inline image (BI) without ID")
-                params = content[i + 2 : idm.start()]
-                lm = re.search(rb"/L(?:ength)?\s+(\d+)", params)
-                if lm:
-                    j = idm.end() + int(lm.group(1))
-                    em = _INLINE_EI_AT.match(content, j)
-                    if em is None:
-                        raise UnsupportedPdfError("inline image /L does not reach EI")
-                else:
-                    em = _INLINE_EI_SCAN.search(content, idm.end())
-                    if em is None:
-                        raise UnsupportedPdfError("inline image without EI terminator")
-                out += b" "
-                i = em.end()
-            else:
-                out += content[i : i + 1]
-                i += 1
+                depth += 1 if dm.group() == b"<<" else -1
+                i = dm.end()
+            repl = b" "
+        else:
+            repl, i = b" ", _inline_image_end(content, start)
+        out += content[last:start]
+        out += repl
+        last = i
+    if not last:
+        return content
+    out += content[last:]
     return bytes(out)
 
 
@@ -2316,15 +2276,23 @@ def _parse_content(
     ctm0: tuple[float, ...] = _IDM,
     depth: int = 0,
 ) -> tuple[list[dict], list[dict], list[dict]]:
-    """Generic tokenizer for foreign content streams. Beyond the
-    writer-canonical subset it reads: literal strings (with escapes),
-    TJ arrays with kerning adjustments, simple-font text, the
-    Td/TD/T*/TL line-positioning family, '/\" move-and-show, Tc/Tw
-    spacing, curve flattening (c/v/y -> endpoint segment), form
-    XObjects (Do recurses with the form's resources and translation
-    /Matrix; image XObjects are text-free no-ops), and the common
-    no-op color/state operators. The text position carries across show
-    operators, so `(A) Tj (B) Tj` lays out correctly."""
+    """The content-stream interpreter: one operator loop over the
+    token grammar, for the writer's streams and foreign ones alike. It
+    reads hex and literal strings (with escapes), TJ arrays with
+    kerning adjustments, CID and simple-font text, the Td/TD/T*/TL
+    line-positioning family, '/\" move-and-show, Tc/Tw spacing, q/Q/cm
+    CTM composition, paths with curve flattening (c/v/y -> endpoint
+    segment), form XObjects (Do recurses with the form's resources and
+    translation /Matrix; image XObjects are text-free no-ops), and the
+    common no-op color/state operators. The text position carries
+    across show operators, so `(A) Tj (B) Tj` lays out correctly.
+
+    Block lane: at an operator boundary (no operand or array pending)
+    of a stream that spells both Tm and Tj, one _WORD_BLOCK_RE match
+    takes a whole ``[Tf] [Tz] Tm string Tj`` block and sets the same
+    text-state registers the token branches would, then shows the
+    string through the same ``show``. Anything else is read one token at
+    a time."""
     words: list[dict] = []
     lines: list[dict] = []
     rects: list[dict] = []
@@ -2343,8 +2311,10 @@ def _parse_content(
     # CTM: full affine composition with q/Q save/restore; cm operators
     # compose freely. Constraints apply at USE: text needs an
     # axis-aligned (or 90-degree) combined matrix, rects an
-    # axis-aligned non-flipping one — anything else raises there.
-    ctm = ctm0
+    # axis-aligned non-flipping one — anything else raises there. An
+    # identity CTM is held as the _IDM object itself, so show() can
+    # skip composing the text matrix with it.
+    ctm = ctm0 = _IDM if ctm0 == _IDM else ctm0
     ctm_stack: list[tuple[float, ...]] = []
     # current path = list of subpaths; materialized ONLY by a paint
     # operator (§8.5.3) — 'n' (no-op terminator, e.g. after W clipping
@@ -2385,37 +2355,36 @@ def _parse_content(
             fm_cur = fonts.get(font_name)
             if fm_cur is None:
                 raise UnsupportedPdfError(f"unknown font resource /{font_name}")
-        def dev(m: tuple[float, ...]) -> tuple[float, ...]:
-            # device matrix = text matrix composed with the CTM
-            return _matmul(m, ctm)
-
-        if fm_cur["kind"] == "simple" and b" " in raw:
-            # split space-separated runs into WORDS with exact per-run
-            # positions (pdfplumber extract_words semantics); the total
-            # advance is identical to showing the string whole
-            first = fm_cur["first_char"]
-            widths = fm_cur["widths"]
-            si = 32 - first
-            sw = widths[si] if 0 <= si < len(widths) else 0.0
-            space_adv = (sw / 1000.0 * size + tc + tw) * (tz / 100.0)
-            parts = raw.split(b" ")
-            for pi, run in enumerate(parts):
-                if run:
-                    word, adv = _word_from_state(
-                        fm_cur, size, tz, dev(tm), run, font_name, page_h, tc, 0.0
-                    )
-                    if word["text"]:
-                        words.append(word)
-                    tm = _advance_tm(tm, adv)
-                if pi < len(parts) - 1:
-                    tm = _advance_tm(tm, space_adv)
+        # the device matrix is the text matrix composed with the CTM
+        if fm_cur["kind"] != "simple" or b" " not in raw:
+            word, adv = _word_from_state(
+                fm_cur, size, tz, tm if ctm is _IDM else _matmul(tm, ctm),
+                raw, font_name, page_h, tc, tw,
+            )
+            if word["text"]:
+                words.append(word)
+            tm = _advance_tm(tm, adv)
             return
-        word, adv = _word_from_state(
-            fm_cur, size, tz, dev(tm), raw, font_name, page_h, tc, tw
-        )
-        if word["text"]:
-            words.append(word)
-        tm = _advance_tm(tm, adv)
+        # split space-separated runs into WORDS with exact per-run
+        # positions (pdfplumber extract_words semantics); the total
+        # advance is identical to showing the string whole
+        first = fm_cur["first_char"]
+        widths = fm_cur["widths"]
+        si = 32 - first
+        sw = widths[si] if 0 <= si < len(widths) else 0.0
+        space_adv = (sw / 1000.0 * size + tc + tw) * (tz / 100.0)
+        parts = raw.split(b" ")
+        for pi, run in enumerate(parts):
+            if run:
+                word, adv = _word_from_state(
+                    fm_cur, size, tz, tm if ctm is _IDM else _matmul(tm, ctm),
+                    run, font_name, page_h, tc, 0.0,
+                )
+                if word["text"]:
+                    words.append(word)
+                tm = _advance_tm(tm, adv)
+            if pi < len(parts) - 1:
+                tm = _advance_tm(tm, space_adv)
 
     def next_line() -> None:  # T* — move to the start of the next line
         nonlocal tm, tlm
@@ -2424,10 +2393,36 @@ def _parse_content(
         tlm = _translate(0.0, -tl, tlm)
         tm = tlm
 
-    for tok in _TOKEN_RE.finditer(content):
+    # a stream that never spells both Tm and Tj holds no word block, so
+    # text positioned with Td or shown with TJ pays no failed block match
+    # at each operator boundary
+    lane = b"Tm" in content and b"Tj" in content
+    word_block = _WORD_BLOCK_RE.match
+    next_token = _TOKEN_RE.search
+    pos = 0
+    while True:
+        if lane and arr is None and not operands:
+            blk = word_block(content, pos)
+            if blk is not None:
+                pos = blk.end()
+                fname, fsize, z, a, b, c, d, e, f, hex_s, lit_s = blk.groups()
+                if fname is not None:  # Tf
+                    fname = fname.decode()
+                    if fname != font_name:
+                        font_name, fm_cur = fname, None
+                    size = float(fsize)
+                if z is not None:  # Tz
+                    tz = float(z)
+                tm = tlm = (float(a), float(b), float(c), float(d), float(e), float(f))
+                show(_unhex(hex_s) if hex_s is not None else _decode_literal(lit_s))
+                continue
+        tok = next_token(content, pos)
+        if tok is None:
+            break
+        pos = tok.end()
         hex_s, lit_s, num, name, delim, lit_bad, op = tok.groups()
         if hex_s is not None:
-            item = ("str", bytes.fromhex(hex_s.decode().replace(" ", "")))
+            item = ("str", _unhex(hex_s))
         elif lit_s is not None:
             item = ("str", _decode_literal(lit_s))
         elif num is not None:
@@ -2469,36 +2464,24 @@ def _parse_content(
                     raise UnsupportedPdfError("nonzero text rise (Ts) unsupported")
             elif o == "Tm":
                 tm = tlm = tuple(vals[-6:])
-            elif o == "Td":
+            elif o in ("Td", "TD"):
                 if tlm is None:
-                    raise UnsupportedPdfError("Td without a text line matrix")
-                tlm = _translate(vals[-2], vals[-1], tlm)
-                tm = tlm
-            elif o == "TD":
-                if tlm is None:
-                    raise UnsupportedPdfError("TD without a text line matrix")
-                tl = -vals[-1]
-                tlm = _translate(vals[-2], vals[-1], tlm)
-                tm = tlm
+                    raise UnsupportedPdfError(f"{o} without a text line matrix")
+                if o == "TD":
+                    tl = -vals[-1]
+                tm = tlm = _translate(vals[-2], vals[-1], tlm)
             elif o == "T*":
                 next_line()
-            elif o == "Tj":
+            elif o in ("Tj", "'", '"'):
                 strs = [v for k, v in operands if k == "str"]
-                if not strs:
-                    raise UnsupportedPdfError("Tj without a string")
-                show(strs[-1])
-            elif o == "'":
-                strs = [v for k, v in operands if k == "str"]
-                if not strs:
-                    raise UnsupportedPdfError("' without a string")
-                next_line()
-                show(strs[-1])
-            elif o == '"':
-                strs = [v for k, v in operands if k == "str"]
-                if not strs or len(vals) < 2:
-                    raise UnsupportedPdfError('malformed " operator')
-                tw, tc = vals[-2], vals[-1]
-                next_line()
+                if o == '"':
+                    if not strs or len(vals) < 2:
+                        raise UnsupportedPdfError('malformed " operator')
+                    tw, tc = vals[-2], vals[-1]
+                elif not strs:
+                    raise UnsupportedPdfError(f"{o} without a string")
+                if o != "Tj":
+                    next_line()
                 show(strs[-1])
             elif o == "TJ":
                 arrs = [v for k, v in operands if k == "arr"]
@@ -2543,6 +2526,8 @@ def _parse_content(
                 if len(vals) < 6:
                     raise UnsupportedPdfError("malformed cm")
                 ctm = _matmul(tuple(vals[-6:]), ctm)
+                if ctm == _IDM:
+                    ctm = _IDM
             elif o == "q":
                 ctm_stack.append(ctm)
             elif o == "Q":
@@ -2670,10 +2655,8 @@ def parse_pdf_bytes(payload: bytes) -> list[dict]:
                 raise UnsupportedPdfError("contents object without stream")
             parts.append(part)
         content = b"\n".join(parts)
-        fonts = _page_fonts(objs, res_body)
-        parsed = _parse_content_fast(content, fonts, height)
-        words, lines, rects = parsed if parsed is not None else _parse_content(
-            content, fonts, height, objs, _page_xobjects(objs, res_body)
+        words, lines, rects = _parse_content(
+            content, _page_fonts(objs, res_body), height, objs, _page_xobjects(objs, res_body)
         )
         out.append(
             {"width": width, "height": height, "words": words, "lines": lines, "rects": rects}

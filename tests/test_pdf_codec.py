@@ -454,7 +454,7 @@ def test_endobj_inside_stream_bytes_no_longer_truncates():
     content = b"BT /F0 10 Tf 100 Tz 1 0 0 1 72 760 Tm <00480069> Tj ET\n% endobj endstream trick"
     base = pages_to_pdf_bytes([_page([_word("Hi", 72.0, 20.0)])])
     spliced = _splice_content(base, content)
-    # comments aren't in the operator subset -> the generic parser sees
+    # comments aren't in the operator subset -> the token loop sees
     # '%' ... but the scan itself must deliver the FULL object body.
     from pdf_extractor_ray.functions.pdf_codec import _scan_objects
 
@@ -1334,7 +1334,7 @@ def test_wild_stream_filter_chains_parse_identically():
 
 def test_wild_encoding_parity_hypothesis():
     """Hypothesis sweep: random pages serialize through BOTH writers
-    (canonical fast-path grammar and the wild simple-font/literal
+    (the canonical grammar and the wild simple-font/literal
     grammar) and parse back to identical geometry and text."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -1397,3 +1397,139 @@ def test_wild_encoding_parity_space_words():
     for wa, wb in zip(a["words"], b["words"]):
         for k in ("x0", "x1", "top", "bottom", "size"):
             assert abs(wa[k] - wb[k]) < 5e-3, (k, wa, wb)
+
+
+def test_simple_font_hex_space_split_does_not_depend_on_rest_of_page():
+    """Regression: a simple-font hex string holding 0x20 used to come
+    out as one word on an all-canonical page and as two words once any
+    other operator (here `0 g`) was on the page. One interpreter gives
+    the space-split words either way."""
+    content = b"BT\n/F1 12 Tf\n1 0 0 1 72 600 Tm\n<612062> Tj\nET"
+    for stream in (content, content + b"\n0 g"):
+        words = parse_pdf_bytes(_simple_font_pdf(stream))[0]["words"]
+        assert [(w["text"], w["x0"], w["x1"]) for w in words] == [
+            ("a", 72.0, 78.0), ("b", 84.0, 90.0)
+        ], stream
+
+
+def test_literal_line_continuation():
+    """A backslash-EOL inside a literal string is a line continuation
+    (§7.3.4.2), not a nested-literal error, in the word-block form and
+    in the token-by-token form."""
+    for content in (b"BT /F1 12 Tf 1 0 0 1 72 600 Tm (ab\\\ncd) Tj ET",
+                    b"BT /F1 12 Tf 72 600 Td (ab\\\r\ncd) Tj ET"):
+        words = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+        assert [(w["text"], w["x0"], w["x1"]) for w in words] == [("abcd", 72.0, 96.0)]
+
+
+def test_odd_length_hex_string_pads_final_digit():
+    """An odd-length hex string takes its missing final digit as 0
+    (§7.3.4.3): `<616>` is b"a`", in a Tm word block, on a Td page, and
+    with white space inside the string."""
+    for content in (b"BT /F1 12 Tf 1 0 0 1 72 600 Tm <616> Tj ET",
+                    b"BT /F1 12 Tf 72 600 Td <616> Tj ET",
+                    b"BT /F1 12 Tf 72 600 Td <6 16> Tj ET"):
+        words = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+        assert [(w["text"], w["x0"], w["x1"]) for w in words] == [("a`", 72.0, 84.0)], content
+
+
+def test_word_block_lane_matches_token_loop_hypothesis():
+    """The word-block lane and the token loop are one interpreter:
+    a canonical page parses to equal words, lines and rects bare,
+    wrapped in `q 1 0 0 1 0 0 cm /P <</MCID 0>> BDC ... EMC Q`, and with
+    every `<hex> Tj` rewritten as `[<hex>] TJ` (a form the lane never
+    takes), also with a show following each block. Under
+    `q 2 0 0 2 0 0 cm` the two forms agree on the scaled boxes."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    coord = st.floats(0, 500).map(lambda v: round(v, 2))
+    word_st = st.builds(
+        lambda text, size, ratio, x0, top, width, upright: {
+            "text": text,
+            "x0": x0,
+            "x1": x0 + (width if upright else ratio * size),
+            "top": top,
+            "bottom": top + (ratio * size if upright else width),
+            "size": size,
+            "fontname": "F0",
+            **({} if upright else {"upright": False}),
+        },
+        text=st.text(st.sampled_from(list("abcXYZ09*.:-日本語ü() _")), min_size=1, max_size=8),
+        size=st.sampled_from([6.0, 8.0, 10.0, 12.0]),
+        ratio=st.sampled_from([1.0, 1.2]),
+        x0=coord,
+        top=coord,
+        width=st.floats(1, 90).map(lambda v: round(v, 2)),
+        upright=st.booleans(),
+    )
+    box_st = st.builds(
+        lambda x0, top, w, h: {"x0": x0, "x1": x0 + w, "top": top, "bottom": top + h},
+        coord, coord, st.sampled_from([0.0, 0.5, 40.0]), st.sampled_from([0.0, 0.5, 20.0]),
+    )
+
+    def wrap(content, cm=b"1 0 0 1 0 0"):
+        return b"q " + cm + b" cm\n/P <</MCID 0>> BDC\n" + content + b"\nEMC\nQ"
+
+    def as_tj(content):
+        return re.sub(rb"(<[0-9A-F]*>) Tj", rb"[\1] TJ", content)
+
+    def parse(pdf, content):
+        return parse_pdf_bytes(_splice_content(pdf, content))[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(word_st, max_size=10), st.lists(box_st, max_size=3), st.lists(box_st, max_size=2))
+    def prop(words, lines, rects):
+        pdf = pages_to_pdf_bytes([_page(words, lines, rects)])
+        content = re.search(rb"<< /Length \d+ >>\nstream\n(.*?)\nendstream", pdf, re.S).group(1)
+        assert b"] TJ" not in content
+        bare = parse(pdf, content)
+        assert len(bare["words"]) == len(words)
+        for variant in (wrap(content), as_tj(content), wrap(as_tj(content))):
+            got = parse(pdf, variant)
+            for key in ("words", "lines", "rects"):
+                assert got[key] == bare[key], (key, variant)
+        # a show right after each block starts where the block's string
+        # ended, so the lane must carry the text position like Tj does
+        follow = re.sub(rb"(<[0-9A-F]*>) Tj", rb"\1 Tj <0041> Tj", content)
+        assert parse(pdf, follow) == parse(pdf, as_tj(follow))
+        lane2 = parse(pdf, wrap(content, b"2 0 0 2 0 0"))
+        assert parse(pdf, wrap(as_tj(content), b"2 0 0 2 0 0")) == lane2
+        for w, w2 in zip(bare["words"], lane2["words"]):
+            assert w2["text"] == w["text"]
+            assert w2["size"] == pytest.approx(2 * w["size"])
+            if w.get("upright", True):
+                assert w2["x0"] == pytest.approx(2 * w["x0"])
+                assert w2["x1"] == pytest.approx(2 * w["x1"])
+        for r, r2 in zip(bare["rects"], lane2["rects"]):
+            assert r2["x0"] == pytest.approx(2 * r["x0"]) and r2["x1"] == pytest.approx(2 * r["x1"])
+
+    prop()
+
+
+def test_word_block_regex_does_not_backtrack_on_long_numbers():
+    """Seven long numbers at an operator boundary nearly match a word
+    block; the lane regex must fail in linear time, not re-split every
+    number's digits (seconds at 16 digits, hours at 40)."""
+    import time
+
+    content = b"BT /F1 12 Tf " + b"1234567890123456 " * 7 + b"Tz ET"
+    t0 = time.process_time()
+    assert parse_pdf_bytes(_simple_font_pdf(content))[0]["words"] == []
+    assert time.process_time() - t0 < 1.0
+
+
+def test_negative_zero_tm_translation_keeps_its_sign():
+    """A `-0` text-matrix translation comes out as -0.0 whether the
+    block stands bare or sits inside a q/cm/BDC wrapper: an identity
+    CTM, also one spelled `1 -0 0 1 0 0`, is not composed with the text
+    matrix (composing would turn -0.0 into 0.0)."""
+    import math
+
+    block = b"BT /F1 12 Tf 1 0 0 1 -0 600 Tm <61> Tj ET"
+    for cm in (None, b"1 0 0 1 0 0", b"1 -0 0 1 0 0"):
+        content = block if cm is None else (
+            b"q " + cm + b" cm /P <</MCID 0>> BDC " + block + b" EMC Q"
+        )
+        (word,) = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+        assert word["x0"] == 0.0 and math.copysign(1.0, word["x0"]) == -1.0, content
