@@ -1,23 +1,20 @@
 """Unit tests for the PDF word-geometry operators (reference semantics
 from extractor.py — see SURVEY.md §2.2 M2-M17, §2.4 J1)."""
 
-from pdf_extractor_ray.config import DEFAULT_CONFIG
+from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 from pdf_extractor_ray.functions.pdf_words import (
     Patterns,
     cleanup_text,
-    detect_columns,
     detect_repeating_elements,
-    exclude_table_words,
-    extract_column_text,
+    extract_page,
     extract_pdf_pages,
-    filter_metadata,
     format_table,
-    integrate_scripts,
     is_japanese_char,
     match_footnotes,
 )
 
 PATS = Patterns()
+NONE = frozenset()
 
 
 def w(text, x0, top, size=10.0, width=None):
@@ -35,6 +32,11 @@ def w(text, x0, top, size=10.0, width=None):
 
 def page(words, tables=None, width=612.0, height=792.0):
     return {"width": width, "height": height, "words": words, "tables": tables or []}
+
+
+def page_text(words, tables=None, headers=NONE, footers=NONE):
+    """One page through the whole chain, as extract_pdf_pages runs it."""
+    return extract_page(page(words, tables), headers, footers, PATS)
 
 
 # ---- M2 header/footer detection -------------------------------------
@@ -58,39 +60,39 @@ def test_non_repeating_not_detected():
 
 def test_column_split_on_gap():
     words = [w("left", 72, 100), w("right", 400, 100)]  # gap 400-96=304 > 50
-    cols = detect_columns(words)
+    cols = page_text(words).split("\n")  # one line per column
     assert len(cols) == 2
-    assert cols[0][0]["text"] == "left" and cols[1][0]["text"] == "right"
+    assert cols[0] == "left" and cols[1] == "right"
 
 
 def test_no_column_split_below_threshold():
     words = [w("a", 72, 100), w("b", 110, 100)]
-    assert len(detect_columns(words)) == 1
+    assert len(page_text(words).split("\n")) == 1
 
 
 def test_reading_order_and_latin_spacing():
     words = [w("world", 110, 100), w("hello", 72, 100), w("second", 72, 120)]
     # hello(x1=102) world(x0=110): gap 8 > 3 -> space; new line at top 120
-    text = extract_column_text(words)
+    text = page_text(words)
     assert text == "hello world\nsecond"
 
 
 def test_japanese_no_space_small_gap():
     a = w("日本", 72, 100, width=22)
     b = {**w("語", 96, 100, width=11)}
-    assert extract_column_text([a, b]) == "日本語"
+    assert page_text([a, b]) == "日本語"
 
 
 def test_japanese_space_on_wide_gap():
     a = w("日本", 72, 100, width=22)
     b = w("語", 120, 100, width=11)  # gap 120-94=26 > 10
-    assert extract_column_text([a, b]) == "日本 語"
+    assert page_text([a, b]) == "日本 語"
 
 
 def test_punctuation_no_space():
     a = w("end", 72, 100)
     b = w(",", 95, 100, width=3)  # gap 5 > 3 but ',' never takes a space
-    assert extract_column_text([a, b]) == "end,"
+    assert page_text([a, b]) == "end,"
 
 
 def test_is_japanese_char():
@@ -102,10 +104,9 @@ def test_is_japanese_char():
 
 
 def _filter(words, **kw):
-    return [
-        x["text"]
-        for x in filter_metadata(words, 612.0, 792.0, kw.get("headers", frozenset()), kw.get("footers", frozenset()), PATS)
-    ]
+    """The words the metadata filter keeps (sorted: the page text
+    orders them by column and line, the old filter by input)."""
+    return sorted(page_text(words, headers=kw.get("headers", NONE), footers=kw.get("footers", NONE)).split())
 
 
 def test_isolated_page_number_dropped():
@@ -121,7 +122,7 @@ def test_page_number_with_nearby_content_kept():
 
 def test_section_number_kept_in_margin():
     words = [w("1.2", 72, 20), w("body", 72, 300)]
-    assert _filter(words) == ["1.2", "body"]
+    assert _filter(words) == sorted(["1.2", "body"])
 
 
 def test_repeated_header_dropped_only_in_zone():
@@ -132,7 +133,7 @@ def test_repeated_header_dropped_only_in_zone():
 
 def test_footnote_marker_kept():
     words = [w("*1", 500, 20), w("※2", 72, 770)]
-    assert _filter(words) == ["*1", "※2"]
+    assert _filter(words) == sorted(["*1", "※2"])
 
 
 # ---- M13 script integration ----------------------------------------
@@ -143,8 +144,7 @@ def test_superscript_attach():
     sup = w("2", 113, 196, size=6.0, width=4)  # x0 = base.x1+1, raised
     sup["bottom"] = 204.0  # small glyph: bottom above the base midline (206)
     filler = [w(f"t{i}", 72, 300 + 20 * i) for i in range(8)]
-    out = integrate_scripts([base, sup] + filler)
-    texts = {x["text"] for x in out}
+    texts = set(page_text([base, sup] + filler).split())
     assert "mc²" in texts and "2" not in texts
 
 
@@ -152,16 +152,16 @@ def test_subscript_attach():
     base = w("H", 100, 200)
     sub = w("2", 107, 206, size=6.0, width=4)  # lowered
     filler = [w(f"t{i}", 72, 300 + 20 * i) for i in range(8)]
-    out = integrate_scripts([base, sub] + filler)
-    assert any(x["text"] == "H₂" for x in out)
+    texts = page_text([base, sub] + filler).split()
+    assert any(x == "H₂" for x in texts)
 
 
 def test_far_small_word_not_attached():
     base = w("word", 100, 200)
     small = w("9", 400, 196, size=6.0, width=4)
     filler = [w(f"t{i}", 72, 300 + 20 * i) for i in range(8)]
-    out = integrate_scripts([base, small] + filler)
-    assert any(x["text"] == "9" for x in out)
+    texts = page_text([base, small] + filler).split()
+    assert any(x == "9" for x in texts)
 
 
 # ---- M15/M16 tables -------------------------------------------------
@@ -171,8 +171,8 @@ def test_table_word_exclusion():
     tbl = {"bbox": [100.0, 100.0, 300.0, 200.0], "rows": 1, "cols": 1, "cells": [["x"]]}
     inside = w("in", 150, 150)
     outside = w("out", 400, 150)
-    kept = exclude_table_words([inside, outside], [tbl])
-    assert [x["text"] for x in kept] == ["out"]
+    words_part = page_text([inside, outside], tables=[tbl]).split("\n\n")[0]  # tables follow the words
+    assert words_part.split() == ["out"]
 
 
 def test_format_table():
@@ -275,3 +275,221 @@ def test_rotated_word_metric():
     res = extract_pdf_pages([page])
     assert res["n_rotated_words"] == 1
     assert "Rotated" in res["text"]  # tagged, not dropped
+
+
+# ---- chain traps: values the column view must reproduce exactly -----
+
+
+def test_dedupe_key_uses_python_round():
+    """round(0.15, 1) is 0.1 in Python (0.15 is stored just below it)
+    and 0.2 in numpy, so these two stamps share a D1 key and dedupe to
+    one; a numpy-rounded key keeps both ("dupdup")."""
+    a = w("dup", 0.1, 300, width=18)
+    b = w("dup", 0.15, 300, width=18)
+    assert page_text([a, b]) == "dup"
+    assert page_text([b, a]) == "dup"
+
+
+def test_dedupe_keeps_first_in_input_order_and_its_x1():
+    """Equal (top, x0, text), different x1: the first in input order
+    survives, and its right edge decides the gap to the next word."""
+    narrow = w("a", 100, 300, width=4)  # gap to b: 108 - 104 = 4 > 3 -> space
+    wide = w("a", 100, 300, width=10)  # gap to b: 108 - 110 < 0 -> no space
+    b = w("b", 108, 300)
+    assert page_text([narrow, wide, b]) == "a b"
+    assert page_text([wide, narrow, b]) == "ab"
+
+
+def test_dedupe_tenths_match_python_round_hypothesis():
+    """The D1 key compares round(v, 1) as integer tenths; they must be
+    Python's rounding everywhere, halves and their neighbours too."""
+    import numpy as np
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from pdf_extractor_ray.functions.pdf_words import _tenths
+
+    near_half = st.builds(lambda k, e: (k + 0.5) / 10.0 + e, st.integers(-20000, 20000), st.sampled_from([0.0, 1e-12, -1e-12, 1e-9]))
+    values = st.lists(st.floats(-1e7, 1e7, allow_nan=False) | near_half, min_size=1, max_size=20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def check(xs):
+        assert _tenths(np.array(xs)).tolist() == [float(round(round(x, 1) * 10.0)) for x in xs]
+
+    check()
+
+
+def test_script_text_change_reorders_tied_words():
+    """Two words share (top, x0); the glyph joins the wider one, whose
+    text then sorts after the other's ("a²" > "ab"), as in the
+    reference's sort over the changed texts."""
+    a = w("a", 100, 200, width=10)
+    ab = w("ab", 100, 200, width=6)
+    sup = {**w("2", 111, 196, size=6.0, width=3), "bottom": 203.0}
+    filler = [w(f"t{i}", 72, 300 + 20 * i) for i in range(8)]
+    assert page_text([a, ab, sup] + filler).split("\n")[0] == "aba²"
+    assert page_text([ab, a, sup] + filler).split("\n")[0] == "aba²"
+
+
+def test_footer_page_number_next_to_section_word():
+    """Only zone words can be dropped, but the isolation test reads
+    every word: a body word (outside both zones) matching a section
+    pattern still keeps a footer page number within isolated_dist."""
+    near = [w("12", 290, 740), w("1.", 292, 700), w("body", 72, 300)]  # centers 40 pt apart
+    far = [w("12", 290, 740), w("1.", 292, 640), w("body", 72, 300)]
+    in_zone = [w("12", 290, 740), w("2.1", 292, 715), w("body", 72, 300)]
+    same_line = [w("12", 290, 740), w("(3)", 330, 741), w("body", 72, 300)]
+    assert page_text(near) == "body\n1.\n12"
+    assert page_text(far) == "body\n1."
+    assert page_text(in_zone) == "body\n2.1\n12"
+    assert page_text(same_line) == "body\n12 (3)"
+
+
+# ---- M13 against the reference implementation -------------------------
+# old_integrate_scripts is the quadratic function the column view
+# replaced, verbatim: the oracle for _attach_scripts.
+
+_SUP_MAP = str.maketrans("0123456789+-=()n", "⁰¹²³⁴⁵⁶⁷⁸⁹⁺⁻⁼⁽⁾ⁿ")
+_SUB_MAP = str.maketrans("0123456789+-=()aeoxn", "₀₁₂₃₄₅₆₇₈₉₊₋₌₍₎ₐₑₒₓₙ")
+
+
+_SUP_MAP = str.maketrans("0123456789+-=()n", "⁰¹²³⁴⁵⁶⁷⁸⁹⁺⁻⁼⁽⁾ⁿ")
+_SUB_MAP = str.maketrans("0123456789+-=()aeoxn", "₀₁₂₃₄₅₆₇₈₉₊₋₌₍₎ₐₑₒₓₙ")
+
+
+def _old_trimmed_mean(values: list[float], frac: float) -> float:
+    """Trimmed mean of font sizes (A4, superscript_detector.py:161-177)."""
+    if not values:
+        return 0.0
+    vs = sorted(values)
+    k = int(len(vs) * frac)
+    core = vs[k : len(vs) - k] or vs
+    return sum(core) / len(core)
+
+
+def old_integrate_scripts(words: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG) -> list[dict]:
+    """Attach small raised/lowered glyphs to the word immediately to
+    their left as Unicode super/subscript where a char map exists;
+    otherwise keep the word unchanged (EXTRACT ONLY — never drop).
+
+    Two passes: words below script_size_ratio x trimmed-mean font size
+    are candidates; each attaches to the base word whose right edge is
+    nearest on the left within script_attach_dist horizontally and
+    script_band vertically. Raised vs lowered is judged against the
+    base's vertical midline (reference banding, extractor.py:665-689)."""
+    if len(words) < 2:
+        return words
+    avg = _old_trimmed_mean([w.get("size", 10.0) for w in words], cfg.trimmed_mean_frac)
+    if avg <= 0:
+        return words
+    threshold = cfg.script_size_ratio * avg
+    bases = [dict(w) for w in words if w.get("size", avg) >= threshold]
+    smalls = sorted(
+        (w for w in words if w.get("size", avg) < threshold),
+        key=lambda w: (w["x0"], w["top"], w["text"]),
+    )
+    leftovers: list[dict] = []
+    for s in smalls:
+        best = None
+        for b in bases:
+            hgap = s["x0"] - b["x1"]
+            if -1.0 <= hgap <= cfg.script_attach_dist and (
+                abs(s["top"] - b["top"]) <= cfg.script_band
+                or abs(s["bottom"] - b["bottom"]) <= cfg.script_band
+            ):
+                if best is None or b["x1"] > best["x1"]:
+                    best = b
+        if best is not None:
+            midline = (best["top"] + best["bottom"]) / 2.0
+            raised = s["bottom"] < midline
+            mapped = s["text"].translate(_SUP_MAP if raised else _SUB_MAP)
+            if mapped != s["text"]:
+                best["text"] = best["text"] + mapped
+                best["x1"] = s["x1"]
+                continue
+        leftovers.append(dict(s))
+    return bases + leftovers
+
+
+def _new_scripts(words):
+    from pdf_extractor_ray.functions import pdf_words as pw
+
+    v = pw._Words(words)
+    texts = list(v.text)
+    pos, x1 = pw._attach_scripts(v, v.kept, texts, v.x1, DEFAULT_CONFIG)
+    return sorted((texts[p], float(v.x0[p]), float(x1[p]), float(v.top[p]), float(v.bottom[p])) for p in pos.tolist())
+
+
+def _old_scripts(words):
+    ordered = sorted(words, key=lambda w: (w["top"], w["x0"], w["text"]))
+    return sorted((x["text"], x["x0"], x["x1"], x["top"], x["bottom"]) for x in old_integrate_scripts(ordered))
+
+
+def test_attach_scripts_tie_goes_to_first_base_in_reading_order():
+    # two bases end at x1 = 106; the small glyph takes the upper one,
+    # whose right edge then moves to the glyph's, ahead of the next
+    a = w("a", 100, 200, width=6)
+    b = w("b", 100, 205, width=6)
+    s1 = {**w("2", 107, 198, size=4.0, width=3), "bottom": 203.0}
+    s2 = {**w("3", 111, 198, size=4.0, width=3), "bottom": 203.0}
+    filler = [w(f"t{i}", 72, 300 + 20 * i) for i in range(8)]
+    words = [a, b, s1, s2] + filler
+    assert _new_scripts(words) == _old_scripts(words)
+    assert ("a²³", 100.0, 114.0, 200.0, 212.0) in _new_scripts(words)
+
+
+def test_attach_scripts_matches_reference_hypothesis():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    half = st.integers(0, 60).map(lambda k: k * 0.5)
+    word_st = st.builds(
+        lambda text, x0, width, top, height, size: {
+            "text": text,
+            "x0": x0,
+            "x1": x0 + width,
+            "top": top,
+            "bottom": top + height,
+            "size": size,
+            "fontname": "F0",
+        },
+        st.sampled_from(["2", "n", "a", "x", "+", "ab", "1a", "q", "(3)"]),
+        half,
+        st.sampled_from([0.5, 1.0, 2.0, 4.0, 6.0]),
+        half,
+        st.sampled_from([2.0, 4.0, 6.0, 12.0]),
+        st.sampled_from([4.0, 6.0, 10.0, 12.0]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(word_st, min_size=0, max_size=30))
+    def check(raw):
+        seen, words = set(), []
+        for x in raw:  # the chain's input after D1: unique (top, x0, text)
+            key = (x["top"], x["x0"], x["text"])
+            if key not in seen:
+                seen.add(key)
+                words.append(x)
+        assert _new_scripts(words) == _old_scripts(words)
+
+    check()
+
+
+def test_script_attachment_is_subquadratic():
+    """16k words, half of them small raised glyphs: the reference's
+    scan of every base per small glyph took seconds here."""
+    import time
+
+    words = []
+    for r in range(400):
+        top = 40.0 + 40.0 * r
+        for k in range(20):
+            x = 10.0 + 25.0 * k
+            words.append(w("x", x, top, width=6))
+            words.append({**w("2", x + 7.0, top - 2.0, size=4.0, width=3), "bottom": top + 4.0})
+    t0 = time.process_time()
+    res = extract_pdf_pages([page(words, height=16100.0)])
+    cpu = time.process_time() - t0
+    assert set(res["text"].split()) == {"x²"}  # every glyph attached
+    assert cpu < 1.0

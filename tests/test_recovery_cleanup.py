@@ -9,8 +9,7 @@ from pdf_extractor_ray.config import DEFAULT_CONFIG
 from pdf_extractor_ray.functions import textstats
 from pdf_extractor_ray.functions.pdf_words import (
     Patterns,
-    count_overlapping_words,
-    dedupe_overlapping_words,
+    extract_page,
     extract_pdf_pages,
     fix_punctuation,
     fix_spacing,
@@ -110,8 +109,8 @@ def test_dedupe_overlapping_words_same_position():
     w2 = _word("dup", 100.0, 100.0)  # identical stamp
     w3 = _word("dup", 100.05, 100.04)  # rounds to the same key
     w4 = _word("other", 200.0, 100.0)
-    out = dedupe_overlapping_words([w1, w2, w3, w4])
-    assert [w["text"] for w in out] == ["dup", "other"]
+    text = extract_page(_page([w1, w2, w3, w4]), frozenset(), frozenset(), Patterns())
+    assert text.split() == ["dup", "other"]
 
 
 def test_dedup_changes_extracted_text():
@@ -121,6 +120,9 @@ def test_dedup_changes_extracted_text():
 
 
 def test_count_overlapping_words():
+    def count_overlapping_words(words):
+        return extract_pdf_pages([_page(words)])["n_overlapping_words"]
+
     a = _word("a", 100.0, 100.0, w=50.0)
     b = _word("b", 110.0, 102.0, w=50.0)  # heavy overlap
     c = _word("c", 400.0, 100.0)

@@ -35,7 +35,7 @@ def test_fix_encoding():
 
 
 def test_element_inventory_and_coverage():
-    from pdf_extractor_ray.functions.pdf_words import coverage_report, element_inventory
+    from pdf_extractor_ray.functions.pdf_words import coverage_report, extract_pdf_pages
 
     pages = [
         {
@@ -50,7 +50,7 @@ def test_element_inventory_and_coverage():
             "tables": [],
         }
     ]
-    inv = element_inventory(pages)
+    inv = extract_pdf_pages(pages)["inventory"]
     assert inv == {"top_small": 1, "middle_normal": 1, "middle_large": 1, "bottom_tiny": 1}
 
     pct, status = coverage_report(pages, "Body Title Header Footer")

@@ -1,8 +1,9 @@
-"""Same-process alternating A/B of ``parse_pdf_bytes`` between two
-checkouts, per PDF encoding family, on a benchmark workload's inputs.
+"""Same-process alternating A/B of a PDF layer between two checkouts,
+per PDF encoding family, on a benchmark workload's inputs.
 
     python tools/codec_ab.py --base /path/to/parent/checkout \
-        --workload pdf_parquet --seeds 1,2,5,7 --alternations 10 [--json out.json]
+        --workload pdf_parquet --seeds 1,2,5,7 --alternations 10 \
+        [--layer parse|chain] [--json out.json]
 
 ``functions/pdf_codec.py`` of the base checkout (A) and of this one (B)
 load side by side in one process. Each alternation parses every genuine
@@ -21,11 +22,23 @@ lookup): ``tj`` turns each ``string Tj`` into ``[string] TJ``, and
 ``Td`` (streams that already use Td/TD/T* keep their Tm). Both are forms
 the word-block lane never takes. The result also reports the share of
 show operators (Tj, TJ, ', ") that B's word-block lane took.
+
+``--layer chain`` times the word-geometry chain (``extract_pdf_pages``)
+instead of the parse, the same way. Each genuine PDF is parsed once by
+this checkout's codec; each side gets its own deep copy of the pages
+per call (copied outside the timed region). The base side runs its
+whole ``pdf_extractor_ray`` package, so its own ``layout.py`` and
+``config.py`` too: both packages are imported side by side and
+``sys.modules`` points at the timed side's modules while it runs. The
+parity check compares the two results (or error messages) by
+``repr``, so dict key order and the sign of a zero count.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import importlib
 import importlib.util
 import json
 import os
@@ -40,6 +53,7 @@ sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.join(ROOT, "extract_bench"))
 
 CODEC = os.path.join("pdf_extractor_ray", "functions", "pdf_codec.py")
+PKG = "pdf_extractor_ray"
 
 
 def load_codec(checkout: str, name: str):
@@ -47,6 +61,42 @@ def load_codec(checkout: str, name: str):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _pkg_modules() -> dict:
+    return {k: m for k, m in sys.modules.items() if k == PKG or k.startswith(PKG + ".")}
+
+
+def load_package(checkout: str) -> dict:
+    """Import ``checkout``'s whole package without disturbing the one
+    already imported; returns its ``sys.modules`` entries."""
+    saved = _pkg_modules()
+    for k in saved:
+        del sys.modules[k]
+    sys.path.insert(0, checkout)
+    try:
+        for name in ("functions.pdf_words", "functions.layout", "functions.pdf_codec"):
+            importlib.import_module(f"{PKG}.{name}")
+        mods = _pkg_modules()
+    finally:
+        sys.path.remove(checkout)
+        for k in _pkg_modules():
+            del sys.modules[k]
+        sys.modules.update(saved)
+    return mods
+
+
+class Chain:
+    """One checkout's ``extract_pdf_pages``, run with its own modules
+    installed in ``sys.modules`` (function-level imports resolve there)."""
+
+    def __init__(self, checkout: str) -> None:
+        self.mods = load_package(checkout)
+        pw = self.mods[f"{PKG}.functions.pdf_words"]
+        self.extract, self.pats = pw.extract_pdf_pages, pw.Patterns()
+
+    def activate(self) -> None:
+        sys.modules.update(self.mods)
 
 
 _SHOW_TJ = re.compile(rb"(<[0-9A-Fa-f\s]*>|\((?:[^()\\]|\\.)*\))(\s*)Tj(?![A-Za-z'\"*])", re.S)
@@ -134,28 +184,38 @@ def outcome(codec, payload: bytes) -> str:
 
 
 def run_seed(a, b, workload: str, seed: int, alternations: int) -> dict:
-    from workloads import pdf_family, prepare
-
-    rows = prepare(workload, seed).table("rows")
-    docs = [
-        (pdf_family(p), p)
-        for p in rows["html"].to_pylist()
-        if p.startswith(b"%PDF-") and pdf_family(p) != "fixture_json"
-    ]
+    docs = genuine_pdfs(workload, seed)
     mismatches = [i for i, (_, p) in enumerate(docs) if outcome(a, p) != outcome(b, p)]
     taken, shows = lane_share(b, [p for _, p in docs])
+    runs, n_docs = alternate((("A", a.parse_pdf_bytes, None), ("B", b.parse_pdf_bytes, None)), docs, alternations)
+    return {
+        "mismatches": len(mismatches),
+        "lane_shows": {"taken": taken, "all": shows},
+        "summary": summarize(runs, n_docs),
+        "alternations": runs,
+    }
+
+
+def alternate(sides, docs: list, alternations: int, prepare=None) -> tuple[list, dict]:
+    """Time ``fn(arg)`` of both sides on every (family, arg) doc, doc by
+    doc, the side that goes first flipping every alternation. ``sides``
+    is ((tag, fn, before), ...); ``before`` runs untimed ahead of each
+    call, as does ``prepare(arg)``, whose result is what ``fn`` gets."""
     n_docs = defaultdict(int)
     for fam, _ in docs:
         n_docs[fam] += 1
     runs = []
     for k in range(alternations):
         ms = {"A": defaultdict(float), "B": defaultdict(float)}
-        order = (("A", a), ("B", b)) if k % 2 == 0 else (("B", b), ("A", a))
-        for fam, p in docs:
-            for tag, codec in order:
+        order = sides if k % 2 == 0 else sides[::-1]
+        for fam, arg in docs:
+            for tag, fn, before in order:
+                x = prepare(arg) if prepare else arg
+                if before:
+                    before()
                 t0 = time.process_time()
                 try:
-                    codec.parse_pdf_bytes(p)
+                    fn(x)
                 except Exception:
                     pass
                 ms[tag][fam] += (time.process_time() - t0) * 1000.0
@@ -169,56 +229,108 @@ def run_seed(a, b, workload: str, seed: int, alternations: int) -> dict:
                 },
             }
         )
+    return runs, n_docs
+
+
+def summarize(runs: list, n_docs: dict) -> dict:
     summary = {}
     for fam in [*sorted(n_docs), "all"]:
         ra = [r["A"][fam] for r in runs]
         rb = [r["B"][fam] for r in runs]
         qa = statistics.quantiles(ra, n=4) if len(ra) > 1 else [ra[0]] * 3
         summary[fam] = {
-            "docs": n_docs[fam] if fam != "all" else len(docs),
+            "docs": n_docs[fam] if fam != "all" else sum(n_docs.values()),
             "A_median_ms": round(statistics.median(ra), 3),
             "B_median_ms": round(statistics.median(rb), 3),
             "B_over_A": round(statistics.median(rb) / statistics.median(ra), 3),
             "A_iqr_ms": round(qa[2] - qa[0], 3),
             "B_faster_in": f"{sum(y < x for x, y in zip(ra, rb))}/{len(runs)}",
         }
-    return {
-        "mismatches": len(mismatches),
-        "lane_shows": {"taken": taken, "all": shows},
-        "summary": summary,
-        "alternations": runs,
-    }
+    return summary
+
+
+def genuine_pdfs(workload: str, seed: int) -> list[tuple[str, bytes]]:
+    from workloads import pdf_family, prepare
+
+    rows = prepare(workload, seed).table("rows")
+    return [
+        (pdf_family(p), p)
+        for p in rows["html"].to_pylist()
+        if p.startswith(b"%PDF-") and pdf_family(p) != "fixture_json"
+    ]
+
+
+def chain_outcome(side: Chain, pages: list) -> str:
+    side.activate()
+    try:
+        return repr(side.extract(copy.deepcopy(pages), side.pats))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def run_chain_seed(a: Chain, b: Chain, codec, workload: str, seed: int, alternations: int) -> dict:
+    """A/B of ``extract_pdf_pages`` over the pages of every genuine PDF
+    this checkout's codec reads."""
+    docs = []
+    for fam, p in genuine_pdfs(workload, seed):
+        try:
+            docs.append((fam, codec.parse_pdf_bytes(p)))
+        except Exception:
+            continue  # an error row: the chain never sees it
+    home = _pkg_modules()  # what workloads.prepare imports from
+    try:
+        mismatches = [i for i, (_, pages) in enumerate(docs) if chain_outcome(a, pages) != chain_outcome(b, pages)]
+        sides = (("A", lambda x: a.extract(x, a.pats), a.activate), ("B", lambda x: b.extract(x, b.pats), b.activate))
+        runs, n_docs = alternate(sides, docs, alternations, prepare=copy.deepcopy)
+    finally:
+        sys.modules.update(home)
+    return {"mismatches": len(mismatches), "summary": summarize(runs, n_docs), "alternations": runs}
+
+
+def print_summary(summary: dict) -> None:
+    for fam, s in summary.items():
+        print(
+            f"  {fam:10s} n={s['docs']:3d}  A {s['A_median_ms']:7.3f}  B {s['B_median_ms']:7.3f}"
+            f" ms/doc  B/A {s['B_over_A']:.3f}  A IQR {s['A_iqr_ms']:.3f}"
+            f"  B faster in {s['B_faster_in']}"
+        )
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="checkout whose codec is A")
+    ap.add_argument("--base", required=True, help="checkout whose code is A")
     ap.add_argument("--workload", default="pdf_parquet")
     ap.add_argument("--seeds", default="1")
     ap.add_argument("--alternations", type=int, default=10)
+    ap.add_argument("--layer", choices=["parse", "chain"], default="parse")
     ap.add_argument("--form", choices=["as-written", *FORMS], default="as-written")
     ap.add_argument("--json", help="write the full result here")
     args = ap.parse_args()
-    a = load_codec(args.base, "pdf_codec_a")
+    if args.layer == "chain" and args.form != "as-written":
+        ap.error("--form rewrites streams for the parse layer only")
     b = load_codec(ROOT, "pdf_codec_b")
-    if args.form != "as-written":
-        rewrite_streams(a, args.form)
-        rewrite_streams(b, args.form)
+    if args.layer == "chain":
+        chain_a, chain_b = Chain(args.base), Chain(ROOT)
+    else:
+        a = load_codec(args.base, "pdf_codec_a")
+        if args.form != "as-written":
+            rewrite_streams(a, args.form)
+            rewrite_streams(b, args.form)
     result = {}
     for seed in (int(s) for s in args.seeds.split(",")):
-        res = run_seed(a, b, args.workload, seed, args.alternations)
-        result[f"{args.workload}/{args.form}/s{seed}"] = res
-        lane = res["lane_shows"]
-        print(
-            f"{args.workload} ({args.form}) seed {seed}: {res['mismatches']} mismatching docs;"
-            f" B's lane took {lane['taken']} of {lane['all']} show operators"
-        )
-        for fam, s in res["summary"].items():
+        if args.layer == "chain":
+            res = run_chain_seed(chain_a, chain_b, b, args.workload, seed, args.alternations)
+            result[f"{args.workload}/chain/s{seed}"] = res
+            print(f"{args.workload} (extract_pdf_pages) seed {seed}: {res['mismatches']} mismatching docs")
+        else:
+            res = run_seed(a, b, args.workload, seed, args.alternations)
+            result[f"{args.workload}/{args.form}/s{seed}"] = res
+            lane = res["lane_shows"]
             print(
-                f"  {fam:10s} n={s['docs']:3d}  A {s['A_median_ms']:7.3f}  B {s['B_median_ms']:7.3f}"
-                f" ms/doc  B/A {s['B_over_A']:.3f}  A IQR {s['A_iqr_ms']:.3f}"
-                f"  B faster in {s['B_faster_in']}"
+                f"{args.workload} ({args.form}) seed {seed}: {res['mismatches']} mismatching docs;"
+                f" B's lane took {lane['taken']} of {lane['all']} show operators"
             )
+        print_summary(res["summary"])
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(result, f, indent=1)
