@@ -9,6 +9,32 @@ length). Shares the reference's determinism contract
 (reference extractor.py:3-9): pure function of the input bytes,
 no normalization beyond whitespace collapsing, no wall clock.
 
+Tokenizer: ``_tokenize``, the package's one HTML tokenizer (the
+structured visitors in ops/structured.py use it too), calls a
+handler's handle_starttag / handle_startendtag (tag, attrs),
+handle_endtag(tag) and handle_data(text); names are lowercased,
+character references decoded. Its grammar is CPython 3.11's HTML
+parser's: tags with attributes, comments, doctype, bogus comments,
+``<?``, raw-text script/style. Its regexes (_locatestart, _tagfind,
+_attrfind, _endtagfind, _commentclose) are owned copies of CPython
+3.11.7's, so the output does not depend on the interpreter. Input
+outside that grammar or cut off at EOF follows the WHATWG tokenizer
+(https://html.spec.whatwg.org/multipage/parsing.html#tokenization):
+
+  start or end tag still open at EOF    dropped with everything after it
+  unclosed comment (but '<!-->', '<!--->' are empty comments)
+                                        runs to EOF, dropped
+  <?... / <!... / <![... without '>'    bogus comment to EOF, dropped
+  '</' + non-letter                     bogus comment up to the next '>'
+  '</>' / a bare '</' at EOF            nothing / the text '</'
+  start tag with junk before its '>'    a tag ending at the first '>'
+                                        outside a quoted value (WHATWG
+                                        attribute states from where
+                                        CPython's grammar stops)
+
+Each construct is found by one forward find or anchored match from a
+cursor that only moves forward, so the cost is linear in the input.
+
 Classification rules (fixed; changing any invalidates the committed
 golden corpus, see FIXTURES.md):
 
@@ -27,7 +53,9 @@ golden corpus, see FIXTURES.md):
                 a pipe-formatted block framed by "[TABLE: RxC]" /
                 "[TABLE END]" markers — same output style as the PDF
                 path's table insertion (reference extractor.py:844-874,
-                layout_analyzer.py:70-103).
+                layout_analyzer.py:70-103). A new td/th/tr, </tr> or
+                </table> closes an open cell of the outermost table; a
+                table still open at </body>, </html> or EOF is emitted.
 
 Kept blocks render in document order, joined by a blank line;
 headings verbatim, list items prefixed "- ", whitespace inside a
@@ -38,25 +66,8 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html import unescape as _unescape
-from html.parser import HTMLParser
-
-try:
-    # undocumented CPython html.parser regex internals power the fast
-    # feed path; guarded so a future rename only loses the fast path
-    # (segment_html falls back to the stdlib feed), never the import
-    from html.parser import (  # type: ignore[attr-defined]
-        attrfind_tolerant as _attrfind,
-        commentclose as _commentclose,
-        endtagfind as _endtagfind,
-        locatestarttagend_tolerant as _locatestart,
-        tagfind_tolerant as _tagfind,
-    )
-
-    _HAVE_PARSER_INTERNALS = True
-except ImportError:  # pragma: no cover — current CPython exports them
-    _HAVE_PARSER_INTERNALS = False
 
 from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 
@@ -72,8 +83,6 @@ _BLOCK_TAGS = frozenset(
     "nav header footer aside address".split()
 )
 _HEADINGS = frozenset("h1 h2 h3 h4 h5 h6".split())
-_WS_RE = re.compile(r"\s+")
-_NONWS_RE = re.compile(r"\S")
 
 
 @dataclass
@@ -91,11 +100,10 @@ def _nonws_len(s: str) -> int:
     return sum(map(len, s.split()))
 
 
-class _BlockParser(HTMLParser):
-    """Single-pass segmentation of an HTML document into text blocks."""
+class _BlockParser:
+    """``_tokenize`` handler: one-pass segmentation into text blocks."""
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
         self.blocks: list[_Block] = []
         self._stack: list[str] = []
         self._skip_depth = 0
@@ -121,21 +129,14 @@ class _BlockParser(HTMLParser):
         self._buf_link_chars = 0
         # one split pass gives the ws-collapsed text AND the non-ws
         # char count (len minus the single-space separators) — same
-        # result as _WS_RE.sub(" ", raw).strip() + _nonws_len(raw)
+        # result as re.sub(r"\s+", " ", raw).strip() + _nonws_len(raw)
         parts = raw.split()
         if not parts:
             return
         text = " ".join(parts)
         kind = self._kind_stack[-1] if self._kind_stack else "p"
-        self.blocks.append(
-            _Block(
-                kind=kind,
-                text=text,
-                link_chars=link_chars,
-                total_chars=len(text) - (len(parts) - 1),
-                boiler=self._boiler_depth > 0,
-            )
-        )
+        total_chars = len(text) - (len(parts) - 1)
+        self.blocks.append(_Block(kind, text, link_chars, total_chars, self._boiler_depth > 0))
 
     # -- tag events --------------------------------------------------
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
@@ -168,8 +169,12 @@ class _BlockParser(HTMLParser):
             if tag == "table":
                 self._table_depth += 1
             elif tag == "tr":
+                if self._table_depth == 1:
+                    self._close_cell()
                 self._table_rows.append([])
             elif tag in ("td", "th"):
+                if self._table_depth == 1:
+                    self._close_cell()
                 self._cell_buf = []
             return
         if tag == "a":
@@ -201,21 +206,15 @@ class _BlockParser(HTMLParser):
             self._skip_depth = max(0, self._skip_depth - 1)
             return
         if self._table_depth:
-            if tag in ("td", "th") and self._cell_buf is not None:
-                cell = " ".join("".join(self._cell_buf).split())
-                if not self._table_rows:
-                    self._table_rows.append([])
-                self._table_rows[-1].append(cell)
-                self._cell_buf = None
+            if tag not in ("body", "html"):
+                if tag in ("td", "th") or tag == "tr" and self._table_depth == 1:
+                    self._close_cell()
+                elif tag == "table":
+                    self._table_depth -= 1
+                    if self._table_depth == 0:
+                        self._end_table()
                 return
-            if tag == "table":
-                self._table_depth -= 1
-                if self._table_depth == 0:
-                    self._end_table()
-                return
-            if tag in ("tr", "thead", "tbody", "th"):
-                return
-            return
+            self._end_table()  # an open table ends with the document
         if tag == "a":
             if self._link_depth:
                 self._link_depth -= 1
@@ -235,7 +234,16 @@ class _BlockParser(HTMLParser):
                 del self._stack[i]
                 break
 
+    def _close_cell(self) -> None:
+        if self._cell_buf is not None:
+            if not self._table_rows:
+                self._table_rows.append([])
+            self._table_rows[-1].append(" ".join("".join(self._cell_buf).split()))
+            self._cell_buf = None
+
     def _end_table(self) -> None:
+        self._close_cell()
+        self._table_depth = 0
         # pop table stack entries
         for i in range(len(self._stack) - 1, -1, -1):
             s = self._stack[i]
@@ -250,20 +258,10 @@ class _BlockParser(HTMLParser):
             return
         ncols = max(len(r) for r in rows)
         lines = [f"[TABLE: {len(rows)}x{ncols}]"]
-        for r in rows:
-            padded = list(r) + [""] * (ncols - len(r))
-            lines.append("| " + " | ".join(padded) + " |")
+        lines += ["| " + " | ".join(r + [""] * (ncols - len(r))) + " |" for r in rows]
         lines.append("[TABLE END]")
-        text = "\n".join(lines)
-        self.blocks.append(
-            _Block(
-                kind="table",
-                text=text,
-                link_chars=0,
-                total_chars=sum(_nonws_len(c) for r in rows for c in r) or 1,
-                boiler=self._table_boiler,
-            )
-        )
+        total_chars = sum(_nonws_len(c) for r in rows for c in r) or 1
+        self.blocks.append(_Block("table", "\n".join(lines), 0, total_chars, self._table_boiler))
 
     # -- text --------------------------------------------------------
     def handle_data(self, data: str) -> None:
@@ -277,159 +275,160 @@ class _BlockParser(HTMLParser):
         if self._link_depth:
             self._buf_link_chars += _nonws_len(data)
 
-    def close(self) -> None:  # flush trailing text
-        super().close()
-        self._flush()
 
+# ---------------------------------------------------------------------------
+# Tokenizer
+# ---------------------------------------------------------------------------
 
-class _FastBail(Exception):
-    """Construct outside the clean grammar — reparse with stdlib."""
+# Verbatim copies of CPython 3.11.7's (the html package's parser module),
+# owned here so the grammar, and with it the golden corpus, is pinned.
+_commentclose = re.compile(r'--\s*>')
+_tagfind = re.compile(r'([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*')
+_attrfind = re.compile(
+    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*'
+    r'(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*')
+_locatestart = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+_endtagfind = re.compile(r'</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
 
+# The WHATWG attribute states from an attribute-name position to the
+# tag's closing '>' (or EOF): names, '=' and a quoted or unquoted value,
+# whitespace and '/'. Possessive throughout: one scan, no backtracking.
+_WHATWG_VALUE = r"""(?:[\t\n\f\r ]*+=[\t\n\f\r ]*+(?:"[^"]*+"?+|'[^']*+'?+|[^\t\n\f\r >]*+))?+"""
+_TAG_TAIL = re.compile(
+    rf"[^\t\n\f\r />=]*+{_WHATWG_VALUE}(?:[\t\n\f\r /]++|[^\t\n\f\r />][^\t\n\f\r />=]*+{_WHATWG_VALUE})*+"
+)
 
 _ASCII_LETTERS = frozenset(string.ascii_letters)
-# bare start/end tags (no attrs) — the overwhelmingly common case;
-# if these match, the slow locatestart/attrfind machinery is skipped
-# and the result is identical to stdlib's parse_starttag/parse_endtag.
-_SIMPLE_START = re.compile(r"<([a-zA-Z][-.a-zA-Z0-9:_]*)\s*(/?)>")
-_CDATA_CLOSE = {
-    "script": re.compile(r"</\s*script\s*>", re.I),
-    "style": re.compile(r"</\s*style\s*>", re.I),
-}
+# bare start tags and clean end tags, the overwhelmingly common case:
+# one anchored match, no locatestart/attrfind machinery
+_SIMPLE_TAG = re.compile(r"<([a-zA-Z][-.a-zA-Z0-9:_]*)\s*(/?)>|" + _endtagfind.pattern)
+_RAWTEXT_CLOSE = {t: re.compile(rf"</\s*{t}\s*>", re.I) for t in ("script", "style")}
+_EMPTY_COMMENT_END = re.compile("-?>")
 
 
-def _fast_feed(p: HTMLParser, rawdata: str) -> None:
-    """One-shot equivalent of HTMLParser.feed(rawdata)+close() (with
-    convert_charrefs=True) for documents in the clean HTML grammar.
-    Mirrors CPython 3.11 html/parser.py goahead/parse_starttag/
-    parse_endtag semantics exactly on the constructs it accepts and
-    raises _FastBail on anything else (bogus tags, unterminated
-    comments, marked sections) so the caller can rerun the stdlib
-    parser. ~2x faster: skips updatepos/line tracking, incremental
-    buffering and the double-search in parse_endtag."""
-    i, n = 0, len(rawdata)
-    find = rawdata.find
-    handle_data = p.handle_data
+def _tag_end(html: str, j: int) -> int:
+    """Index past the '>' of a tag whose WHATWG attribute states resume at ``j``; -1 at EOF."""
+    k = _TAG_TAIL.match(html, j).end()
+    return k + 1 if k < len(html) else -1
+
+
+def _start_tag(html: str, i: int):
+    """(end, tag, attrs, self_closing) of the start tag at ``i``, or None if open at EOF."""
+    if html.find(">", i) < 0:
+        return None  # no '>' left: open at EOF in any grammar
+    j = _locatestart.match(html, i).end()
+    # past the '>' where CPython's grammar ends, else where the WHATWG states end
+    endpos = j + 1 if html.startswith(">", j) else j + 2 if html.startswith("/>", j) else _tag_end(html, j)
+    if endpos < 0:
+        return None
+    tm = _tagfind.match(html, i + 1)
+    k = tm.end()
+    attrs: list[tuple[str, str | None]] = []
+    while k < endpos:
+        am = _attrfind.match(html, k, endpos)
+        if not am:
+            break
+        name, rest, value = am.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] in ("'", '"') and value[-1:] == value[:1]:
+            value = value[1:-1]
+        attrs.append((name.lower(), _unescape(value) if value and "&" in value else value))
+        k = am.end()
+    # anything but '/>' left before the '>' is junk; the tag stands
+    return endpos, tm.group(1).lower(), attrs, html[k:endpos].strip() == "/>"
+
+
+def _skip_markup(html: str, i: int, data, end) -> int:
+    """Index past the other markup (or '<') at ``i``, or -1 if it runs to EOF."""
+    c = html[i + 1 : i + 2]
+    if c == "/":
+        if html[i + 2 : i + 3] in _ASCII_LETTERS:  # end tag with attributes or junk
+            tm = _tagfind.match(html, i + 2)
+            j = _tag_end(html, tm.end(1))
+            if j >= 0:
+                end(tm.group(1).lower())
+            return j
+        if i + 2 == len(html):
+            data("</")
+            return i + 2
+        return html.find(">", i + 2) + 1 or -1  # '</>' and bogus comments
+    if html.startswith("<!--", i):  # WHATWG also closes '<!-->' and '<!--->'
+        cm = _commentclose.search(html, i + 4) or _EMPTY_COMMENT_END.match(html, i + 4)
+        return cm.end() if cm else -1
+    if c == "!" or c == "?":  # doctype, bogus comment, marked section, <?...>
+        return html.find(">", i + 2) + 1 or -1
+    data("<")  # a '<' that opens no markup
+    return i + 1
+
+
+def _tokenize(html: str, h) -> None:
+    """Tokenize ``html`` into calls on handler ``h`` (see the module docstring)."""
+    i, n = 0, len(html)
+    find = html.find
+    data, start, startend, end = h.handle_data, h.handle_starttag, h.handle_startendtag, h.handle_endtag
     while i < n:
         j = find("<", i)
         if j < 0:
             j = n
         if i < j:
-            chunk = rawdata[i:j]
-            if "&" in chunk:
-                chunk = _unescape(chunk)
-            handle_data(chunk)
-        i = j
-        if i == n:
-            break
-        c = rawdata[i + 1 : i + 2]
-        if c in _ASCII_LETTERS:
-            # -- start tag (parse_starttag) --
-            sm = _SIMPLE_START.match(rawdata, i)
-            if sm:
-                tag = sm.group(1).lower()
-                if sm.group(2):
-                    p.handle_startendtag(tag, [])
-                    i = sm.end()
-                    continue
-                p.handle_starttag(tag, [])
-                i = sm.end()
-            else:
-                m = _locatestart.match(rawdata, i)
-                j = m.end()
-                nxt = rawdata[j : j + 1]
-                if nxt == ">":
-                    endpos = j + 1
-                elif nxt == "/" and rawdata.startswith("/>", j):
-                    endpos = j + 2
-                else:
-                    raise _FastBail  # bogus or EOF-truncated start tag
-                tm = _tagfind.match(rawdata, i + 1)
-                k = tm.end()
-                tag = tm.group(1).lower()
-                attrs: list[tuple[str, str | None]] = []
-                while k < endpos:
-                    am = _attrfind.match(rawdata, k)
-                    if not am:
-                        break
-                    attrname, rest, attrvalue = am.group(1, 2, 3)
-                    if not rest:
-                        attrvalue = None
-                    elif (
-                        attrvalue[:1] == "'" == attrvalue[-1:]
-                        or attrvalue[:1] == '"' == attrvalue[-1:]
-                    ):
-                        attrvalue = attrvalue[1:-1]
-                    if attrvalue and "&" in attrvalue:
-                        attrvalue = _unescape(attrvalue)
-                    attrs.append((attrname.lower(), attrvalue))
-                    k = am.end()
-                end = rawdata[k:endpos].strip()
-                if end == "/>":
-                    p.handle_startendtag(tag, attrs)
-                    i = endpos
-                    continue
-                if end != ">":
-                    raise _FastBail  # parse_starttag junk-data path
-                p.handle_starttag(tag, attrs)
-                i = endpos
-            if tag in ("script", "style"):  # CDATA_CONTENT_ELEMENTS
-                cm = _CDATA_CLOSE[tag].search(rawdata, i)
-                if cm is None:
-                    return  # unclosed cdata: stdlib drops the rest
-                if cm.start() > i:
-                    handle_data(rawdata[i : cm.start()])  # no unescape
-                p.handle_endtag(tag)
-                i = cm.end()
-        elif c == "/":
-            # -- end tag (parse_endtag, clean branch only) --
-            m = _endtagfind.match(rawdata, i)
-            if not m:
-                raise _FastBail  # </>, bogus end tags, EOF truncation
-            p.handle_endtag(m.group(1).lower())
+            chunk = html[i:j]
+            data(_unescape(chunk) if "&" in chunk else chunk)
+        if j == n:
+            return
+        m = _SIMPLE_TAG.match(html, j)
+        if m is not None:
             i = m.end()
-        elif rawdata.startswith("<!--", i):
-            cm = _commentclose.search(rawdata, i + 4)
-            if not cm:
-                raise _FastBail  # unterminated comment
-            i = cm.end()
-        elif c == "?":
-            g = find(">", i + 2)
-            if g < 0:
-                raise _FastBail
-            i = g + 1
-        elif c == "!":
-            if rawdata.startswith("<![", i):
-                raise _FastBail  # marked section
-            if rawdata[i : i + 9].lower() == "<!doctype":
-                g = find(">", i + 9)
-            else:  # parse_bogus_comment: skip to '>'
-                g = find(">", i + 2)
-            if g < 0:
-                raise _FastBail
-            i = g + 1
+            if m[3]:
+                end(m[3].lower())
+                continue
+            tag, attrs, self_closing = m[1].lower(), [], m[2]
+        elif html[j + 1 : j + 2] in _ASCII_LETTERS:
+            st = _start_tag(html, j)
+            if st is None:
+                return
+            i, tag, attrs, self_closing = st
         else:
-            handle_data("<")  # literal '<' (goahead fallthrough + EOF tail)
-            i += 1
+            i = _skip_markup(html, j, data, end)
+            if i < 0:
+                return
+            continue
+        if self_closing:
+            startend(tag, attrs)
+            continue
+        start(tag, attrs)
+        rawtext_close = _RAWTEXT_CLOSE.get(tag)
+        if rawtext_close is not None:
+            cm = rawtext_close.search(html, i)
+            if cm is None:
+                return  # raw text runs to EOF
+            if cm.start() > i:
+                data(html[i : cm.start()])  # no unescape
+            end(tag)
+            i = cm.end()
 
 
 def segment_html(html: str) -> list[_Block]:
     """Parse HTML into classified text blocks (document order)."""
-    if _HAVE_PARSER_INTERNALS:
-        p = _BlockParser()
-        try:
-            _fast_feed(p, html)
-            p._flush()
-            return p.blocks
-        except Exception:
-            pass  # _FastBail or any fast-path surprise: reparse with stdlib
     p = _BlockParser()
-    try:
-        p.feed(html)
-        p.close()
-    except Exception:
-        # malformed beyond the parser's tolerance: keep whatever blocks
-        # were produced (never raise — per-row error policy lives above)
-        pass
+    _tokenize(html, p)
+    if p._table_depth:  # a table still open at EOF
+        p._end_table()
+    p._flush()
     return p.blocks
 
 

@@ -10,9 +10,10 @@ sibling — it leaves extracted_text and its goldens untouched and
 emits a separate (url, table_idx, row_idx, col_idx, cell, header)
 dataset.
 
-Parsing: stdlib html.parser over charset-sniffed bytes (the same
-sniff_decode precedence as the extraction path), one stateful visitor
-per batch inside map_batches — no shuffle, flat per-batch explode.
+Parsing: the extraction path's HTML tokenizer (html_extract._tokenize)
+over charset-sniffed bytes (the same sniff_decode precedence), one
+stateful visitor per batch inside map_batches — no shuffle, flat
+per-batch explode.
 Nested tables are enumerated as their OWN table_idx in document
 order; their cell text is not duplicated into the enclosing cell.
 Cell text is whitespace-collapsed with inline markup stripped;
@@ -23,13 +24,12 @@ browser error recovery.
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from pdf_extractor_ray.functions.html_extract import _tokenize
 from pdf_extractor_ray.ops.dedup import _typed_table
 
 _TABLE_SCHEMA = pa.schema(
@@ -44,7 +44,15 @@ _TABLE_SCHEMA = pa.schema(
 )
 
 
-class _TableVisitor(HTMLParser):
+class _Visitor:
+    """``_tokenize`` handler base: ``<x/>`` opens and closes ``x``."""
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        self.handle_starttag(tag, attrs)
+        self.handle_endtag(tag)
+
+
+class _TableVisitor(_Visitor):
     """Collect (table_idx, row_idx, col_idx, text, is_header) cells.
 
     A stack tracks nested tables; each <table> takes the next global
@@ -53,7 +61,6 @@ class _TableVisitor(HTMLParser):
     closes everything at that level."""
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
         self.cells: list[tuple[int, int, int, str, int]] = []
         self._next_idx = 0
         self._stack: list[dict] = []  # per open table: idx/row/col/state
@@ -106,18 +113,13 @@ class _TableVisitor(HTMLParser):
         if self._stack and self._stack[-1]["in_cell"]:
             self._stack[-1]["buf"].append(data)
 
-    def close(self) -> None:  # trailing unclosed table/cell
-        super().close()
-        while self._stack:
-            self._flush_cell(self._stack[-1])
-            self._stack.pop()
-
 
 def extract_tables_from_html(text: str) -> list[tuple[int, int, int, str, int]]:
     """Pure helper: all table cells of one HTML document."""
     v = _TableVisitor()
-    v.feed(text)
-    v.close()
+    _tokenize(text, v)
+    while v._stack:  # tables and cells still open at EOF
+        v._flush_cell(v._stack.pop())
     return v.cells
 
 
@@ -172,7 +174,7 @@ _META_SCHEMA = pa.schema(
 )
 
 
-class _MetaVisitor(HTMLParser):
+class _MetaVisitor(_Visitor):
     """Collect (kind, key, value) page metadata in document order:
     <title> text, <meta> name/property/charset attributes, h1-h6
     heading text (the document outline structure-aware chunkers key
@@ -181,7 +183,6 @@ class _MetaVisitor(HTMLParser):
     _HEADINGS = {"h1", "h2", "h3", "h4", "h5", "h6"}
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
         self.rows: list[tuple[str, str, str]] = []
         self._text_tag: str | None = None  # "title" or an open heading tag
         self._buf: list[str] = []
@@ -218,16 +219,12 @@ class _MetaVisitor(HTMLParser):
         if self._text_tag is not None:
             self._buf.append(data)
 
-    def close(self) -> None:
-        super().close()
-        self._flush()
-
 
 def extract_metadata_from_html(text: str) -> list[tuple[str, str, str]]:
     """Pure helper: (kind, key, value) metadata rows of one document."""
     v = _MetaVisitor()
-    v.feed(text)
-    v.close()
+    _tokenize(text, v)
+    v._flush()  # a title or heading still open at EOF
     return v.rows
 
 

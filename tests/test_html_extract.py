@@ -89,36 +89,197 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# Differential: _fast_feed must reproduce the stdlib HTMLParser path
-# byte-for-byte (or bail, in which case segment_html reparses with
-# stdlib). The property below drives both paths explicitly.
+# Differential: _tokenize against the former fast path as an oracle.
+# _fast_feed below is the fast path segment_html used before the
+# tokenizer became the only one, kept verbatim: it mirrors CPython
+# 3.11's html.parser on the grammar it accepts and raises _FastBail on
+# anything else. On every input it accepts, _tokenize must make the
+# same handler calls with the same arguments, in the same order.
 # ---------------------------------------------------------------------------
+
+import re
+import string
+import time
+from html import unescape as _unescape
+from html.parser import HTMLParser
+from html.parser import (  # type: ignore[attr-defined]
+    attrfind_tolerant as _attrfind,
+    commentclose as _commentclose,
+    endtagfind as _endtagfind,
+    locatestarttagend_tolerant as _locatestart,
+    tagfind_tolerant as _tagfind,
+)
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from pdf_extractor_ray.functions.html_extract import (
-    _BlockParser,
-    _FastBail,
-    _fast_feed,
-)
+from pdf_extractor_ray.functions.html_extract import _tokenize, segment_html
+from pdf_extractor_ray.ops.structured import extract_metadata_from_html, extract_tables_from_html
 
 
-def _stdlib_blocks(html: str):
-    p = _BlockParser()
+class _FastBail(Exception):
+    """Construct outside the clean grammar — reparse with stdlib."""
+
+
+_ASCII_LETTERS = frozenset(string.ascii_letters)
+# bare start/end tags (no attrs) — the overwhelmingly common case;
+# if these match, the slow locatestart/attrfind machinery is skipped
+# and the result is identical to stdlib's parse_starttag/parse_endtag.
+_SIMPLE_START = re.compile(r"<([a-zA-Z][-.a-zA-Z0-9:_]*)\s*(/?)>")
+_CDATA_CLOSE = {
+    "script": re.compile(r"</\s*script\s*>", re.I),
+    "style": re.compile(r"</\s*style\s*>", re.I),
+}
+
+
+def _fast_feed(p: HTMLParser, rawdata: str) -> None:
+    """One-shot equivalent of HTMLParser.feed(rawdata)+close() (with
+    convert_charrefs=True) for documents in the clean HTML grammar.
+    Mirrors CPython 3.11 html/parser.py goahead/parse_starttag/
+    parse_endtag semantics exactly on the constructs it accepts and
+    raises _FastBail on anything else (bogus tags, unterminated
+    comments, marked sections) so the caller can rerun the stdlib
+    parser. ~2x faster: skips updatepos/line tracking, incremental
+    buffering and the double-search in parse_endtag."""
+    i, n = 0, len(rawdata)
+    find = rawdata.find
+    handle_data = p.handle_data
+    while i < n:
+        j = find("<", i)
+        if j < 0:
+            j = n
+        if i < j:
+            chunk = rawdata[i:j]
+            if "&" in chunk:
+                chunk = _unescape(chunk)
+            handle_data(chunk)
+        i = j
+        if i == n:
+            break
+        c = rawdata[i + 1 : i + 2]
+        if c in _ASCII_LETTERS:
+            # -- start tag (parse_starttag) --
+            sm = _SIMPLE_START.match(rawdata, i)
+            if sm:
+                tag = sm.group(1).lower()
+                if sm.group(2):
+                    p.handle_startendtag(tag, [])
+                    i = sm.end()
+                    continue
+                p.handle_starttag(tag, [])
+                i = sm.end()
+            else:
+                m = _locatestart.match(rawdata, i)
+                j = m.end()
+                nxt = rawdata[j : j + 1]
+                if nxt == ">":
+                    endpos = j + 1
+                elif nxt == "/" and rawdata.startswith("/>", j):
+                    endpos = j + 2
+                else:
+                    raise _FastBail  # bogus or EOF-truncated start tag
+                tm = _tagfind.match(rawdata, i + 1)
+                k = tm.end()
+                tag = tm.group(1).lower()
+                attrs: list[tuple[str, str | None]] = []
+                while k < endpos:
+                    am = _attrfind.match(rawdata, k)
+                    if not am:
+                        break
+                    attrname, rest, attrvalue = am.group(1, 2, 3)
+                    if not rest:
+                        attrvalue = None
+                    elif (
+                        attrvalue[:1] == "'" == attrvalue[-1:]
+                        or attrvalue[:1] == '"' == attrvalue[-1:]
+                    ):
+                        attrvalue = attrvalue[1:-1]
+                    if attrvalue and "&" in attrvalue:
+                        attrvalue = _unescape(attrvalue)
+                    attrs.append((attrname.lower(), attrvalue))
+                    k = am.end()
+                end = rawdata[k:endpos].strip()
+                if end == "/>":
+                    p.handle_startendtag(tag, attrs)
+                    i = endpos
+                    continue
+                if end != ">":
+                    raise _FastBail  # parse_starttag junk-data path
+                p.handle_starttag(tag, attrs)
+                i = endpos
+            if tag in ("script", "style"):  # CDATA_CONTENT_ELEMENTS
+                cm = _CDATA_CLOSE[tag].search(rawdata, i)
+                if cm is None:
+                    return  # unclosed cdata: stdlib drops the rest
+                if cm.start() > i:
+                    handle_data(rawdata[i : cm.start()])  # no unescape
+                p.handle_endtag(tag)
+                i = cm.end()
+        elif c == "/":
+            # -- end tag (parse_endtag, clean branch only) --
+            m = _endtagfind.match(rawdata, i)
+            if not m:
+                raise _FastBail  # </>, bogus end tags, EOF truncation
+            p.handle_endtag(m.group(1).lower())
+            i = m.end()
+        elif rawdata.startswith("<!--", i):
+            cm = _commentclose.search(rawdata, i + 4)
+            if not cm:
+                raise _FastBail  # unterminated comment
+            i = cm.end()
+        elif c == "?":
+            g = find(">", i + 2)
+            if g < 0:
+                raise _FastBail
+            i = g + 1
+        elif c == "!":
+            if rawdata.startswith("<![", i):
+                raise _FastBail  # marked section
+            if rawdata[i : i + 9].lower() == "<!doctype":
+                g = find(">", i + 9)
+            else:  # parse_bogus_comment: skip to '>'
+                g = find(">", i + 2)
+            if g < 0:
+                raise _FastBail
+            i = g + 1
+        else:
+            handle_data("<")  # literal '<' (goahead fallthrough + EOF tail)
+            i += 1
+
+
+class _Recorder:
+    """Handler that logs every call it gets."""
+
+    def __init__(self) -> None:
+        self.log: list[tuple] = []
+
+    def handle_starttag(self, tag, attrs):
+        self.log.append(("start", tag, attrs))
+
+    def handle_startendtag(self, tag, attrs):
+        self.log.append(("startend", tag, attrs))
+
+    def handle_endtag(self, tag):
+        self.log.append(("end", tag))
+
+    def handle_data(self, data):
+        self.log.append(("data", data))
+
+
+def _calls(html: str) -> list[tuple]:
+    r = _Recorder()
+    _tokenize(html, r)
+    return r.log
+
+
+def _check_against_oracle(html: str) -> None:
+    r = _Recorder()
     try:
-        p.feed(html)
-        p.close()
-    except Exception:
-        pass
-    return [(b.kind, b.text, b.link_chars, b.total_chars, b.boiler) for b in p.blocks]
-
-
-def _fast_blocks(html: str):
-    p = _BlockParser()
-    _fast_feed(p, html)
-    p._flush()
-    return [(b.kind, b.text, b.link_chars, b.total_chars, b.boiler) for b in p.blocks]
+        _fast_feed(r, html)
+    except _FastBail:
+        _calls(html)  # outside the oracle's grammar: must not raise
+        return
+    assert _calls(html) == r.log
 
 
 _HTML_ATOMS = st.sampled_from(
@@ -137,35 +298,182 @@ _HTML_ATOMS = st.sampled_from(
         "Japanese 日本語テキスト ", "\n  \t ", "trailing<",
     ]
 )
+# attribute-heavy pieces: unbalanced quotes, '=' runs, '/' before '>', NUL
+_ATTR_ATOMS = st.sampled_from(
+    [
+        "<a", "<p", "<td", "</a", " ", "\t", "\n", "b", "x1", "=", "==", "= ",
+        "\"", "'", "\"v\"", "'v'", "\"v>w\"", "'v>w'", "/", "/>", ">", "\x00",
+        "&amp;", "&#x3e;", "\xa0", "\x0b", "<", "</", "text ",
+    ]
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_HTML_ATOMS, min_size=0, max_size=30).map("".join))
 def test_fast_feed_differential(html):
-    try:
-        fast = _fast_blocks(html)
-    except _FastBail:
-        return  # bail path: segment_html reruns stdlib — always correct
-    assert fast == _stdlib_blocks(html)
+    _check_against_oracle(html)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="<>/!?&;abp= \"'-.\n", max_size=80))
 def test_fast_feed_differential_noise(html):
-    try:
-        fast = _fast_blocks(html)
-    except _FastBail:
-        return
-    assert fast == _stdlib_blocks(html)
+    _check_against_oracle(html)
 
 
-def test_segment_html_matches_stdlib_on_goldens_fallback():
-    # any exception inside the fast path must not lose the document
-    from pdf_extractor_ray.functions.html_extract import segment_html
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_ATTR_ATOMS, _HTML_ATOMS), min_size=0, max_size=40).map("".join))
+def test_tokenize_matches_oracle_on_attribute_soup(html):
+    _check_against_oracle(html)
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_tokenize_never_raises(html):
+    _calls(html)
+    segment_html(html)
+
+
+def test_segment_html_marked_section_keeps_blocks():
+    # a marked section outside the old fast grammar must not lose the document
     html = "<body><p>" + "x" * 100 + "<![CDATA[boom]]></p></body>"
     blocks = segment_html(html)
-    assert blocks  # parsed via stdlib fallback
+    assert blocks
+    assert [b.text for b in blocks] == ["x" * 100]
+
+
+# ---------------------------------------------------------------------------
+# End of input and bogus constructs (one golden per WHATWG rule in the
+# html_extract docstring table)
+# ---------------------------------------------------------------------------
+
+
+def test_eof_unclosed_comment_is_dropped():
+    assert extract_html(f"<p>{LONG}</p><!-- x <p>{LONG}</p>") == (LONG, 1)
+    assert _calls("a<!-- b -- >c") == [("data", "a"), ("data", "c")]
+    assert _calls("a<!-- b") == [("data", "a")]
+    # '<!-->' and '<!--->' are closed empty comments when no '-->' follows
+    assert extract_html(f"<!--><p>{LONG}</p>") == (LONG, 1)
+    assert _calls("a<!--->b") == [("data", "a"), ("data", "b")]
+    assert _calls("a<!-->b<!-->c") == [("data", "a"), ("data", "c")]  # CPython's '-->' first
+
+
+def test_eof_open_start_tag_is_dropped():
+    assert extract_html(f"<p>{LONG} content <b") == (LONG + " content", 1)
+    assert extract_html(f"<p>{LONG}</p><p cl{LONG}") == (LONG, 1)
+    assert _calls("x<a <a <a ") == [("data", "x")]
+    # a quote that is never closed keeps the tag open to EOF
+    assert _calls("x<a b='c>d") == [("data", "x")]
+
+
+def test_eof_open_end_tag_is_dropped():
+    assert extract_html(f"<p>{LONG}</p></p class=x") == (LONG, 1)
+    assert _calls("x</p cl") == [("data", "x")]
+
+
+def test_eof_pi_declaration_marked_section_are_dropped():
+    for tail in ("<?php x", "<!doctype html", "<!x", "<![CDATA[y"):
+        assert extract_html(f"<p>{LONG}</p>{tail} {LONG}") == (LONG, 1), tail
+        assert _calls("x" + tail) == [("data", "x")], tail
+    # with a '>', each is a bogus comment up to it
+    assert _calls("x<![CDATA[a]]>y") == [("data", "x"), ("data", "y")]
+
+
+def test_end_tag_open_non_letter_is_bogus_comment():
+    assert _calls("a</ p x>b") == [("data", "a"), ("data", "b")]
+    assert _calls("a</1>b") == [("data", "a"), ("data", "b")]
+    assert _calls("a</ x") == [("data", "a")]
+    assert extract_html(f"<p>{LONG}</3 junk>{LONG}</p>") == (LONG + LONG, 1)
+
+
+def test_empty_end_tag_is_nothing():
+    assert _calls("a</>b") == [("data", "a"), ("data", "b")]
+    assert extract_html(f"<p>{LONG}</>{LONG}</p>") == (LONG + LONG, 1)
+
+
+def test_bare_end_tag_open_at_eof_is_text():
+    assert _calls("a</") == [("data", "a"), ("data", "</")]
+    assert extract_html(f"<p>{LONG}</") == (LONG + "</", 1)
+
+
+def test_start_tag_junk_ends_at_first_unquoted_gt():
+    # a NUL after the tag name is outside CPython's grammar; the tag
+    # ends at the first '>' outside a quoted value
+    assert _calls("<p\x00 t='a>b'>x") == [("start", "p", []), ("data", "x")]
+    assert extract_html(f"<div\x00 x='>'><p>{LONG}</p></div>") == (LONG, 1)
+    # an end tag with attributes ends the same way
+    assert _calls("<p>a</p x='>'>b") == [
+        ("start", "p", []), ("data", "a"), ("end", "p"), ("data", "b"),
+    ]
+
+
+def test_eof_rules_through_structured_visitors():
+    t = "<table><tr><td>a</td><td>b"
+    assert extract_tables_from_html(t + "<!-- c") == [(0, 0, 0, "a", 0), (0, 0, 1, "b", 0)]
+    assert extract_tables_from_html(t + "<td x='c") == [(0, 0, 0, "a", 0), (0, 0, 1, "b", 0)]
+    assert extract_tables_from_html(t + "</td x>c</") == [(0, 0, 0, "a", 0), (0, 0, 1, "b", 0)]
+    assert extract_tables_from_html(t + "</>c<?x") == [(0, 0, 0, "a", 0), (0, 0, 1, "bc", 0)]
+    assert extract_tables_from_html(t + "</ x>c<![d") == [(0, 0, 0, "a", 0), (0, 0, 1, "bc", 0)]
+    assert extract_tables_from_html("<table><tr><td\x00 x='>'>a</table>") == [(0, 0, 0, "a", 0)]
+    m = "<title>T<!-- x</title><h1>H</h1>"
+    assert extract_metadata_from_html(m) == [("title", "title", "T")]
+    assert extract_metadata_from_html("<title>T</title><meta name=a content='b") == [("title", "title", "T")]
+    assert extract_metadata_from_html("<h1>H</h1 x='>'><h2>I</") == [("heading", "h1", "H"), ("heading", "h2", "I</")]
+    assert extract_metadata_from_html("<h1>H</>I<!doctype") == [("heading", "h1", "HI")]
+
+
+# ---------------------------------------------------------------------------
+# Tables with unclosed markup
+# ---------------------------------------------------------------------------
+
+
+def test_table_unclosed_cells_and_rows():
+    text, n = extract_html("<table><tr><td>a<td>b<tr><td>c<td>d</table>")
+    assert (text, n) == ("[TABLE: 2x2]\n| a | b |\n| c | d |\n[TABLE END]", 1)
+
+
+def test_table_never_closed_before_body_end():
+    html = f"<body><table><tr><td>a</td><td>b</td></tr></body><p>{LONG}</p>"
+    text, n = extract_html(html)
+    assert (text, n) == ("[TABLE: 1x2]\n| a | b |\n[TABLE END]\n\n" + LONG, 2)
+
+
+def test_table_still_open_at_eof():
+    text, n = extract_html(f"<p>{LONG}</p><table><tr><th>h<tr><td>v")
+    assert (text, n) == (LONG + "\n\n[TABLE: 2x1]\n| h |\n| v |\n[TABLE END]", 2)
+
+
+def test_nested_closed_table_renders_as_before():
+    html = "<table><tr><td>outer<table><tr><td>inner</td></tr></table>tail</td></tr></table>"
+    assert extract_html(html)[0] == "[TABLE: 1x1]\n| inner |\n[TABLE END]"
+
+
+# ---------------------------------------------------------------------------
+# Linear time on damaged input
+# ---------------------------------------------------------------------------
+
+_MB5 = 5 * 1024 * 1024
+
+
+def _cpu_s(fn, arg) -> float:
+    t0 = time.process_time()
+    fn(arg)
+    return time.process_time() - t0
+
+
+def test_tag_floods_are_linear():
+    small = ["<a " * 8000, "</" * 80000]
+    big = [
+        unit * (_MB5 // len(unit))
+        for unit in ("<a ", "</", '<a b="', "<!--", "<![", "<?")
+    ]
+    for html in small + big:
+        assert _cpu_s(segment_html, html) < 1.0, html[:8]
+    for html in small:
+        assert _cpu_s(extract_tables_from_html, html) < 1.0, html[:8]
+        assert _cpu_s(extract_metadata_from_html, html) < 1.0, html[:8]
+    # a start tag with no '>' left costs one C-level find, not a regex walk
+    # over the rest of the input (about 1 s for this 5 MB flood)
+    assert _cpu_s(segment_html, big[0]) < 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Same-process alternating A/B of a PDF layer between two checkouts,
-per PDF encoding family, on a benchmark workload's inputs.
+"""Same-process alternating A/B of a PDF or HTML layer between two
+checkouts, per PDF encoding family, on a benchmark workload's inputs.
 
     python tools/codec_ab.py --base /path/to/parent/checkout \
         --workload pdf_parquet --seeds 1,2,5,7 --alternations 10 \
-        [--layer parse|chain] [--json out.json]
+        [--layer parse|chain|segment] [--json out.json]
 
 ``functions/pdf_codec.py`` of the base checkout (A) and of this one (B)
 load side by side in one process. Each alternation parses every genuine
@@ -32,6 +32,13 @@ whole ``pdf_extractor_ray`` package, so its own ``layout.py`` and
 ``sys.modules`` points at the timed side's modules while it runs. The
 parity check compares the two results (or error messages) by
 ``repr``, so dict key order and the sign of a zero count.
+
+``--layer segment`` times the HTML segmenter (``segment_html`` of
+``functions/html_extract.py``) of both checkouts, loaded side by side,
+over every HTML doc of the workload's rows, each sniff-decoded once
+(``sniff_decode`` of this checkout) outside the timed region. The
+parity check compares the block tuples (kind, text, link_chars,
+total_chars, boiler) by ``repr``.
 """
 
 from __future__ import annotations
@@ -53,12 +60,13 @@ sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.join(ROOT, "extract_bench"))
 
 CODEC = os.path.join("pdf_extractor_ray", "functions", "pdf_codec.py")
+HTML_EXTRACT = os.path.join("pdf_extractor_ray", "functions", "html_extract.py")
 PKG = "pdf_extractor_ray"
 
 
-def load_codec(checkout: str, name: str):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(checkout, CODEC))
-    mod = importlib.util.module_from_spec(spec)
+def load_module(checkout: str, name: str, path: str = CODEC):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(checkout, path))
+    mod = sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(mod)
     return mod
 
@@ -287,6 +295,32 @@ def run_chain_seed(a: Chain, b: Chain, codec, workload: str, seed: int, alternat
     return {"mismatches": len(mismatches), "summary": summarize(runs, n_docs), "alternations": runs}
 
 
+def html_docs(workload: str, seed: int) -> list[tuple[str, str]]:
+    from workloads import payload_kind, prepare
+
+    from pdf_extractor_ray.functions.html_extract import sniff_decode
+
+    rows = prepare(workload, seed).table("rows")
+    return [("html", sniff_decode(p)[0]) for p in rows["html"].to_pylist() if payload_kind(p) == "html"]
+
+
+def segment_outcome(mod, text: str) -> str:
+    try:
+        return repr([(b.kind, b.text, b.link_chars, b.total_chars, b.boiler) for b in mod.segment_html(text)])
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def run_segment_seed(a, b, workload: str, seed: int, alternations: int) -> dict:
+    """A/B of ``segment_html`` over every HTML doc of the workload."""
+    docs = html_docs(workload, seed)
+    if not docs:  # e.g. pdf_parquet
+        return {"docs": 0, "mismatches": 0, "summary": {}, "alternations": []}
+    mismatches = [i for i, (_, t) in enumerate(docs) if segment_outcome(a, t) != segment_outcome(b, t)]
+    runs, n_docs = alternate((("A", a.segment_html, None), ("B", b.segment_html, None)), docs, alternations)
+    return {"docs": len(docs), "mismatches": len(mismatches), "summary": summarize(runs, n_docs), "alternations": runs}
+
+
 def print_summary(summary: dict) -> None:
     for fam, s in summary.items():
         print(
@@ -302,17 +336,21 @@ def main() -> int:
     ap.add_argument("--workload", default="pdf_parquet")
     ap.add_argument("--seeds", default="1")
     ap.add_argument("--alternations", type=int, default=10)
-    ap.add_argument("--layer", choices=["parse", "chain"], default="parse")
+    ap.add_argument("--layer", choices=["parse", "chain", "segment"], default="parse")
     ap.add_argument("--form", choices=["as-written", *FORMS], default="as-written")
     ap.add_argument("--json", help="write the full result here")
     args = ap.parse_args()
-    if args.layer == "chain" and args.form != "as-written":
+    if args.layer != "parse" and args.form != "as-written":
         ap.error("--form rewrites streams for the parse layer only")
-    b = load_codec(ROOT, "pdf_codec_b")
+    if args.layer == "segment":
+        a = load_module(args.base, "html_extract_a", HTML_EXTRACT)
+        b = load_module(ROOT, "html_extract_b", HTML_EXTRACT)
+    else:
+        b = load_module(ROOT, "pdf_codec_b")
     if args.layer == "chain":
         chain_a, chain_b = Chain(args.base), Chain(ROOT)
-    else:
-        a = load_codec(args.base, "pdf_codec_a")
+    elif args.layer == "parse":
+        a = load_module(args.base, "pdf_codec_a")
         if args.form != "as-written":
             rewrite_streams(a, args.form)
             rewrite_streams(b, args.form)
@@ -322,6 +360,10 @@ def main() -> int:
             res = run_chain_seed(chain_a, chain_b, b, args.workload, seed, args.alternations)
             result[f"{args.workload}/chain/s{seed}"] = res
             print(f"{args.workload} (extract_pdf_pages) seed {seed}: {res['mismatches']} mismatching docs")
+        elif args.layer == "segment":
+            res = run_segment_seed(a, b, args.workload, seed, args.alternations)
+            result[f"{args.workload}/segment/s{seed}"] = res
+            print(f"{args.workload} (segment_html) seed {seed}: {res['mismatches']} of {res['docs']} docs mismatching")
         else:
             res = run_seed(a, b, args.workload, seed, args.alternations)
             result[f"{args.workload}/{args.form}/s{seed}"] = res
