@@ -194,182 +194,9 @@ def run_extract(pages_path: str, ncpu: int, max_files: int | None = None) -> dic
 
 
 def run_queries() -> dict[str, float]:
+    """Wall seconds of every registered query, in registry order."""
     import __ray_entry__ as e
 
-    names = [
-        "q1_lineitem_agg",
-        "q6_revenue",
-        "orders_by_segment",
-        "customers_per_region",
-        "top10_orders",
-        "join_priority_agg",
-        "q3_shipping_priority",
-        "promo_revenue_by_brand",
-        "orders_price_bands",
-        "orders_status_pivot",
-        "order_price_quantiles",
-        "topk_orders_per_priority",
-        "events_hourly",
-        "events_sliding_window",
-        "events_sessions",
-        "events_interarrival",
-        "events_running_total",
-        "asof_purchase_view",
-        "distinct_users_by_type",
-        "users_click_and_purchase",
-        "events_json_props",
-        "doc_stats_by_lang",
-        "doc_token_counts",
-        "doc_top_terms",
-        "docs_sample_by_lang",
-        "docs_tfidf_topk",
-        "docs_dup_ngrams",
-        "events_redact_props",
-        "docs_decontaminated",
-        "docs_train_test_split",
-        "docs_gopher_quality",
-        "docs_unigram_logprob",
-        "docs_bigram_logprob",
-        "docs_quality_select",
-        "docs_gopher_repetition",
-        "docs_nb_lang",
-        "docs_nb_report",
-        "media_image_neardup",
-        "extract_c4_filter",
-        "docs_dsir_weights",
-        "docs_pack_offsets",
-        "docs_hash_sample",
-        "docs_weighted_sample",
-        "docs_paragraph_dedup",
-        "docs_dedup_against",
-        "docs_winnow_fingerprints",
-        "docs_mixture_sample",
-        "docs_perplexity_buckets",
-        "docs_weighted_sample_by_lang",
-        "docs_best_dedup",
-        "docs_term_kl_by_lang",
-        "docs_ngram_overlap",
-        "docs_phrase_match",
-        "docs_bpe_tokens",
-        "docs_heavy_bigrams",
-        "events_kmv_distinct",
-        "events_funnel",
-        "events_retention",
-        "orders_profile",
-        "events_anomalies",
-        "docs_gini",
-        "docs_quality_blend",
-        "events_value_trend",
-        "docs_cooccurrence_pmi",
-        "extract_host_triangles",
-        "docs_bm25_topk",
-        "events_hll_distinct",
-        "docs_neardedup_against",
-        "embeddings_quantize",
-        "embeddings_quantized_topk",
-        "docs_budget_select",
-        "docs_dup_cluster_sizes",
-        "docs_nb_calibration",
-        "extract_html_tables",
-        "extract_page_metadata",
-        "extract_url_canonical",
-        "docs_zipf_slope",
-        "extract_anchor_terms",
-        "embeddings_hard_negatives",
-        "embeddings_outliers",
-        "extract_template_families",
-        "events_bot_cadence",
-        "embeddings_label_centroids",
-        "docs_readability",
-        "docs_temperature_sample",
-        "docs_containment_pairs",
-        "docs_export_shards",
-        "docs_decontaminated_bloom",
-        "docs_dup_span_scrub",
-        "docs_dup_components",
-        "docs_length_histogram",
-        "docs_term_postings",
-        "doc_chunks",
-        "exact_dedup_docs",
-        "minhash_dedup_docs",
-        "simhash_dedup_docs",
-        "jaccard_dedup_docs",
-        "text_analysis_docs",
-        "similarity_topk",
-        "similarity_ivf_topk",
-        "docs_semantic_dedup",
-        "multimodal_featurize",
-        "extract_page_links",
-        "extract_url_filter",
-        "extract_domain_cap",
-        "docs_neardedup_keep_best",
-        "order_price_tdigest",
-        "embeddings_pca",
-        "docs_compression_ratio",
-        "extract_host_pagerank",
-        "extract_golden_match",
-        "docs_pii_redact",
-        "docs_lang_percentile",
-        "docs_budget_by_lang",
-        "docs_bpe_fertility",
-        "embeddings_decontaminate",
-        "docs_crawl_delta",
-        "docs_mad_outliers",
-        "docs_signal_correlations",
-        "multimodal_av_metadata",
-        "docs_leakage_split",
-        "docs_ngram_decontaminate",
-        "docs_eval_scrub",
-        "docs_source_gate",
-        "docs_prefix_strip",
-        "docs_mixture_plan",
-        "docs_mirror_pairs",
-        "embeddings_truncation_recall",
-        "docs_unicode_canonicalize",
-        "docs_vocab_drift",
-        "embeddings_bitext_pairs",
-        "docs_line_boilerplate",
-        "events_shuffle_skew",
-        "docs_cluster_topics",
-        "docs_logreg_quality",
-        "docs_export_jsonl",
-        "docs_blocklist_gate",
-        "docs_script_mix",
-        "docs_cdc_shared",
-        "docs_mojibake",
-        "docs_export_curriculum",
-        "docs_gate_overlap",
-        "docs_packing_efficiency",
-        "docs_dup_explain",
-        "events_hll_incremental",
-        "docs_neardedup_indexed",
-        "docs_contract_check",
-        "docs_psi_drift",
-        "training_data_pipeline",
-        # late-r5 wave
-        "late_shipped_by_priority",
-        "large_volume_customers",
-        "brand_quantity_revenue",
-        "warc_roundtrip",
-        "extract_wet_roundtrip",
-        "extract_sitemap_entries",
-        "extract_feed_items",
-        "extract_robots_allow",
-        "extract_host_cadence",
-        "extract_host_hits",
-        "docs_stitch_pairs",
-        "docs_trigram_logprob",
-        "events_transitions",
-        "embeddings_kcenter",
-        "embeddings_mmr_topk",
-        "embeddings_pq_topk",
-        "embeddings_ivfpq_topk",
-        "extract_crawl_frontier",
-        "events_transition_entropy",
-        "extract_sitemap_freshness",
-        "embeddings_silhouette",
-    ]
-    qs = e.queries()
     # untimed warm-up of the pandas-task worker pool + shuffle path
     # (first pandas map_batches pays worker spawn + imports)
     import ray.data
@@ -377,9 +204,9 @@ def run_queries() -> dict[str, float]:
     warm = ray.data.range(1000).map_batches(lambda df: df, batch_format="pandas")
     warm.groupby("id").count().to_pandas()
     out: dict[str, float] = {}
-    for name in names:
+    for name, query in e.queries().items():
         t0 = time.perf_counter()
-        res = qs[name](SF_DIR)
+        res = query(SF_DIR)
         # force materialization for lazy results
         if hasattr(res, "to_pandas"):
             res = res.to_pandas() if callable(getattr(res, "to_pandas", None)) else res

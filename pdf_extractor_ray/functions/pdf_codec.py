@@ -1595,6 +1595,31 @@ def _apply_predictor(data: bytes, params: bytes | None) -> bytes:
     return data
 
 
+# per-stream inflate budget: over 200x the largest FlateDecode stream
+# (19.8 KB) of the benchmark workloads; the word-block lane parses a
+# content stream this size in about 0.4 s of one 1-vCPU core
+_FLATE_CAP = 4 << 20
+
+
+def _inflate(data: bytes) -> bytes:
+    """zlib-decompress one stream, refusing output past _FLATE_CAP; a
+    truncated or corrupt stream fails with zlib's own error text."""
+    import zlib
+
+    d = zlib.decompressobj()
+    try:
+        out = d.decompress(data, _FLATE_CAP + 1)
+    except zlib.error as exc:
+        raise UnsupportedPdfError(f"FlateDecode stream: {exc}") from exc
+    if len(out) > _FLATE_CAP:
+        raise UnsupportedPdfError(f"budget: FlateDecode stream inflates past {_FLATE_CAP} bytes")
+    if not d.eof:
+        raise UnsupportedPdfError(
+            "FlateDecode stream: Error -5 while decompressing data: incomplete or truncated stream"
+        )
+    return out
+
+
 def _decode_stream(content_body: bytes) -> bytes | None:
     """Raw stream bytes through the declared /Filter pipeline — in
     wild order: /FlateDecode (zlib), /LZWDecode, /ASCIIHexDecode,
@@ -1620,13 +1645,7 @@ def _decode_stream(content_body: bytes) -> bytes | None:
     data = raw
     for name, dp in zip(names, parms):
         if name == b"/FlateDecode":
-            import zlib
-
-            try:
-                data = zlib.decompress(data)
-            except zlib.error as exc:
-                raise UnsupportedPdfError(f"FlateDecode stream: {exc}") from exc
-            data = _apply_predictor(data, dp)
+            data = _apply_predictor(_inflate(data), dp)
         elif name == b"/LZWDecode":
             em = re.search(rb"/EarlyChange\s+(\d+)", dp) if dp else None
             data = _lzw_decode_pdf(data, early=int(em.group(1)) if em else 1)

@@ -229,10 +229,24 @@ _HALLU_ANY = re.compile(
 )
 
 
+# literal gates in front of _HALLU_ANY: the first five patterns each
+# need one of these characters, and ai_phrase needs one of its phrases
+# in text.lower() — unless the text holds a character that
+# re.IGNORECASE folds onto an ASCII letter the phrases use (U+017F ~ s,
+# U+0130/U+0131 ~ i) but str.lower() does not, in which case the regex
+# decides alone
+_HALLU_CHARS = ("`", "#", "*", "[", "<", "\u017f", "\u0130", "\u0131")
+_AI_PHRASES = ("as an ai", "i cannot", "here is a summary", "in summary,")
+
+
 def hallucination_flags(text: str) -> list[str]:
     """Names of generated-markup patterns found in extracted text — an
     extractor must only EXTRACT, so markdown/HTML artifacts or
     assistant phrasing in the output indicate a transform leak."""
+    if not any(c in text for c in _HALLU_CHARS):
+        low = text.lower()
+        if not any(p in low for p in _AI_PHRASES):
+            return []
     if _HALLU_ANY.search(text) is None:
         return []
     return [name for name, pat in _HALLU_PATTERNS if pat.search(text)]

@@ -33,10 +33,10 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data
 
 from pdf_extractor_ray.ops.scrub import md5_u52
+from pdf_extractor_ray.state.manifest import write_parquet_atomic
 
 _SHARD_ROW_SCHEMA = pa.schema(
     [
@@ -91,9 +91,7 @@ def export_training_shards(
         sdir = os.path.join(out_dir, f"shard={shard:05d}")
         os.makedirs(sdir, exist_ok=True)
         path = os.path.join(sdir, "part-0.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False), tmp)
-        os.replace(tmp, path)  # atomic publish
+        write_parquet_atomic(pa.Table.from_pandas(g, preserve_index=False), path)
         with open(_success_path(out_dir, shard) + ".tmp", "w", encoding="utf-8") as f:
             json.dump({"shard": shard, "n_rows": len(g)}, f)
         os.replace(_success_path(out_dir, shard) + ".tmp", _success_path(out_dir, shard))
@@ -274,9 +272,7 @@ def export_curriculum_shards(
         sdir = os.path.join(out_dir, f"shard={shard:05d}")
         os.makedirs(sdir, exist_ok=True)
         path = os.path.join(sdir, "part-0.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False), tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(pa.Table.from_pandas(g, preserve_index=False), path)
         with open(_success_path(out_dir, shard) + ".tmp", "w", encoding="utf-8") as f:
             json.dump({"shard": shard, "n_rows": len(g), "rank_lo": lo, "rank_hi": hi}, f)
         os.replace(_success_path(out_dir, shard) + ".tmp", _success_path(out_dir, shard))

@@ -1,7 +1,7 @@
 """End-to-end extraction pipeline (the flagship; SURVEY.md §7.0).
 
     read_parquet(pages)                # prune to url,warc_ts,html,lang
-      [resume filter: anti-join completed urls from the manifest]
+      [resume filter: anti-join urls of the committed partitions]
       .map_batches(Extractor, pyarrow, actor pool)
       .map_batches(PartitionWriter)    # corpus -> partitioned parquet + lineage
     corpus checks: groupby(lang) aggregates / sort(url) / dedup(url)
@@ -125,7 +125,7 @@ def run_extraction(
 ) -> dict:
     """Run the flagship pipeline to a partitioned parquet corpus with a
     checkpoint manifest; returns run stats. Re-running after a crash
-    skips every url already recorded in the manifest (idempotent).
+    skips every url of a committed output partition (idempotent).
     `input_path` may be parquet path(s) or any Dataset with the page
     schema — e.g. `sources.warc.read_warc_pages(shards)` for
     WARC-native ingest with the same checkpoint/resume semantics."""

@@ -225,26 +225,69 @@ def test_roundtrip_property_random_pages():
                 assert abs(g[k] - o[k]) < 2e-3, (trial, k, o, g)
 
 
+_CONTENT_RE = re.compile(rb"<< /Length \d+ >>\nstream\n(.*?)\nendstream", re.S)
+
+
+def _with_flate_content(plain: bytes, comp: bytes) -> bytes:
+    """`plain` (one page, writer output) with its content stream
+    replaced by the FlateDecode stream `comp`."""
+    m = _CONTENT_RE.search(plain)
+    assert m, "writer layout changed"
+    return plain.replace(
+        m.group(0),
+        b"<< /Filter /FlateDecode /Length %d >>\nstream\n%s\nendstream" % (len(comp), comp),
+    )
+
+
 def test_flatedecode_content_stream_parses():
     """A /FlateDecode (zlib) content stream — the overwhelmingly
     common wild-PDF encoding — parses to the same words as the
     uncompressed writer output."""
-    import re
     import zlib
 
     plain = pages_to_pdf_bytes([_page([_word("Hello", 72.0, 20.0), _word("World", 120.0, 20.0)])])
-    m = re.search(rb"<< /Length (\d+) >>\nstream\n(.*?)\nendstream", plain, re.S)
-    assert m, "writer layout changed"
-    comp = zlib.compress(m.group(2))
-    replaced = plain.replace(
-        m.group(0),
-        b"<< /Filter /FlateDecode /Length %d >>\nstream\n%s\nendstream" % (len(comp), comp),
-    )
+    content = _CONTENT_RE.search(plain).group(1)
+    replaced = _with_flate_content(plain, zlib.compress(content))
     back = parse_pdf_bytes(replaced)
     assert [w["text"] for w in back[0]["words"]] == ["Hello", "World"]
     # but a DIFFERENT filter still falls outside the subset
     with pytest.raises(UnsupportedPdfError):
         parse_pdf_bytes(replaced.replace(b"/FlateDecode", b"/LZWDecode"))
+
+
+def test_flate_bomb_is_a_budget_error_row():
+    """A content stream inflating to 8x the per-stream cap becomes an
+    error row in well under a second of CPU; truncated and corrupt
+    streams keep zlib's own error text."""
+    import time
+    import zlib
+
+    import pyarrow as pa
+
+    from pdf_extractor_ray.functions.pdf_codec import _FLATE_CAP
+    from pdf_extractor_ray.stages.extractor import Extractor
+
+    plain = pages_to_pdf_bytes([_page([_word("Hello", 72.0, 20.0)])])
+    co = zlib.compressobj(9)
+    chunk = b" " * (1 << 20)
+    bomb = b"".join([co.compress(chunk) for _ in range(8 * _FLATE_CAP >> 20)] + [co.flush()])
+    pdf = _with_flate_content(plain, bomb)
+    ex = Extractor()
+    batch = pa.table({"url": ["u"], "lang": ["en"], "html": pa.array([pdf], pa.binary())})
+    t0 = time.process_time()
+    (err,) = ex(batch)["error"].to_pylist()
+    assert time.process_time() - t0 < 1.0
+    assert err == f"UnsupportedPdfError: budget: FlateDecode stream inflates past {_FLATE_CAP} bytes"
+
+    content = _CONTENT_RE.search(plain).group(1)
+    comp = zlib.compress(content)
+    assert [w["text"] for w in parse_pdf_bytes(_with_flate_content(plain, comp))[0]["words"]] == ["Hello"]
+    for bad in (comp[:-5], comp[:-1] + bytes([comp[-1] ^ 1]), b"xx" + comp):
+        with pytest.raises(zlib.error) as want:
+            zlib.decompress(bad)
+        with pytest.raises(UnsupportedPdfError) as got:
+            parse_pdf_bytes(_with_flate_content(plain, bad))
+        assert str(got.value) == f"FlateDecode stream: {want.value}"
 
 
 def test_roundtrip_property_hypothesis():

@@ -3,6 +3,7 @@ pre-writing some partitions) restarts without re-extracting completed
 urls and converges to the same corpus (FIXTURES.md F5)."""
 
 import glob
+import json
 import os
 
 import pyarrow as pa
@@ -19,6 +20,102 @@ def _corpus_pairs(out_dir):
     tables = [pq.read_table(p) for p in sorted(glob.glob(os.path.join(out_dir, "part-*.parquet")))]
     t = pa.concat_tables(tables)
     return set(zip(t["url"].to_pylist(), t["extracted_text"].to_pylist()))
+
+
+def _partition_urls(out_dir, pid):
+    return pq.read_table(os.path.join(out_dir, f"part-{pid}.parquet"), columns=["url"])["url"].to_pylist()
+
+
+def _extracted_batches(pages_path, n_batches=4, rows=12):
+    from pdf_extractor_ray.stages.extractor import Extractor
+
+    pages = pq.read_table(pages_path).slice(0, n_batches * rows)
+    ex = Extractor(DEFAULT_CONFIG)
+    return [ex(pages.slice(i * rows, rows)) for i in range(n_batches)]
+
+
+def test_partition_write_options_pinned(pages_path, tmp_path):
+    """Partitions are zstd; the per-row-unique columns carry no
+    dictionary pages, the two text columns no statistics (url keeps
+    its min/max); the file reads back equal to its batch. The shared
+    atomic writer leaves no tmp file."""
+    from pdf_extractor_ray.state.manifest import PartitionWriter, write_parquet_atomic
+
+    (batch,) = _extracted_batches(pages_path, n_batches=1, rows=40)
+    out = str(tmp_path / "w")
+    (pid,) = PartitionWriter(out)(batch)["partition_id"].to_pylist()
+    path = os.path.join(out, f"part-{pid}.parquet")
+    assert pq.read_table(path).equals(batch)
+    rg = pq.ParquetFile(path).metadata.row_group(0)
+    cols = {rg.column(i).path_in_schema: rg.column(i) for i in range(rg.num_columns)}
+    assert set(cols) == set(batch.column_names)
+    assert {c.compression for c in cols.values()} == {"ZSTD"}
+    for name, c in cols.items():
+        dictionary = "RLE_DICTIONARY" in c.encodings
+        assert dictionary == (name not in ("url", "extracted_text", "element_inventory")), name
+        assert c.is_stats_set == (name not in ("extracted_text", "element_inventory")), name
+    urls = batch["url"].to_pylist()
+    assert (cols["url"].statistics.min, cols["url"].statistics.max) == (min(urls), max(urls))
+    # the sidecar is lineage only: no url list
+    with open(os.path.join(out, "_manifest", f"{pid}.json"), encoding="utf-8") as f:
+        side = json.load(f)
+    assert sorted(side) == [
+        "n_rows", "partition_id", "stage_checksum", "url_max", "url_min", "wall_time_s"
+    ]
+    assert (side["n_rows"], side["url_min"], side["url_max"]) == (len(urls), min(urls), max(urls))
+    # the shard exporters' tables lack the corpus columns: plain zstd
+    t = pa.table({"doc_id": [3, 1, 2], "text": ["c", "a", "b"]})
+    write_parquet_atomic(t, str(tmp_path / "x.parquet"))
+    assert pq.read_table(str(tmp_path / "x.parquet")).equals(t)
+    assert sorted(os.listdir(tmp_path)) == ["w", "x.parquet"]  # no tmp file left
+    rg = pq.ParquetFile(str(tmp_path / "x.parquet")).metadata.row_group(0)
+    assert {rg.column(i).compression for i in range(rg.num_columns)} == {"ZSTD"}
+
+
+def _damage(out_dir, pids):
+    """Three ways a killed run leaves a partition uncommitted, plus a
+    parquet torn under an intact sidecar."""
+    mdir = os.path.join(out_dir, "_manifest")
+    no_sidecar, torn_sidecar, no_parquet, torn_parquet = pids
+    os.remove(os.path.join(mdir, f"{no_sidecar}.json"))
+    with open(os.path.join(mdir, f"{torn_sidecar}.json"), "r+", encoding="utf-8") as f:
+        f.truncate(17)
+    os.remove(os.path.join(out_dir, f"part-{no_parquet}.parquet"))
+    with open(os.path.join(out_dir, f"part-{torn_parquet}.parquet"), "r+b") as f:
+        f.truncate(100)
+
+
+def test_completed_urls_counts_only_committed_partitions(pages_path, tmp_path):
+    from pdf_extractor_ray.state.manifest import PartitionWriter
+
+    batches = _extracted_batches(pages_path, n_batches=5)
+    out = str(tmp_path / "w")
+    w = PartitionWriter(out)
+    pids = [w(b)["partition_id"][0].as_py() for b in batches]
+    assert completed_urls(out) == {u for b in batches for u in b["url"].to_pylist()}
+    _damage(out, pids[:4])
+    assert completed_urls(out) == set(batches[4]["url"].to_pylist())
+    assert completed_urls(str(tmp_path / "missing")) == set()
+
+
+def test_resume_reextracts_uncommitted_partitions(ray_session, pages_path, tmp_path):
+    """A parquet without its sidecar, a torn sidecar, a sidecar without
+    its parquet and a torn parquet all count as not done: the resumed
+    run re-extracts their urls, and the committed partitions again
+    cover every input url."""
+    out = str(tmp_path / "out")
+    run_extraction(pages_path, out, cfg=CFG, resume=False)
+    pids = [r["partition_id"] for r in load_manifest(out)]
+    assert len(pids) >= 5
+    lost = {u for pid in pids[:4] for u in _partition_urls(out, pid)}
+    kept = {u for pid in pids[4:] for u in _partition_urls(out, pid)}
+    _damage(out, pids[:4])
+    assert completed_urls(out) == kept
+    stats = run_extraction(pages_path, out, cfg=CFG, resume=True)
+    assert stats["urls_skipped_resume"] == len(kept)
+    assert stats["rows_written"] >= len(lost - kept)
+    input_urls = set(pq.read_table(pages_path, columns=["url"])["url"].to_pylist())
+    assert completed_urls(out) == input_urls
 
 
 def test_resume_skips_completed_urls(ray_session, pages_path, tmp_path):
@@ -52,7 +149,7 @@ def test_resume_skips_completed_urls(ray_session, pages_path, tmp_path):
     assert _corpus_pairs(partial) == _corpus_pairs(full)
 
     m = load_manifest(partial)
-    all_urls = [u for r in m for u in r["urls"]]
+    all_urls = [u for r in m for u in _partition_urls(partial, r["partition_id"])]
     input_urls = pq.read_table(pages_path, columns=["url"])["url"].to_pylist()
     # each INPUT occurrence processed at most once per distinct url
     assert len(all_urls) <= len(input_urls)

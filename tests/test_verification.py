@@ -16,6 +16,54 @@ def test_hallucination_flags():
     assert "markdown_heading" in hallucination_flags("# Title\nbody")
 
 
+def _hallucination_flags_ungated(text):
+    # the function before its literal gates: the regex alone decides
+    from pdf_extractor_ray.functions.textstats import _HALLU_ANY, _HALLU_PATTERNS
+
+    if _HALLU_ANY.search(text) is None:
+        return []
+    return [name for name, pat in _HALLU_PATTERNS if pat.search(text)]
+
+
+# characters re.IGNORECASE folds onto phrase letters (U+017F ~ s,
+# U+0130/U+0131 ~ i) next to the pattern literals and line breaks
+_HALLU_ALPHABET = "\u017f\u0130\u0131\u212a`#*[]()<>/ ,\n\r\u2028\x0bsSiIaAnNcC"
+_HALLU_TOKENS = [
+    "as an ai", "AS AN AI", "a\u017f an ai", "As an A\u0130", "\u0131 cannot", "I CANNOT",
+    "here is a summary", "here \u0130s a summary", "in summary,", "In Summary,",
+    "in \u017fummary,", "div", "SPAN", "h1", "h7", "ul", "li", "table", "p", "a", "```",
+    "**", "](", "x", "1", "\n", "\t", " ", "#", "<", ">", "/", "[", "]", "(", ")", "*", "`",
+]
+
+
+def test_hallucination_flags_gate_matches_regex_hypothesis():
+    """The literal gates never change the answer: differential against
+    the ungated function over texts built from the pattern literals,
+    the phrases (case variants and case-fold traps) and line breaks."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    from pdf_extractor_ray.functions.textstats import hallucination_flags
+
+    texts = st.one_of(
+        st.text(alphabet=_HALLU_ALPHABET, max_size=40),
+        st.lists(st.sampled_from(_HALLU_TOKENS), max_size=12).map("".join),
+        st.lists(
+            st.one_of(st.sampled_from(_HALLU_TOKENS), st.text(alphabet=_HALLU_ALPHABET, max_size=4)),
+            max_size=10,
+        ).map(" ".join),
+    )
+
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(texts)
+    def check(text):
+        assert hallucination_flags(text) == _hallucination_flags_ungated(text)
+
+    check()
+    for text in ("AS AN A\u0131", "as an a\u0130", "\u0130 cannot go", "in \u017fummary, x", "x\n## y"):
+        assert hallucination_flags(text) == _hallucination_flags_ungated(text) != [], text
+
+
 def test_repetition_ratio():
     from pdf_extractor_ray.functions.textstats import repetition_ratio
 
