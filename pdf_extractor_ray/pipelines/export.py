@@ -26,7 +26,6 @@ is the distributed equivalent its corpus consumers would need.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -36,7 +35,7 @@ import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.ops.scrub import md5_u52
-from pdf_extractor_ray.state.manifest import write_parquet_atomic
+from pdf_extractor_ray.state.manifest import write_json_atomic, write_parquet_atomic
 
 _SHARD_ROW_SCHEMA = pa.schema(
     [
@@ -92,9 +91,7 @@ def export_training_shards(
         os.makedirs(sdir, exist_ok=True)
         path = os.path.join(sdir, "part-0.parquet")
         write_parquet_atomic(pa.Table.from_pandas(g, preserve_index=False), path)
-        with open(_success_path(out_dir, shard) + ".tmp", "w", encoding="utf-8") as f:
-            json.dump({"shard": shard, "n_rows": len(g)}, f)
-        os.replace(_success_path(out_dir, shard) + ".tmp", _success_path(out_dir, shard))
+        write_json_atomic({"shard": shard, "n_rows": len(g)}, _success_path(out_dir, shard))
         return pa.table(
             {
                 "shard": pa.array([shard], pa.int64()),
@@ -179,9 +176,7 @@ def export_jsonl_shards(
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-        with open(_success_path(out_dir, shard) + ".tmp", "w", encoding="utf-8") as f:
-            json.dump({"shard": shard, "n_rows": len(g)}, f)
-        os.replace(_success_path(out_dir, shard) + ".tmp", _success_path(out_dir, shard))
+        write_json_atomic({"shard": shard, "n_rows": len(g)}, _success_path(out_dir, shard))
         return pa.table(
             {
                 "shard": pa.array([shard], pa.int64()),
@@ -273,9 +268,7 @@ def export_curriculum_shards(
         os.makedirs(sdir, exist_ok=True)
         path = os.path.join(sdir, "part-0.parquet")
         write_parquet_atomic(pa.Table.from_pandas(g, preserve_index=False), path)
-        with open(_success_path(out_dir, shard) + ".tmp", "w", encoding="utf-8") as f:
-            json.dump({"shard": shard, "n_rows": len(g), "rank_lo": lo, "rank_hi": hi}, f)
-        os.replace(_success_path(out_dir, shard) + ".tmp", _success_path(out_dir, shard))
+        write_json_atomic({"shard": shard, "n_rows": len(g), "rank_lo": lo, "rank_hi": hi}, _success_path(out_dir, shard))
         return pa.table(
             {
                 "shard": pa.array([shard], pa.int64()),

@@ -22,7 +22,7 @@ import ray.data
 
 from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 from pdf_extractor_ray.stages.extractor import Extractor
-from pdf_extractor_ray.state.manifest import PartitionWriter, completed_urls
+from pdf_extractor_ray.state.manifest import PartitionWriter, completed_urls, write_json_atomic
 
 INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
@@ -211,7 +211,6 @@ def run_extraction_sharded(
     corpus_files(out_dir). Mirrors the reference's skip-if-output-
     exists resume (processor.py:113-116) at file granularity."""
     import glob as _glob
-    import json as _json
     import os as _os
 
     if _os.path.isdir(input_path):
@@ -232,11 +231,7 @@ def run_extraction_sharded(
             continue
         stats = run_extraction(group, shard_dir, cfg, resume=True, num_blocks=num_blocks)
         _run_log(out_dir, "shard_complete", shard=gi, rows_written=stats["rows_written"])
-        with open(marker + ".tmp", "w", encoding="utf-8") as f:
-            _json.dump(
-                {"n_files": len(group), "rows_written": stats["rows_written"]}, f
-            )
-        _os.replace(marker + ".tmp", marker)  # atomic publish
+        write_json_atomic({"n_files": len(group), "rows_written": stats["rows_written"]}, marker)
         for k in totals:
             totals[k] += stats[k]
     totals.update({"out_dir": out_dir, "n_shards": len(groups), "shards_skipped": shards_skipped})

@@ -79,6 +79,15 @@ def write_parquet_atomic(table: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
+def write_json_atomic(record: dict, path: str) -> None:
+    """Write `record` as JSON to `path`, published atomically the same
+    way (sidecars and `_SUCCESS` markers)."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(record, f)
+    os.replace(tmp, path)
+
+
 def _partition_id(urls: list[str]) -> str:
     h = hashlib.sha1()
     for u in sorted(urls):
@@ -140,10 +149,7 @@ class PartitionWriter:
         }
         # the sidecar commits the partition: written only after the
         # parquet is published
-        mtmp = os.path.join(self.mdir, f"{pid}.json.tmp")
-        with open(mtmp, "w", encoding="utf-8") as f:
-            json.dump(row, f)
-        os.replace(mtmp, os.path.join(self.mdir, f"{pid}.json"))
+        write_json_atomic(row, os.path.join(self.mdir, f"{pid}.json"))
         return pa.Table.from_pylist([row], schema=_MANIFEST_ROW_SCHEMA)
 
 
