@@ -236,8 +236,9 @@ def _distinct_returnflag(sf_dir: str) -> pd.DataFrame:
 
 
 def _join_priority_agg(sf_dir: str) -> pd.DataFrame:
-    """Big-big distributed hash join (Ray-native Dataset.join, both
-    sides shuffle on the order key) -> grouped revenue by priority."""
+    """Big-big distributed hash join (relational.hash_join: one
+    co_shuffle of both sides on the order key, a pandas merge per
+    partition) -> grouped revenue by priority."""
     from pdf_extractor_ray.ops.relational import grouped_sum, hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])

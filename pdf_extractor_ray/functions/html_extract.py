@@ -168,14 +168,19 @@ class _BlockParser:
         if self._table_depth:
             if tag == "table":
                 self._table_depth += 1
-            elif tag == "tr":
-                if self._table_depth == 1:
-                    self._close_cell()
-                self._table_rows.append([])
-            elif tag in ("td", "th"):
-                if self._table_depth == 1:
-                    self._close_cell()
-                self._cell_buf = []
+            elif tag not in ("tr", "td", "th"):
+                return
+            elif self._table_depth == 1:
+                self._close_cell()
+                if tag == "tr":
+                    self._table_rows.append([])
+                else:
+                    self._cell_buf = []
+                return
+            if self._cell_buf is not None:
+                # a nested table's parts open nothing: they only
+                # separate words of the enclosing outer cell
+                self._cell_buf.append(" ")
             return
         if tag == "a":
             self._link_depth += 1
@@ -207,9 +212,14 @@ class _BlockParser:
             return
         if self._table_depth:
             if tag not in ("body", "html"):
-                if tag in ("td", "th") or tag == "tr" and self._table_depth == 1:
+                if tag not in ("table", "tr", "td", "th"):
+                    return
+                if self._table_depth > 1:
+                    if self._cell_buf is not None:
+                        self._cell_buf.append(" ")
+                elif tag != "table":
                     self._close_cell()
-                elif tag == "table":
+                if tag == "table":
                     self._table_depth -= 1
                     if self._table_depth == 0:
                         self._end_table()

@@ -1393,10 +1393,18 @@ def _png_unpredict(data: bytes, columns: int, colors: int = 1, bpc: int = 8) -> 
     return bytes(out)
 
 
+# per-stream decode budget (FlateDecode and LZWDecode): over 200x the
+# largest FlateDecode stream (19.8 KB) of the benchmark workloads; the
+# word-block lane parses a content stream this size in about 0.4 s of
+# one 1-vCPU core
+_STREAM_CAP = 4 << 20
+
+
 def _lzw_decode_pdf(data: bytes, early: int = 1) -> bytes:
     """PDF LZWDecode (§7.4.4.2): MSB-first packing, 9->12 bit codes,
-    256=clear / 257=EOD, EarlyChange width growth (default 1). Distinct
-    from the GIF LZW in media_codec (LSB-first, variable min code)."""
+    256=clear / 257=EOD, EarlyChange width growth (default 1), output
+    refused past _STREAM_CAP. Distinct from the GIF LZW in media_codec
+    (LSB-first, variable min code)."""
     out = bytearray()
     table: list[bytes] = [bytes([i]) for i in range(256)] + [b"", b""]
     width = 9
@@ -1429,6 +1437,8 @@ def _lzw_decode_pdf(data: bytes, early: int = 1) -> bytes:
             else:
                 raise UnsupportedPdfError("corrupt LZW stream (code gap)")
             out += entry
+            if len(out) > _STREAM_CAP:
+                raise UnsupportedPdfError(f"budget: LZWDecode stream decodes past {_STREAM_CAP} bytes")
             prev = entry
             if len(table) + early >= (1 << width) and width < 12:
                 width += 1
@@ -1595,24 +1605,18 @@ def _apply_predictor(data: bytes, params: bytes | None) -> bytes:
     return data
 
 
-# per-stream inflate budget: over 200x the largest FlateDecode stream
-# (19.8 KB) of the benchmark workloads; the word-block lane parses a
-# content stream this size in about 0.4 s of one 1-vCPU core
-_FLATE_CAP = 4 << 20
-
-
 def _inflate(data: bytes) -> bytes:
-    """zlib-decompress one stream, refusing output past _FLATE_CAP; a
+    """zlib-decompress one stream, refusing output past _STREAM_CAP; a
     truncated or corrupt stream fails with zlib's own error text."""
     import zlib
 
     d = zlib.decompressobj()
     try:
-        out = d.decompress(data, _FLATE_CAP + 1)
+        out = d.decompress(data, _STREAM_CAP + 1)
     except zlib.error as exc:
         raise UnsupportedPdfError(f"FlateDecode stream: {exc}") from exc
-    if len(out) > _FLATE_CAP:
-        raise UnsupportedPdfError(f"budget: FlateDecode stream inflates past {_FLATE_CAP} bytes")
+    if len(out) > _STREAM_CAP:
+        raise UnsupportedPdfError(f"budget: FlateDecode stream inflates past {_STREAM_CAP} bytes")
     if not d.eof:
         raise UnsupportedPdfError(
             "FlateDecode stream: Error -5 while decompressing data: incomplete or truncated stream"

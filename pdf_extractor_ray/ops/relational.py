@@ -17,8 +17,11 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
+
+from pdf_extractor_ray.ops.shuffle import co_shuffle
 
 
 # per-worker cache of fetched broadcast tables keyed by ObjectRef
@@ -403,8 +406,8 @@ def sized_join(
     decision a query optimizer makes: materialize the right side (it
     must execute anyway), and if it is small enough to ship once per
     worker, run the no-shuffle broadcast join; otherwise the big-big
-    shuffle join. Ray 2.49's native JoinOperator spawns a per-query
-    aggregator ACTOR pool (~seconds of spawn cost), so skipping it for
+    shuffle join (`hash_join`, one co_shuffle of both sides), which
+    moves both tables through the exchange, so skipping it for
     dimension-sized sides is a large constant win at every scale; a
     fact-fact join still takes the shuffle path."""
     right = right.materialize()
@@ -417,6 +420,20 @@ def sized_join(
     return hash_join(left, right, on=on, right_on=right_on, how=how, num_partitions=num_partitions)
 
 
+def _join_key_hash(col: str):
+    """Integer keys route by value (any width; nulls route as 0 and
+    never match), so int32 and int64 sides co-partition; any other key
+    by pandas' hash_array."""
+
+    def h(t: pa.Table) -> np.ndarray:
+        c = t.column(col)
+        if pa.types.is_integer(c.type):
+            return c.fill_null(0).to_numpy()
+        return pd.util.hash_array(c.to_numpy())
+
+    return h
+
+
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -425,19 +442,28 @@ def hash_join(
     how: str = "inner",
     num_partitions: int = 32,
 ) -> ray.data.Dataset:
-    """Big-big distributed hash join (both sides shuffle) via Ray
-    Data's native `Dataset.join` — use ONLY when neither side fits a
-    broadcast (`broadcast_join` is the no-shuffle fast path for
-    dimension tables). `num_partitions` sizes the hash exchange: at
-    cluster scale set it to ~(cluster cores), and pick the SAME
-    partitioning key across stages so consecutive joins/groupbys on
-    that key reuse co-location."""
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=(on,),
-        right_on=(right_on,) if right_on else None,
+    """Big-big distributed hash join (both sides shuffle): one
+    `ops/shuffle.co_shuffle` on the key, then a pandas merge per
+    partition — use ONLY when neither side fits a broadcast
+    (`broadcast_join` is the no-shuffle fast path for dimension
+    tables). `how` is "inner" or "left"; the output has the left
+    columns then the right ones without the right key column, as
+    Arrow's join gives, and null keys never match. `num_partitions`
+    sizes the hash exchange: at cluster scale set it to ~(cluster
+    cores), and pick the SAME partitioning key across stages so
+    consecutive joins/groupbys on that key reuse co-location."""
+    if how not in ("inner", "left"):
+        raise ValueError(f"hash_join supports how='inner' or 'left', not {how!r}")
+    rk = right_on or on
+
+    def join(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame | None:
+        if rg.columns.empty:  # the whole right side is empty
+            return lg if how == "left" else None
+        out = lg.merge(rg.dropna(subset=[rk]), left_on=on, right_on=rk, how=how)
+        return out if rk == on else out.drop(columns=[rk])
+
+    return co_shuffle(
+        left, right, _join_key_hash(on), _join_key_hash(rk), num_partitions, join, None
     )
 
 

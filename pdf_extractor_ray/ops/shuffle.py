@@ -10,12 +10,13 @@ per-partition operators in `ops/`.
 A row goes to partition `key_hash % P`, with the hash viewed as uint64.
 `key_hash` is a column name or a callable `(pa.Table) -> ndarray`; the
 caller passes the hash it already computes (md5 words, `hash_array`,
-`hash_pandas_object`, non-negative int64 ids), so the caller decides
-partition contents. Groups reach `fn` as pandas DataFrames built from
-each side's own Arrow rows (no null-filled columns from the other
-side, so int columns stay int). `fn` returns a DataFrame, an Arrow
-table or None; the module casts it to `schema` (None: Arrow types
-inferred from the DataFrame, for group columns of caller-defined type).
+`hash_pandas_object`, int64 ids; `column_hash(col)` is the pandas hash
+of one column), so the caller decides partition contents. Groups reach
+`fn` as pandas DataFrames built from each side's own Arrow rows (no
+null-filled columns from the other side, so int columns stay int).
+`fn` returns a DataFrame, an Arrow table or None; the module casts it
+to `schema` (None: Arrow types inferred from the DataFrame, for group
+columns of caller-defined type).
 
 Mechanism. Each input block splits into one Arrow IPC payload per
 partition, so the exchange moves fixed-schema rows
@@ -152,6 +153,12 @@ def _exchange(inputs: list, P: int, fn, schema: pa.Schema | None) -> ray.data.Da
     else:  # Ray samples boundaries when given none: one reducer is a plain merge
         rows = rows.repartition(1)
     return rows.map_batches(reduce, batch_size=None, batch_format="pyarrow")
+
+
+def column_hash(col: str) -> Callable[[pa.Table], np.ndarray]:
+    """Key hash of one column: pandas' `hash_array` of its values, the
+    same uint64 that `hash_pandas_object(series, index=False)` gives."""
+    return lambda t: pd.util.hash_array(t.column(col).to_numpy())
 
 
 def hash_partition(

@@ -1,7 +1,10 @@
 """Corpus text-analysis stages over the documents table
 (doc_id, text, lang, source, n_chars): language ID, quality signals,
-token counts, fingerprints — the training-data-pipeline operators
-(scored per row inside one actor-pool map_batches; no shuffle)."""
+token counts, fingerprints, corpus language models, postings and
+drift — the training-data-pipeline operators. Row-local signals score
+inside one map_batches; every keyed exchange (term, head, doc_id,
+fingerprint) runs on ops/shuffle.py, passing the pandas hash of its
+key (`column_hash`) or the int64 key itself."""
 
 from __future__ import annotations
 
@@ -9,9 +12,11 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.functions import textstats
+from pdf_extractor_ray.ops.shuffle import co_shuffle, column_hash, hash_partition
 
 
 class TextAnalyzer:
@@ -189,40 +194,19 @@ def tfidf_topk(
         return ds.map_batches(score, batch_format="pandas")
 
     # ---- shuffle tier: exact at any vocabulary size ----
-    def add_term_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pd.util.hash_pandas_object(b["term"], index=False).to_numpy()
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
-
     def score_term_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
         df_counts = g.groupby("term", sort=False)["doc_id"].size()
         idf = {t: math.log(n_docs / int(d)) for t, d in df_counts.items()}
-        g = g.copy()
         g["tfidf"] = g["tf"].astype("float64") * g["term"].map(idf)
         return g
 
-    def add_doc_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["doc_id"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return b
-
-    def topk_doc_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _topk_per_doc(g.drop(columns=["_part"]), k)
-
-    scored = (
-        ds.map_batches(_doc_term_tf, fn_kwargs={"text_col": text_col}, batch_format="pandas")
-        .map_batches(add_term_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(score_term_partition, batch_format="pandas")
+    # doc_id keeps the caller's type: schemas are inferred
+    scored = hash_partition(
+        ds.map_batches(_doc_term_tf, fn_kwargs={"text_col": text_col}, batch_format="pandas"),
+        column_hash("term"), num_partitions, score_term_partition, None,
     )
-    return (
-        scored.map_batches(add_doc_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(topk_doc_partition, batch_format="pandas")
+    return hash_partition(
+        scored, column_hash("doc_id"), num_partitions, lambda g: _topk_per_doc(g, k), None
     )
 
 
@@ -324,14 +308,7 @@ def unigram_logprob(
         return ds.map_batches(score, batch_format="pandas")
 
     # ---- shuffle tier: exact at any vocabulary size ----
-    def add_term_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pd.util.hash_pandas_object(b["term"], index=False).to_numpy()
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
-
     def score_term_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"]).copy()
         c_tbl = g.groupby("term", sort=False)["tf"].sum()
         # math.log per DISTINCT term, exactly like the broadcast tier
         # (and tfidf_topk) — np.log's SIMD path can differ by 1 ulp
@@ -339,27 +316,11 @@ def unigram_logprob(
         g["_lp"] = g["tf"].astype("float64") * (g["term"].map(ln_c) - ln_total)
         return g
 
-    def add_doc_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["doc_id"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return b
-
-    def reduce_doc_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return per_doc(g.drop(columns=["_part"]))
-
-    scored = (
-        ds.map_batches(_doc_term_tf, fn_kwargs={"text_col": text_col}, batch_format="pandas")
-        .map_batches(add_term_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(score_term_partition, batch_format="pandas")
+    scored = hash_partition(
+        ds.map_batches(_doc_term_tf, fn_kwargs={"text_col": text_col}, batch_format="pandas"),
+        column_hash("term"), num_partitions, score_term_partition, None,
     )
-    return (
-        scored.map_batches(add_doc_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(reduce_doc_partition, batch_format="pandas")
-    )
+    return hash_partition(scored, column_hash("doc_id"), num_partitions, per_doc, None)
 
 
 def bigram_logprob(
@@ -503,14 +464,7 @@ def bigram_logprob(
         return ds.map_batches(score, batch_format="pandas")
 
     # ---- shuffle tier: exact at any vocabulary size ----
-    def add_head_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pd.util.hash_pandas_object(b["head"], index=False).to_numpy()
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
-
     def score_head_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"]).copy()
         c2_tbl = g.groupby("gram", sort=False)["tf"].sum()
         c1_tbl = g.groupby("head", sort=False)["tf"].sum()
         # math.log per DISTINCT value, exactly like the broadcast tier
@@ -521,27 +475,11 @@ def bigram_logprob(
         )
         return g
 
-    def add_doc_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["doc_id"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return b
-
-    def reduce_doc_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return per_doc(g.drop(columns=["_part"]))
-
-    scored = (
-        ds.map_batches(_doc_bigram_tf, batch_format="pandas")
-        .map_batches(add_head_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(score_head_partition, batch_format="pandas")
+    scored = hash_partition(
+        ds.map_batches(_doc_bigram_tf, batch_format="pandas"),
+        column_hash("head"), num_partitions, score_head_partition, None,
     )
-    return (
-        scored.map_batches(add_doc_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(reduce_doc_partition, batch_format="pandas")
-    )
+    return hash_partition(scored, column_hash("doc_id"), num_partitions, per_doc, None)
 
 
 def length_histogram(
@@ -586,6 +524,11 @@ def length_histogram(
     return agg.map_batches(finish, batch_format="pandas")
 
 
+_POSTINGS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("df", pa.int64()), ("cf", pa.int64()), ("postings", pa.string())]
+)
+
+
 def term_postings(
     ds: ray.data.Dataset,
     min_df: int = 2,
@@ -596,44 +539,23 @@ def term_postings(
     (term, df, cf, postings) where postings is the comma-joined sorted
     doc_id list — the corpus artifact behind retrieval/decontamination
     tooling. Scale shape: per-batch distinct (doc_id, term, tf)
-    partials, ONE co-shuffle on hash(term) mod P (every posting of a
+    partials, ONE hash_partition on hash(term) mod P (every posting of a
     term lands in one partition), one vectorized pandas pass per
     partition. The df filter runs in-partition so sub-threshold terms
     (the long tail) never reach the output."""
 
-    def local(batch: pd.DataFrame) -> pd.DataFrame:
-        out = _doc_term_tf(batch, text_col)
-        out["_part"] = (
-            pd.util.hash_array(out["term"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return out
-
     def build(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "term" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "term": pd.Series([], dtype="object"),
-                    "df": pd.Series([], dtype="int64"),
-                    "cf": pd.Series([], dtype="int64"),
-                    "postings": pd.Series([], dtype="object"),
-                }
-            )
         g = g.sort_values(["term", "doc_id"], kind="stable")
-        grp = g.groupby("term", sort=False)
-        out = grp.agg(
+        out = g.groupby("term", sort=False).agg(
             df=("doc_id", "size"),
             cf=("tf", "sum"),
             postings=("doc_id", lambda s: ",".join(str(int(v)) for v in s)),
         ).reset_index()
-        out = out[out["df"] >= min_df]
-        out["df"] = out["df"].astype("int64")
-        out["cf"] = out["cf"].astype("int64")
-        return out.reset_index(drop=True)
+        return out[out["df"] >= min_df]
 
-    return (
-        ds.map_batches(local, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(build, batch_format="pandas")
+    return hash_partition(
+        ds.map_batches(_doc_term_tf, fn_kwargs={"text_col": text_col}, batch_format="pandas"),
+        column_hash("term"), num_partitions, build, _POSTINGS_SCHEMA,
     )
 
 
@@ -746,24 +668,22 @@ def winnow_dup_candidates(
     hash(pair) mod P (dedup_pairs_ds). Emits distinct (a, b) with
     a < b; rank/verify candidates with ops/dedup.jaccard or the
     verified-drop tier, exactly as the minhash pipeline does."""
-    from pdf_extractor_ray.ops.dedup import _pairs_in_buckets, dedup_pairs_ds
+    from pdf_extractor_ray.ops.dedup import _PAIR_SCHEMA, _pairs_in_buckets, dedup_pairs_ds
 
     fps = winnow_fingerprints(
         ds, k=k, window=window, text_col=text_col, id_col=id_col
     )
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
+    def slim(b: pd.DataFrame) -> pd.DataFrame:
+        # one row per (doc, fp): a fingerprint repeated inside a doc
+        # would pair the doc with itself
         out = pd.DataFrame({"doc_id": b[id_col].to_numpy(dtype=np.int64), "fp": b["fp"]})
-        out["_part"] = (out["fp"].to_numpy(dtype=np.int64)) % num_partitions
-        return out
+        return out.drop_duplicates()
 
-    pairs = (
-        fps.map_batches(tag, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(
-            lambda g: _pairs_in_buckets(g, ["fp"]),
-            batch_format="pandas",
-        )
+    # fp is a non-negative 52-bit md5 prefix: the bucket key is its own hash
+    pairs = hash_partition(
+        fps.map_batches(slim, batch_format="pandas"),
+        "fp", num_partitions, lambda g: _pairs_in_buckets(g, ["fp"]), _PAIR_SCHEMA,
     )
     return dedup_pairs_ds(pairs, num_partitions=num_partitions)
 
@@ -801,10 +721,10 @@ def term_kl_by_slice(
     pre-aggregated grouped_sums (key-width rows); scoring attaches q_t
     via a broadcast {term: c_t} map under `broadcast_max_terms`, else
     by co-shuffling the (slice, term) rows with the count rows on
-    hash(term) mod P (the union idiom — each term's global count is
-    partition-local). The per-slice reduction is a grouped_sum over
-    (slice); the final correction is a tiny map over one row per
-    slice. Emits (slice_col, n_tokens, n_terms, kl)."""
+    hash(term) mod P (each term's global count is partition-local).
+    The per-slice reduction is a grouped_sum over (slice); the final
+    correction is a tiny map over one row per slice. Emits (slice_col,
+    n_tokens, n_terms, kl)."""
     from pdf_extractor_ray.ops.relational import grouped_sum
 
     def explode_counts(batch: pd.DataFrame) -> pd.DataFrame:
@@ -888,50 +808,17 @@ def term_kl_by_slice(
 
         partials = st.map_batches(attach_bc, batch_format="pandas")
     else:
-        # co-shuffle tier: slice-term rows + count rows on hash(term)
-        def tag_st(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            h = pd.util.hash_pandas_object(b["term"], index=False).to_numpy()
-            b["_part"] = (h % num_partitions).astype(np.int64)
-            b["_side"] = np.int8(0)
-            return b[["s", "term", "sum_tf", "_side", "_part"]]
+        # co-shuffle tier: slice-term rows left-join the count rows on
+        # hash(term); each term's global count is partition-local
+        def score_part(st_rows: pd.DataFrame, c_rows: pd.DataFrame) -> pd.DataFrame:
+            cm = dict(zip(c_rows["term"], c_rows["sum_c"]))
+            st_rows["_c"] = st_rows["term"].map(cm).to_numpy(dtype="float64")
+            return score_frame(st_rows)
 
-        def tag_c(b: pd.DataFrame) -> pd.DataFrame:
-            h = pd.util.hash_pandas_object(b["term"], index=False).to_numpy()
-            return pd.DataFrame(
-                {
-                    "s": np.full(len(b), "", dtype=object),
-                    "term": b["term"],
-                    "sum_tf": b["sum_c"].to_numpy(dtype="int64"),
-                    "_side": np.full(len(b), 1, dtype=np.int8),
-                    "_part": (h % num_partitions).astype(np.int64),
-                }
-            )
-
-        both = st.map_batches(tag_st, batch_format="pandas").union(
-            counts.map_batches(tag_c, batch_format="pandas")
+        # the slice column keeps the caller's type: schema inferred
+        partials = co_shuffle(
+            st, counts, column_hash("term"), column_hash("term"), num_partitions, score_part, None
         )
-
-        def score_part(g: pd.DataFrame) -> pd.DataFrame:
-            if g.empty or "_side" not in g.columns:
-                return pd.DataFrame(
-                    {
-                        "s": np.array([], dtype=object),
-                        "tok": np.array([], dtype="float64"),
-                        "one": np.array([], dtype="float64"),
-                        "lnq_num": np.array([], dtype="float64"),
-                        "a": np.array([], dtype="float64"),
-                        "alog": np.array([], dtype="float64"),
-                    }
-                )
-            cm = dict(
-                zip(g.loc[g["_side"] == 1, "term"], g.loc[g["_side"] == 1, "sum_tf"])
-            )
-            b = g[g["_side"] == 0].copy()
-            b["_c"] = b["term"].map(cm).to_numpy(dtype="float64")
-            return score_frame(b)
-
-        partials = both.groupby("_part").map_groups(score_part, batch_format="pandas")
 
     red = grouped_sum(
         partials, ["s"], ["tok", "one", "lnq_num", "a", "alog"], counts=False
@@ -1016,48 +903,35 @@ def phrase_match(
                 rows_id.append(ids[m][ok])
                 rows_slot.append(np.full(int(ok.sum()), i, dtype=np.int64))
                 rows_start.append(starts[ok])
-        if not rows_id:
-            return pd.DataFrame(
-                {
-                    id_col: np.array([], dtype="int64"),
-                    "_slot": np.array([], dtype="int64"),
-                    "_start": np.array([], dtype="int64"),
-                    "_part": np.array([], dtype="int64"),
-                }
-            )
-        out = pd.DataFrame(
-            {
-                id_col: np.concatenate(rows_id),
-                "_slot": np.concatenate(rows_slot),
-                "_start": np.concatenate(rows_start),
-            }
+        cols = {id_col: rows_id, "_slot": rows_slot, "_start": rows_start}
+        return pd.DataFrame(
+            {c: np.concatenate(v) if v else np.array([], dtype="int64") for c, v in cols.items()}
         )
-        out["_part"] = (out[id_col].to_numpy(dtype=np.int64)) % num_partitions
-        return out
 
     def count_matches(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "_start" not in g.columns:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(dtype="int64"),
-                    "n_matches": pd.Series(dtype="int64"),
-                }
-            )
         full = (
             g.groupby([id_col, "_start"], sort=False)["_slot"]
             .nunique()
             .reset_index(name="_k")
         )
         hits = full[full["_k"] == k]
-        out = hits.groupby(id_col, sort=False).size().reset_index(name="n_matches")
-        out["n_matches"] = out["n_matches"].astype("int64")
-        return out
+        return hits.groupby(id_col, sort=False).size().reset_index(name="n_matches")
 
-    return (
-        ds.map_batches(occurrences, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(count_matches, batch_format="pandas")
+    # the int64 id is its own key hash: a doc's rows (any sign) share
+    # one partition, and counting needs nothing else
+    schema = pa.schema([(id_col, pa.int64()), ("n_matches", pa.int64())])
+    return hash_partition(
+        ds.map_batches(occurrences, batch_format="pandas"),
+        id_col, num_partitions, count_matches, schema,
     )
+
+
+_PMI_NA_SCHEMA = pa.schema(
+    [("a", pa.string()), ("b", pa.string()), ("sum_one", pa.int64()), ("_na", pa.int64())]
+)
+_PMI_SCHEMA = pa.schema(
+    [("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64()), ("pmi", pa.float64())]
+)
 
 
 def term_cooccurrence_pmi(
@@ -1090,8 +964,6 @@ def term_cooccurrence_pmi(
     the tier is exact at ANY vocabulary size; PMI + global top-k
     finish with a per-block Arrow partial top-k. Emits (a, b, n_ab,
     pmi), top_pairs rows by (pmi desc, a, b)."""
-    import pyarrow as pa
-
     from pdf_extractor_ray.ops.relational import grouped_sum
 
     n_docs = ds.count()
@@ -1132,6 +1004,20 @@ def term_cooccurrence_pmi(
 
     pairs_kept = pair_counts.map_batches(prefilter, batch_format="pandas")
 
+    def pmi_rows(b: pd.DataFrame, n_a: pd.Series, n_b: pd.Series) -> pd.DataFrame:
+        """The one PMI expression of both tiers (bit-identical)."""
+        nab = b["sum_one"].to_numpy(dtype="float64")
+        na = n_a.to_numpy(dtype="float64")
+        nb = n_b.to_numpy(dtype="float64")
+        return pd.DataFrame(
+            {
+                "a": b["a"],
+                "b": b["b"],
+                "n_ab": nab.astype("int64"),
+                "pmi": np.log((nab * float(n_docs)) / (na * nb)),
+            }
+        )
+
     if term_df.count() <= broadcast_max_terms:
         # broadcast tier: the vocab df map ships once
         tbl = term_df.to_pandas()
@@ -1143,93 +1029,30 @@ def term_cooccurrence_pmi(
             m = _ANALYZER_CACHE.get(key)
             if m is None:
                 m = _ANALYZER_CACHE[key] = ray.get(ref)
-            b = b.copy()
-            na = b["a"].map(m).to_numpy(dtype="float64")
-            nb = b["b"].map(m).to_numpy(dtype="float64")
-            nab = b["sum_one"].to_numpy(dtype="float64")
-            return pd.DataFrame(
-                {
-                    "a": b["a"],
-                    "b": b["b"],
-                    "n_ab": nab.astype("int64"),
-                    "pmi": np.log((nab * float(n_docs)) / (na * nb)),
-                }
-            )
+            return pmi_rows(b, b["a"].map(m), b["b"].map(m))
 
         scored = pairs_kept.map_batches(score, batch_format="pandas")
     else:
-        # co-shuffle tier (unbounded vocab): attach df(a) on hash(a)
-        # mod P, then df(b) on hash(b) — the bigram_logprob head-keyed
-        # discipline; each attach is one union + task-groupby exchange
-        def _attach(pairs_ds: ray.data.Dataset, side: str, out_col: str) -> ray.data.Dataset:
-            def tag_pairs(b: pd.DataFrame) -> pd.DataFrame:
-                b = b.copy()
-                b["_key"] = b[side]
-                b["_df"] = np.int64(-1)
-                b["_side"] = np.int8(0)
-                h = pd.util.hash_array(b["_key"].to_numpy())
-                b["_part"] = (h % np.uint64(num_partitions)).astype("int64")
-                return b
+        # co-shuffle tier (unbounded vocab): pairs left-join the vocab
+        # df table on hash(a) mod P, then on hash(b) — the
+        # bigram_logprob head-keyed discipline; the second join scores
+        def df_map(df_rows: pd.DataFrame) -> dict:
+            return dict(zip(df_rows["term"], df_rows["sum_one"]))
 
-            def tag_df(b: pd.DataFrame) -> pd.DataFrame:
-                h = pd.util.hash_array(b["term"].to_numpy())
-                return pd.DataFrame(
-                    {
-                        "_key": b["term"],
-                        "_df": b["sum_one"].to_numpy(dtype="int64"),
-                        "_side": np.full(len(b), 1, dtype=np.int8),
-                        "_part": (h % np.uint64(num_partitions)).astype("int64"),
-                    }
-                )
+        def attach_na(pairs: pd.DataFrame, df_rows: pd.DataFrame) -> pd.DataFrame:
+            return pairs.assign(_na=pairs["a"].map(df_map(df_rows)))
 
-            def attach_part(g: pd.DataFrame) -> pd.DataFrame:
-                if g.empty or "_side" not in g.columns:
-                    return pd.DataFrame()
-                m = dict(
-                    zip(
-                        g.loc[g["_side"] == 1, "_key"],
-                        g.loc[g["_side"] == 1, "_df"],
-                    )
-                )
-                out = g[g["_side"] == 0].copy()
-                out[out_col] = out["_key"].map(m).to_numpy(dtype="int64")
-                return out.drop(columns=["_key", "_df", "_side", "_part"])
+        def score_nb(pairs: pd.DataFrame, df_rows: pd.DataFrame) -> pd.DataFrame:
+            return pmi_rows(pairs, pairs["_na"], pairs["b"].map(df_map(df_rows)))
 
-            both = pairs_ds.map_batches(tag_pairs, batch_format="pandas").union(
-                term_df.map_batches(tag_df, batch_format="pandas")
-            )
-            return both.groupby("_part").map_groups(attach_part, batch_format="pandas")
-
-        with_na = _attach(pairs_kept, "a", "_na")
-        with_nb = _attach(with_na, "b", "_nb")
-
-        def score_shuffled(b: pd.DataFrame) -> pd.DataFrame:
-            if b.empty or "_nb" not in b.columns:
-                return pd.DataFrame(
-                    {
-                        "a": pd.Series(dtype="object"),
-                        "b": pd.Series(dtype="object"),
-                        "n_ab": pd.Series(dtype="int64"),
-                        "pmi": pd.Series(dtype="float64"),
-                    }
-                )
-            nab = b["sum_one"].to_numpy(dtype="float64")
-            return pd.DataFrame(
-                {
-                    "a": b["a"],
-                    "b": b["b"],
-                    "n_ab": nab.astype("int64"),
-                    "pmi": np.log(
-                        (nab * float(n_docs))
-                        / (
-                            b["_na"].to_numpy(dtype="float64")
-                            * b["_nb"].to_numpy(dtype="float64")
-                        )
-                    ),
-                }
-            )
-
-        scored = with_nb.map_batches(score_shuffled, batch_format="pandas")
+        with_na = co_shuffle(
+            pairs_kept, term_df, column_hash("a"), column_hash("term"), num_partitions,
+            attach_na, _PMI_NA_SCHEMA,
+        )
+        scored = co_shuffle(
+            with_na, term_df, column_hash("b"), column_hash("term"), num_partitions,
+            score_nb, _PMI_SCHEMA,
+        )
 
     order = [("pmi", "descending"), ("a", "ascending"), ("b", "ascending")]
 
@@ -1393,8 +1216,6 @@ def zipf_slope(
     where the closed-form slope is a constant-size computation —
     top_n is a capped parameter, not data-scaled. Returns one row
     (n_terms, zipf_slope, zipf_intercept)."""
-    import pyarrow as pa
-
     from pdf_extractor_ray.ops.relational import grouped_sum
 
     def local_counts(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1433,6 +1254,11 @@ def zipf_slope(
             "zipf_intercept": [intercept],
         }
     )
+
+
+_DRIFT_SCHEMA = pa.schema(
+    [("term", pa.string()), ("n_a", pa.int64()), ("n_b", pa.int64()), ("drift", pa.int64())]
+)
 
 
 def vocab_drift(
@@ -1486,17 +1312,7 @@ def vocab_drift(
     total_a = int(counts.sum("sum_ca") or 0)
     total_b = int(counts.sum("sum_cb") or 0)
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_array(b["term"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return b
-
     def partial_top(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {"term": "object", "n_a": "int64", "n_b": "int64", "drift": "int64"}
-        if g.empty or "term" not in g.columns:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
         na = g["sum_ca"].astype(object).to_numpy()
         nb = g["sum_cb"].astype(object).to_numpy()
         # Python-int products: exact at any corpus size
@@ -1511,14 +1327,12 @@ def vocab_drift(
         )
         out = out.sort_values(["drift", "term"], ascending=[False, True], kind="stable").head(top_n)
         out["drift"] = out["drift"].astype("int64")  # emitted candidates must fit
-        return out.astype(cols)
+        return out
 
-    cand = (
-        counts.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(partial_top, batch_format="pandas")
-        .to_pandas()  # P * top_n rows — driver-bounded by construction
-    )
+    # P * top_n rows — driver-bounded by construction; Arrow blocks keep
+    # the columns when every partition is empty
+    cand = hash_partition(counts, column_hash("term"), num_partitions, partial_top, _DRIFT_SCHEMA)
+    cand = pa.concat_tables(ray.get(cand.to_arrow_refs())).to_pandas()
     cand = cand.sort_values(["drift", "term"], ascending=[False, True], kind="stable").head(top_n)
     return cand.reset_index(drop=True)
 
@@ -1695,6 +1509,19 @@ def _doc_trigram_events(batch: pd.DataFrame, text_col: str) -> pd.DataFrame:
     return out[["doc_id", "g3", "ctx", "b2", "w2", "w3", "tf"]]
 
 
+_HOP1_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("g3", pa.string()), ("w3", pa.string()), ("tf", pa.int64()),
+     ("_ab", pa.float64())]
+)
+_HOP2_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("g3", pa.string()), ("tf", pa.int64()), ("_lp", pa.float64())]
+)
+_TRIGRAM_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("n_trigrams", pa.int64()), ("logprob", pa.float64()),
+     ("avg_logprob", pa.float64())]
+)
+
+
 def trigram_jm_logprob(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -1834,149 +1661,57 @@ def trigram_jm_logprob(
         ).to_pandas()["sum_n"].sum()
     )
 
-    def split_counts(prefixes: tuple) -> ray.data.Dataset:
+    def routed_counts(route) -> ray.data.Dataset:
+        """Count rows (key, sum_n) plus `_tok`, the token that routes
+        them; rows whose route is None are not read by the hop."""
+
         def f(b: pd.DataFrame) -> pd.DataFrame:
-            return b[b["key"].str[0].isin(list(prefixes))]
+            b = b.assign(_tok=route(b["key"].str[0], b["key"].str[2:]))
+            return b[b["_tok"].notna()]
 
         return counts.map_batches(f, batch_format="pandas")
 
-    events = ds.map_batches(
-        _doc_trigram_events, fn_kwargs={"text_col": text_col}, batch_format="pandas"
-    )
+    def hop1_token(pref: pd.Series, body: pd.Series) -> pd.Series:
+        # every count a trigram event reads shares its middle token w2:
+        # t:'w1 w2 w3' and c:'w1 w2' route by their second token,
+        # b:'w2 w3' by its first, h:'w2' by itself
+        sp = body.str.split(" ")
+        tok = sp.str[1].where(pref.isin(["t", "c"]), sp.str[0])
+        return tok.where(pref.isin(["t", "c", "b", "h"]))
+
+    def count_map(cm: pd.DataFrame) -> dict:
+        return dict(zip(cm["key"], cm["sum_n"].tolist()))
 
     # hop 1: by w2 — trigram/context/bigram/head tables are complete
     # per partition (all share the middle/head token w2)
-    H1_COLS = ["doc_id", "g3", "ctx", "b2", "w2", "w3", "tf", "key", "sum_n", "_side", "_part"]
-
-    def _unify(b: pd.DataFrame, cols: list) -> pd.DataFrame:
-        for c in cols:
-            if c not in b.columns:
-                b[c] = None
-        return b[cols]
-
-    def ev_part1(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_side"] = np.int8(1)
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["w2"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return _unify(b, H1_COLS)
-
-    def cnt_part1(b: pd.DataFrame) -> pd.DataFrame:
-        # count rows keyed by the token that routes them: t/c/b keys'
-        # w2 is the key's second-to-last-gram position; simpler and
-        # exact — route by the embedded token: t:'w1 w2 w3'->w2,
-        # c:'w1 w2'->w2, b:'w2 w3'->w2(first), h:'w2'->itself
-        k = b["key"]
-        body = k.str[2:]
-        pref = k.str[0]
-        tok = pd.Series(np.empty(len(b), dtype=object), index=b.index)
-        sp = body.str.split(" ")
-        tok[pref == "t"] = sp[pref == "t"].str[1]
-        tok[pref == "c"] = sp[pref == "c"].str[1]
-        tok[pref == "b"] = sp[pref == "b"].str[0]
-        tok[pref == "h"] = body[pref == "h"]
-        out = pd.DataFrame({"key": k, "sum_n": b["sum_n"], "_tok": tok})
-        out = out[pref.isin(["t", "c", "b", "h"])]
-        out["_side"] = np.int8(0)
-        out["_part"] = (
-            pd.util.hash_pandas_object(out["_tok"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return _unify(out.drop(columns=["_tok"]), H1_COLS)
-
-    def hop1(g: pd.DataFrame) -> pd.DataFrame:
-        cm = g[g["_side"] == 0]
-        cnt = dict(zip(cm["key"], cm["sum_n"].astype("int64")))
-        ev = g[g["_side"] == 1]
-        if not len(ev):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "g3": pd.Series([], dtype="object"),
-                    "w3": pd.Series([], dtype="object"),
-                    "tf": pd.Series([], dtype="int64"),
-                    "_ab": pd.Series([], dtype="float64"),
-                }
-            )
-        cnt = {k: int(v) for k, v in cnt.items()}
+    def hop1(ev: pd.DataFrame, cm: pd.DataFrame) -> pd.DataFrame:
+        cnt = count_map(cm)
         get = lambda k: cnt.get(k, 1)  # noqa: E731
         c3 = ev["g3"].map(lambda k: get("t\x1f" + k)).to_numpy(dtype=np.float64)
         cc = ev["ctx"].map(lambda k: get("c\x1f" + k)).to_numpy(dtype=np.float64)
         c2 = ev["b2"].map(lambda k: get("b\x1f" + k)).to_numpy(dtype=np.float64)
         ch = ev["w2"].map(lambda k: get("h\x1f" + k)).to_numpy(dtype=np.float64)
-        ab = l3 * (c3 / cc) + l2 * (c2 / ch)
-        out = ev[["doc_id", "g3", "w3", "tf"]].copy()
-        out["doc_id"] = out["doc_id"].astype("int64")
-        out["tf"] = out["tf"].astype("int64")
-        out["_ab"] = ab
-        return out
+        return ev[["doc_id", "g3", "w3", "tf"]].assign(_ab=l3 * (c3 / cc) + l2 * (c2 / ch))
 
-    h1 = (
-        events.map_batches(ev_part1, batch_format="pandas")
-        .union(split_counts(("t", "c", "b", "h")).map_batches(cnt_part1, batch_format="pandas"))
-        .groupby("_part")
-        .map_groups(hop1, batch_format="pandas")
+    events = ds.map_batches(
+        _doc_trigram_events, fn_kwargs={"text_col": text_col}, batch_format="pandas"
+    )
+    h1 = co_shuffle(
+        events, routed_counts(hop1_token), column_hash("w2"), column_hash("_tok"),
+        num_partitions, hop1, _HOP1_SCHEMA,
     )
 
     # hop 2: by w3 — attach the unigram term and take the log
-    H2_COLS = ["doc_id", "g3", "w3", "tf", "_ab", "key", "sum_n", "_side", "_part"]
-
-    def ev_part2(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_side"] = np.int8(1)
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["w3"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return _unify(b, H2_COLS)
-
-    def cnt_part2(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["key"].str[0] == "u"].copy()
-        b["_side"] = np.int8(0)
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["key"].str[2:], index=False).to_numpy()
-            % num_partitions
-        ).astype(np.int64)
-        return _unify(b, H2_COLS)
-
-    def hop2(g: pd.DataFrame) -> pd.DataFrame:
-        cm = g[g["_side"] == 0]
-        cnt = dict(zip(cm["key"], cm["sum_n"].astype("int64")))
-        ev = g[g["_side"] == 1]
-        if not len(ev):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "g3": pd.Series([], dtype="object"),
-                    "tf": pd.Series([], dtype="int64"),
-                    "_lp": pd.Series([], dtype="float64"),
-                }
-            )
-        cnt = {k: int(v) for k, v in cnt.items()}
+    def hop2(ev: pd.DataFrame, cm: pd.DataFrame) -> pd.DataFrame:
+        cnt = count_map(cm)
         cu = ev["w3"].map(lambda k: cnt.get("u\x1f" + k, 1)).to_numpy(dtype=np.float64)
         p = ev["_ab"].to_numpy(dtype=np.float64) + l1 * (cu / float(n_total))
-        out = ev[["doc_id", "g3", "tf"]].copy()
-        out["doc_id"] = out["doc_id"].astype("int64")
-        out["tf"] = out["tf"].astype("int64")
-        out["_lp"] = out["tf"].to_numpy(dtype=np.float64) * np.log(p)
-        return out
+        lp = ev["tf"].to_numpy(dtype=np.float64) * np.log(p)
+        return ev[["doc_id", "g3", "tf"]].assign(_lp=lp)
 
-    h2 = (
-        h1.map_batches(ev_part2, batch_format="pandas")
-        .union(split_counts(("u",)).map_batches(cnt_part2, batch_format="pandas"))
-        .groupby("_part")
-        .map_groups(hop2, batch_format="pandas")
+    h2 = co_shuffle(
+        h1, routed_counts(lambda pref, body: body.where(pref == "u")),
+        column_hash("w3"), column_hash("_tok"), num_partitions, hop2, _HOP2_SCHEMA,
     )
-
     # hop 3: per-doc reduce
-    def doc_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["doc_id"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return b
-
-    return (
-        h2.map_batches(doc_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(lambda g: per_doc(g.drop(columns=["_part"])), batch_format="pandas")
-    )
+    return hash_partition(h2, column_hash("doc_id"), num_partitions, per_doc, _TRIGRAM_SCHEMA)

@@ -265,26 +265,19 @@ def dedup_by_url(results: ray.data.Dataset, num_partitions: int = 32) -> ray.dat
     """Exact corpus dedup on url: earliest warc_ts wins (reference
     skip-existing D4 generalized; SURVEY.md §2.7 D-global).
 
-    Shuffles on hash(url) mod num_partitions — NOT one Ray group per
-    url (10^9 urls would mean 10^9 Python calls) — then one vectorized
-    pandas pass per partition; a per-batch local pre-dedup keeps the
-    shuffle payload at one row per url per batch."""
-    import numpy as np
+    One `ops/shuffle.hash_partition` on hash(url) mod num_partitions —
+    NOT one Ray group per url (10^9 urls would mean 10^9 Python calls) —
+    then one vectorized pandas pass per partition; the same pass run per
+    batch first keeps the shuffle payload at one row per url per batch.
+    The columns are the caller's, so their types are inferred."""
     import pandas as pd
 
-    def local_first(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["url", "warc_ts"], kind="stable").drop_duplicates("url", keep="first")
-        b = b.copy()
-        h = pd.util.hash_array(b["url"].to_numpy())
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
+    from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
 
-    def part_first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["url", "warc_ts"], kind="stable").drop_duplicates("url", keep="first")
-        return g.drop(columns=["_part"])
+    def first_per_url(b: pd.DataFrame) -> pd.DataFrame:
+        return b.sort_values(["url", "warc_ts"], kind="stable").drop_duplicates("url", keep="first")
 
-    return (
-        results.map_batches(local_first, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(part_first, batch_format="pandas")
+    return hash_partition(
+        results.map_batches(first_per_url, batch_format="pandas"),
+        column_hash("url"), num_partitions, first_per_url, None,
     )

@@ -101,6 +101,32 @@ def test_dedup_by_url(ray_session, pages_path):
     assert unique == n_urls < total  # fixture plants duplicate urls
 
 
+def test_dedup_by_url_empty_input_and_partition_count(ray_session):
+    """Earliest warc_ts per url for every partition count; a zero-row
+    input gives zero rows (the columns are the caller's, so an empty
+    result declares none)."""
+    import numpy as np
+    import pandas as pd
+    import ray.data
+
+    from pdf_extractor_ray.stages.extractor import RESULT_SCHEMA
+
+    assert dedup_by_url(ray.data.from_arrow(RESULT_SCHEMA.empty_table())).count() == 0
+    rng = np.random.default_rng(5)
+    rows = pd.DataFrame(
+        {
+            "url": [f"u{i}" for i in rng.integers(0, 25, 120)],
+            "warc_ts": pd.to_datetime(rng.permutation(120), unit="s"),
+            "n_words": np.arange(120, dtype="int64"),
+        }
+    )
+    ds = ray.data.from_pandas(rows).repartition(4)
+    want = rows.sort_values("warc_ts").drop_duplicates("url").sort_values("url").reset_index(drop=True)
+    for p in (1, 7, 32):
+        got = dedup_by_url(ds, num_partitions=p).to_pandas().sort_values("url").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[list(want.columns)], want, check_dtype=False)
+
+
 def test_sort_by_url(ray_session, pages_path):
     ds = extraction_dataset(pages_path).select_columns(["url", "n_words"])
     urls = [r["url"] for r in ds.sort("url").take(50)]

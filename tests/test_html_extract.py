@@ -443,8 +443,15 @@ def test_table_still_open_at_eof():
 
 
 def test_nested_closed_table_renders_as_before():
+    """A nested table's rows and cells open nothing: its text joins
+    the enclosing outer cell, with the outer cell's own text kept."""
     html = "<table><tr><td>outer<table><tr><td>inner</td></tr></table>tail</td></tr></table>"
-    assert extract_html(html)[0] == "[TABLE: 1x1]\n| inner |\n[TABLE END]"
+    assert extract_html(html)[0] == "[TABLE: 1x1]\n| outer inner tail |\n[TABLE END]"
+    html = (
+        "<table><tr><td>a</td><td>b<table><tr><td>x</td><td>y</td></tr><tr><td>z</td></tr>"
+        "</table></td></tr><tr><td>c</td></tr></table>"
+    )
+    assert extract_html(html)[0] == "[TABLE: 2x2]\n| a | b x y z |\n| c |  |\n[TABLE END]"
 
 
 # ---------------------------------------------------------------------------

@@ -825,6 +825,49 @@ def test_term_postings_hand_computed(ray_session):
     assert out.postings.tolist() == ["0,1", "1,2", "0,2"]
 
 
+def _empty_docs():
+    import ray.data
+
+    return ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    )
+
+
+def _word_corpus(ids, seed: int = 3) -> pd.DataFrame:
+    """Texts of 0-14 words over an 8-word vocabulary: terms, phrases
+    and character k-grams repeat across documents."""
+    rng = np.random.default_rng(seed)
+    vocab = np.array(list("abcdefgh"))
+    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(0, 15)))) for _ in ids]
+    return pd.DataFrame({"doc_id": np.asarray(ids, dtype="int64"), "text": texts})
+
+
+def _same_for_partition_counts(run, by: list) -> pd.DataFrame:
+    """run(P) returns the same rows for P = 1, 7 and 32."""
+    outs = [run(p).sort_values(by).reset_index(drop=True) for p in (1, 7, 32)]
+    for out in outs[1:]:
+        pd.testing.assert_frame_equal(out, outs[0])
+    return outs[0]
+
+
+def test_term_postings_empty_input_and_partition_count(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.ops.text_analysis import term_postings
+
+    empty = term_postings(_empty_docs())
+    assert empty.count() == 0
+    assert empty.schema().names == ["term", "df", "cf", "postings"]
+    df = _word_corpus(range(40))
+    out = _same_for_partition_counts(
+        lambda p: term_postings(ray.data.from_pandas(df).repartition(3), num_partitions=p).to_pandas(),
+        ["term"],
+    )
+    docs = {t: sorted(i for i, x in zip(df.doc_id, df.text) if t in x.split()) for t in "abcdefgh"}
+    assert out.term.tolist() == [t for t in "abcdefgh" if len(docs[t]) >= 2]
+    assert out.postings.tolist() == [",".join(map(str, docs[t])) for t in out.term]
+
+
 def test_connected_components_shapes(ray_session):
     """BSP min-label propagation resolves chains (diameter > 1 round),
     stars, self-loops and isolated pairs to min-id components."""
@@ -2061,6 +2104,33 @@ def test_phrase_match(ray_session):
     assert out3.loc[3, "n_matches"] == 2  # overlapping starts 0 and 1
 
 
+def test_phrase_match_empty_input_negative_ids_and_partition_count(ray_session):
+    """Doc ids route by their own int64 value viewed as uint64, so a
+    negative id lands in another partition than under Python's `%`;
+    the counts depend only on each id's rows meeting in one partition,
+    so they equal a brute-force count for every partition count."""
+    import ray.data
+
+    from pdf_extractor_ray.ops.text_analysis import phrase_match
+
+    empty = phrase_match(_empty_docs(), "a b")
+    assert empty.count() == 0 and empty.schema().names == ["doc_id", "n_matches"]
+    df = _word_corpus(range(-20, 20))
+    for phrase in ("a b", "c c"):
+        out = _same_for_partition_counts(
+            lambda p: phrase_match(ray.data.from_pandas(df).repartition(3), phrase, num_partitions=p).to_pandas(),
+            ["doc_id"],
+        )
+        k = phrase.split()
+        want = {
+            i: n
+            for i, t in zip(df.doc_id, df.text)
+            if (n := sum(t.split()[j : j + len(k)] == k for j in range(len(t.split()))))
+        }
+        assert dict(zip(out.doc_id, out.n_matches)) == want
+        assert min(want) < 0
+
+
 def test_compression_ratio_signal(ray_session):
     """compression_ratio must mark repetitive text as far more
     compressible than high-entropy text, agree with direct zlib, and
@@ -2484,6 +2554,28 @@ def test_winnow_fingerprints(ray_session):
     assert not (f1 & f3) and not (f2 & f3)
     pairs = winnow_dup_candidates(ds, k=k, window=w).to_pandas()
     assert [(int(a), int(b)) for a, b in zip(pairs.a, pairs.b)] == [(1, 2)]
+
+
+def test_winnow_dup_candidates_empty_input_and_partition_count(ray_session):
+    """Fingerprints are non-negative 52-bit md5 prefixes, so each
+    bucket routes as it did under Python's `%`; the pairs depend only
+    on each fingerprint's rows meeting in one partition."""
+    import ray.data
+
+    from pdf_extractor_ray.ops.text_analysis import winnow_dup_candidates, winnow_fingerprints
+
+    empty = winnow_dup_candidates(_empty_docs())
+    assert empty.count() == 0 and empty.schema().names == ["a", "b"]
+    df = _word_corpus(range(30))
+    ds = ray.data.from_pandas(df).repartition(3)
+    out = _same_for_partition_counts(
+        lambda p: winnow_dup_candidates(ds, num_partitions=p).to_pandas(), ["a", "b"]
+    )
+    fps = winnow_fingerprints(ds).to_pandas()
+    assert (fps.fp >= 0).all()
+    docs = fps.groupby("fp")["doc_id"].apply(lambda s: sorted(set(s)))
+    want = {(a, b) for ids in docs for i, a in enumerate(ids) for b in ids[i + 1 :]}
+    assert set(zip(out.a, out.b)) == want and len(want) > 10
 
 
 def test_dedup_against_tiers(ray_session):
@@ -4497,6 +4589,21 @@ def test_vocab_drift_hand_computed(ray_session):
     assert list(out["term"]) == ["x", "y", "z"]
     assert list(out["drift"]) == [6, 3, 3]
     assert list(out["n_a"]) == [2, 1, 0] and list(out["n_b"]) == [0, 2, 1]
+
+
+def test_vocab_drift_empty_input_and_partition_count(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.ops.text_analysis import vocab_drift
+
+    empty = vocab_drift(_empty_docs(), _empty_docs())
+    assert len(empty) == 0 and list(empty.columns) == ["term", "n_a", "n_b", "drift"]
+    a = ray.data.from_pandas(_word_corpus(range(20), seed=1)).repartition(2)
+    b = ray.data.from_pandas(_word_corpus(range(20), seed=2)).repartition(2)
+    out = _same_for_partition_counts(
+        lambda p: vocab_drift(a, b, top_n=5, num_partitions=p), ["drift", "term"]
+    )
+    assert len(out) == 5 and out.drift.dtype == "int64"
 
 
 def test_bitext_mine_planted_pairs(ray_session):

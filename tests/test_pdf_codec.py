@@ -264,20 +264,20 @@ def test_flate_bomb_is_a_budget_error_row():
 
     import pyarrow as pa
 
-    from pdf_extractor_ray.functions.pdf_codec import _FLATE_CAP
+    from pdf_extractor_ray.functions.pdf_codec import _STREAM_CAP
     from pdf_extractor_ray.stages.extractor import Extractor
 
     plain = pages_to_pdf_bytes([_page([_word("Hello", 72.0, 20.0)])])
     co = zlib.compressobj(9)
     chunk = b" " * (1 << 20)
-    bomb = b"".join([co.compress(chunk) for _ in range(8 * _FLATE_CAP >> 20)] + [co.flush()])
+    bomb = b"".join([co.compress(chunk) for _ in range(8 * _STREAM_CAP >> 20)] + [co.flush()])
     pdf = _with_flate_content(plain, bomb)
     ex = Extractor()
     batch = pa.table({"url": ["u"], "lang": ["en"], "html": pa.array([pdf], pa.binary())})
     t0 = time.process_time()
     (err,) = ex(batch)["error"].to_pylist()
     assert time.process_time() - t0 < 1.0
-    assert err == f"UnsupportedPdfError: budget: FlateDecode stream inflates past {_FLATE_CAP} bytes"
+    assert err == f"UnsupportedPdfError: budget: FlateDecode stream inflates past {_STREAM_CAP} bytes"
 
     content = _CONTENT_RE.search(plain).group(1)
     comp = zlib.compress(content)
@@ -288,6 +288,55 @@ def test_flate_bomb_is_a_budget_error_row():
         with pytest.raises(UnsupportedPdfError) as got:
             parse_pdf_bytes(_with_flate_content(plain, bad))
         assert str(got.value) == f"FlateDecode stream: {want.value}"
+
+
+def _lzw_pack(codes, early=1) -> bytes:
+    """MSB-first code packing with the decoder's EarlyChange width rule
+    (no clear codes, so the table grows by one entry per code after
+    the first)."""
+    acc, nbits, width, size, out = 0, 0, 9, 258, bytearray()
+    for i, code in enumerate(codes):
+        acc, nbits = (acc << width) | code, nbits + width
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+        acc &= (1 << nbits) - 1
+        size += i > 0
+        if size + early >= (1 << width) and width < 12:
+            width += 1
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def test_lzw_bomb_is_a_budget_error_row():
+    """An LZWDecode stream built from KwKwK codes (each entry one byte
+    longer than the last, up to code 4095) and then code 4095 repeated
+    decodes to over 2,000x its size; it becomes an error row in well
+    under a second of CPU, past the same per-stream cap as FlateDecode."""
+    import time
+
+    import pyarrow as pa
+
+    from pdf_extractor_ray.functions.pdf_codec import _STREAM_CAP, _lzw_decode_pdf
+    from pdf_extractor_ray.stages.extractor import Extractor
+
+    ramp = [ord("A")] + list(range(258, 4096))
+    small = _lzw_pack(ramp[:600])
+    assert _lzw_decode_pdf(small) == b"A" * (600 * 601 // 2)
+    bomb = _lzw_pack(ramp + [4095] * 20000)
+    assert len(bomb) < 40_000  # would decode to about 84 MB
+    plain = pages_to_pdf_bytes([_page([_word("Hello", 72.0, 20.0)])])
+    m = _CONTENT_RE.search(plain)
+    pdf = plain.replace(
+        m.group(0), b"<< /Filter /LZWDecode /Length %d >>\nstream\n%s\nendstream" % (len(bomb), bomb)
+    )
+    batch = pa.table({"url": ["u"], "lang": ["en"], "html": pa.array([pdf], pa.binary())})
+    ex = Extractor()
+    t0 = time.process_time()
+    (err,) = ex(batch)["error"].to_pylist()
+    assert time.process_time() - t0 < 1.0
+    assert err == f"UnsupportedPdfError: budget: LZWDecode stream decodes past {_STREAM_CAP} bytes"
 
 
 def test_roundtrip_property_hypothesis():

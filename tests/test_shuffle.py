@@ -109,3 +109,13 @@ def test_co_shuffle_one_side_empty(ray_session):
     empty_left = ray.data.from_arrow(_typed_table(KV))
     right = _frame([1, 2], y=[1.0, 2.0])
     assert len(_assert_typed(co_shuffle(empty_left, right, "k", "k", 4, _left_join, JOINED), JOINED)) == 0
+
+
+def test_migrated_modules_hand_roll_no_exchange():
+    """Modules moved onto this primitive keep no hand-rolled
+    `groupby("_part")` exchange."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "pdf_extractor_ray"
+    for rel in ("ops/dedup.py", "ops/text_analysis.py", "pipelines/extract.py"):
+        assert 'groupby("_part")' not in (root / rel).read_text(), rel

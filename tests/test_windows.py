@@ -194,8 +194,15 @@ def test_hash_join(ray_session):
     right = ray.data.from_pandas(pd.DataFrame({"kk": [2, 3, 4], "y": ["b", "c", "d"]}))
     out = hash_join(left, right, on="k", right_on="kk", num_partitions=2).to_pandas()
     out = out.sort_values(["k", "x"]).reset_index(drop=True)
+    assert list(out.columns) == ["k", "x", "y"]  # the right key column is dropped
     assert out["k"].tolist() == [2, 2, 3]
     assert out["y"].tolist() == ["b", "b", "c"]
+    left_out = hash_join(left, right, on="k", right_on="kk", how="left", num_partitions=3).to_pandas()
+    left_out = left_out.sort_values(["k", "x"]).reset_index(drop=True)
+    assert left_out["k"].tolist() == [1, 2, 2, 3]
+    assert left_out["y"].tolist()[1:] == ["b", "b", "c"] and pd.isna(left_out["y"][0])
+    with pytest.raises(ValueError):
+        hash_join(left, right, on="k", right_on="kk", how="outer")
 
 
 def test_range_join(ray_session):
