@@ -342,10 +342,6 @@ def _asof_purchase_view(sf_dir: str) -> pd.DataFrame:
     views = ev.map_batches(typed("view", ["user_id", "ts", "value"]), batch_format="pyarrow")
     out = asof_join(purchases, views, key="user_id", ts_col="ts", right_cols=("value",), suffix="_view")
     df = out.to_pandas().rename(columns={"ts_view": "view_ts", "value_view": "view_value"})
-    # left-side ints pick up NaN slots from the unified schema in
-    # pandas groups -> float64; restore exact int dtypes
-    df["event_id"] = df["event_id"].astype("int64")
-    df["user_id"] = df["user_id"].astype("int64")
     return df[["event_id", "user_id", "ts", "view_ts", "view_value"]].sort_values("event_id").reset_index(drop=True)
 
 
@@ -3552,6 +3548,7 @@ def _extract_crawl_frontier(sf_dir: str) -> pd.DataFrame:
     component twins compose, so the whole chain is one exact DuckDB
     oracle: regex re-extraction of <loc>/<priority>/<changefreq> plus
     the longest-match window query over the same two parquets."""
+    import pyarrow as pa
     import pyarrow.compute as pc
 
     from pdf_extractor_ray.ops.feeds import sitemap_entries
@@ -3565,16 +3562,16 @@ def _extract_crawl_frontier(sf_dir: str) -> pd.DataFrame:
     )
     sm = sitemap_entries(pages, xml_col="xml")
 
-    def to_urls(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["kind"] == "urlset"]
-        return b[["loc", "priority", "changefreq"]].rename(columns={"loc": "url"})
+    # Arrow keeps the column types of an empty block (a pandas one has
+    # object columns whose size Ray cannot estimate)
+    def to_urls(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.equal(b["kind"], "urlset")).select(["loc", "priority", "changefreq"])
+        return b.rename_columns(["url", "priority", "changefreq"])
 
-    locs = sm.map_batches(to_urls, batch_format="pandas").materialize()
+    locs = sm.map_batches(to_urls, batch_format="pyarrow").materialize()
     robots = ray.data.read_parquet(_robots_fixture_parquet())
     allowed = robots_allow(robots, locs).to_pandas()
-    out = allowed.merge(
-        locs.select_columns(["url", "priority", "changefreq"]).to_pandas(), on="url"
-    )
+    out = allowed.merge(locs.to_pandas(), on="url")
     return (
         out[["url", "host", "allowed", "matched_rule", "priority", "changefreq"]]
         .sort_values("url")

@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pdf_extractor_ray.ops.shuffle import co_shuffle
+from pdf_extractor_ray.ops.shuffle import co_shuffle, column_hash, hash_partition
 
 
 # per-worker cache of fetched broadcast tables keyed by ObjectRef
@@ -187,12 +187,6 @@ def final_aggregate(
     if counts:
         rename["_partial_n"] = "n"
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pd.util.hash_pandas_object(b[keys], index=False).to_numpy()
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
-
     def agg_part(g: pd.DataFrame) -> pd.DataFrame:
         agg: dict[str, tuple[str, str]] = {c: (c, "sum") for c in [f"_sum_{c}" for c in sums]}
         agg.update({c: (c, "min") for c in [f"_min_{c}" for c in mins]})
@@ -206,11 +200,11 @@ def final_aggregate(
                 out[f"_sum_{c}"] = out[f"_sum_{c}"].to_numpy(dtype=np.int64).astype(np.float64) / f
         return out.rename(columns=rename)
 
-    return (
-        partials.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(agg_part, batch_format="pandas")
-    )
+    def key_hash(t: pa.Table) -> np.ndarray:
+        return pd.util.hash_pandas_object(t.select(keys).to_pandas(), index=False).to_numpy()
+
+    # output types follow the key and value types, so no schema
+    return hash_partition(partials, key_hash, num_partitions, agg_part, None)
 
 
 def grouped_sum(
@@ -264,16 +258,14 @@ def grouped_quantiles(
     assert all(abs(q * 100 - p) < 1e-9 for q, p in zip(qs, pcts)), "qs must be whole percents"
     freq = grouped_sum(ds, keys + [val], [])
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = np.zeros(len(b), dtype=np.uint64)
+    def key_hash(t: pa.Table) -> np.ndarray:
+        h = np.zeros(t.num_rows, dtype=np.uint64)
         for k in keys:
-            h ^= pd.util.hash_array(b[k].to_numpy())
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
+            h ^= pd.util.hash_array(t.column(k).to_numpy())
+        return h
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"]).sort_values(keys + [val], kind="stable")
+        g = g.sort_values(keys + [val], kind="stable")
         grp = g.groupby(keys, sort=False, dropna=False)
         cum = grp["n"].cumsum().to_numpy()
         tot = grp["n"].transform("sum").to_numpy()
@@ -287,11 +279,7 @@ def grouped_quantiles(
             out = out.merge(sel[keys + [val]].rename(columns={val: f"p{p}_{val}"}), on=keys, how="left")
         return out
 
-    return (
-        freq.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return hash_partition(freq, key_hash, num_partitions, pick, None)
 
 
 def stratified_sample(
@@ -347,15 +335,12 @@ def hash_sample_per_group(
         return d.groupby(group_col, sort=False).head(k)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or group_col not in g.columns:
-            return pd.DataFrame({group_col: [], id_col: pd.Series([], dtype="int64")})
-        g = g.sort_values(["_h", id_col], kind="stable").head(k)
-        return g[[group_col, id_col]]
+        g = g.sort_values(["_h", id_col], kind="stable")
+        return g.groupby(group_col, sort=False).head(k)[[group_col, id_col]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(group_col)
-        .map_groups(merge, batch_format="pandas")
+    # group and id keep the caller's types: schemas are inferred
+    return hash_partition(
+        ds.map_batches(partial, batch_format="pandas"), column_hash(group_col), 32, merge, None
     )
 
 
@@ -467,6 +452,18 @@ def hash_join(
     )
 
 
+_PROFILE_SCHEMA = pa.schema(
+    [
+        ("column", pa.string()),
+        ("n_rows", pa.int64()),
+        ("n_null", pa.int64()),
+        ("n_distinct", pa.int64()),
+        ("min_num", pa.float64()),
+        ("max_num", pa.float64()),
+    ]
+)
+
+
 def profile_columns(
     ds: ray.data.Dataset,
     cols: Sequence[str],
@@ -516,25 +513,13 @@ def profile_columns(
                         "max_num": np.nan,
                     }
                 )
-        out = pd.DataFrame(rows)
-        h = pd.util.hash_pandas_object(
-            out["column"] + "\x1f" + out["value"], index=False
-        ).to_numpy()
-        out["_part"] = (h % num_partitions).astype("int64")
-        return out
+        return pd.DataFrame(rows)
+
+    def key_hash(t: pa.Table) -> np.ndarray:
+        cv = t.column("column").to_pandas() + "\x1f" + t.column("value").to_pandas()
+        return pd.util.hash_pandas_object(cv, index=False).to_numpy()
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "kind" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "column": pd.Series(dtype="object"),
-                    "n_rows": pd.Series(dtype="int64"),
-                    "n_null": pd.Series(dtype="int64"),
-                    "n_distinct": pd.Series(dtype="int64"),
-                    "min_num": pd.Series(dtype="float64"),
-                    "max_num": pd.Series(dtype="float64"),
-                }
-            )
         counts = g[g["kind"] == "counts"]
         vals = g[g["kind"] == "value"].drop_duplicates(["column", "value"])
         agg_c = counts.groupby("column", sort=False).agg(
@@ -549,10 +534,7 @@ def profile_columns(
             .fillna({"n_rows": 0, "n_null": 0, "n_distinct": 0})
             .reset_index()
         )
-        out["n_rows"] = out["n_rows"].astype("int64")
-        out["n_null"] = out["n_null"].astype("int64")
-        out["n_distinct"] = out["n_distinct"].astype("int64")
-        return out[["column", "n_rows", "n_null", "n_distinct", "min_num", "max_num"]]
+        return out
 
     def final(b: pd.DataFrame) -> pd.DataFrame:
         out = b.groupby("column", sort=True).agg(
@@ -566,10 +548,9 @@ def profile_columns(
             out[c] = out[c].astype("int64")
         return out
 
-    per_part = (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(reduce_part, batch_format="pandas")
+    per_part = hash_partition(
+        ds.map_batches(partials, batch_format="pandas"),
+        key_hash, num_partitions, reduce_part, _PROFILE_SCHEMA,
     )
     return per_part.repartition(1).map_batches(final, batch_format="pandas")
 
@@ -658,43 +639,29 @@ def snapshot_delta(
     incremental-ingestion pipeline starts from (what to re-extract,
     what to tombstone, what to skip).
 
-    Shape: both snapshots project to slim (key, fp, side) rows, union,
-    co-shuffle on hash(key) mod P (a key's two rows always meet in one
-    partition — the distributed FULL OUTER JOIN, never Ray's actor-pool
-    join), and one vectorized pivot per partition classifies. Keys are
-    assumed unique per snapshot (canonicalize + exact-dedup first)."""
+    Shape: both snapshots project to slim (key, fp, snap) rows (snap 0
+    old, 1 new), and ONE hash_partition of their union on hash(key)
+    mod P puts a key's two rows in one partition — the distributed
+    FULL OUTER JOIN (a co_shuffle calls its function only where the
+    left side has rows, which would drop the added keys) — and one
+    vectorized pivot per partition classifies. Keys are assumed unique
+    per snapshot (canonicalize + exact-dedup first)."""
 
-    def tag(side: int):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            if len(b) == 0:
-                return pd.DataFrame(
-                    {
-                        key: pd.Series(dtype="object"),
-                        fp_col: pd.Series(dtype="object"),
-                        "_side": pd.Series(dtype="int8"),
-                        "_part": pd.Series(dtype="int64"),
-                    }
-                )
-            out = b[[key, fp_col]].copy()
-            out["_side"] = np.int8(side)
-            out["_part"] = (
-                pd.util.hash_array(out[key].to_numpy()) % num_partitions
-            ).astype(np.int64)
-            return out
+    def slim(snap: int):
+        def f(t: pa.Table) -> pa.Table:
+            return t.select([key, fp_col]).append_column(
+                "snap", pa.array(np.full(t.num_rows, snap, dtype=np.int8))
+            )
 
         return f
 
-    both = old.map_batches(tag(0), batch_format="pandas").union(
-        new.map_batches(tag(1), batch_format="pandas")
+    both = old.map_batches(slim(0), batch_format="pyarrow").union(
+        new.map_batches(slim(1), batch_format="pyarrow")
     )
 
     def classify(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or key not in g.columns:
-            return pd.DataFrame(
-                {key: pd.Series(dtype="object"), "status": pd.Series(dtype="object")}
-            )
         p = g.pivot_table(
-            index=key, columns="_side", values=fp_col, aggfunc="first"
+            index=key, columns="snap", values=fp_col, aggfunc="first"
         )
         has_old = 0 in p.columns
         has_new = 1 in p.columns
@@ -705,9 +672,11 @@ def snapshot_delta(
             "added",
             np.where(n.isna(), "removed", np.where(o == n, "unchanged", "changed")),
         )
-        return pd.DataFrame({key: p.index.to_numpy(), "status": status})
+        # a string dtype, not object, keeps the type on an empty result
+        return pd.DataFrame({key: p.index.to_numpy(), "status": pd.array(status, dtype="string")})
 
-    return both.groupby("_part").map_groups(classify, batch_format="pandas")
+    # the key keeps the caller's type: schemas are inferred
+    return hash_partition(both, column_hash(key), num_partitions, classify, None)
 
 
 def signal_correlations(
@@ -818,45 +787,25 @@ def shuffle_skew_audit(
         )
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "part" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "part": pd.Series(dtype="int64"),
-                    "n_rows": pd.Series(dtype="int64"),
-                    "n_keys": pd.Series(dtype="int64"),
-                    "top_key": pd.Series(
-                        dtype=g["_key"].dtype if "_key" in g.columns else "object"
-                    ),
-                    "top_key_rows": pd.Series(dtype="int64"),
-                }
-            )
         tot = g.groupby(["part", "_key"], sort=False)["n"].sum().reset_index()
-        rows = []
-        for p, gg in tot.groupby("part", sort=True):
-            gg = gg.sort_values(["n", "_key"], ascending=[False, True], kind="stable")
-            rows.append(
-                (
-                    int(p),
-                    int(gg["n"].sum()),
-                    int(len(gg)),
-                    gg["_key"].iloc[0],
-                    int(gg["n"].iloc[0]),
-                )
+        tot = tot.sort_values(["part", "n", "_key"], ascending=[True, False, True], kind="stable")
+        return (
+            tot.groupby("part", sort=True)
+            .agg(
+                n_rows=("n", "sum"),
+                n_keys=("n", "size"),
+                top_key=("_key", "first"),
+                top_key_rows=("n", "first"),
             )
-        out = pd.DataFrame(
-            rows, columns=["part", "n_rows", "n_keys", "top_key", "top_key_rows"]
+            .reset_index()
         )
-        for col in ("part", "n_rows", "n_keys", "top_key_rows"):
-            out[col] = out[col].astype("int64")
-        return out
 
-    out = (
-        ds.select_columns([key])
-        .map_batches(partials, batch_format="pandas")
-        .groupby("part")
-        .map_groups(reduce_part, batch_format="pandas")
-        .to_pandas()
-    )
+    # routed on the simulated part id itself; top_key keeps the key's
+    # type, so schemas are inferred
+    out = hash_partition(
+        ds.select_columns([key]).map_batches(partials, batch_format="pandas"),
+        "part", num_partitions, reduce_part, None,
+    ).to_pandas()
     if out.empty:
         return pd.DataFrame(
             {
@@ -868,6 +817,9 @@ def shuffle_skew_audit(
             }
         )
     return out.sort_values("part").reset_index(drop=True)
+
+
+_N_DUP_SCHEMA = pa.schema([("n_dup", pa.int64())])
 
 
 def schema_contract_check(
@@ -942,40 +894,24 @@ def schema_contract_check(
             # each one a false "uniqueness violation"
             from pdf_extractor_ray.ops.scrub import md5_u52, md5_u52_tail
 
-            if len(b) == 0:
-                return pd.DataFrame(
-                    {
-                        "_v": pd.Series(dtype="int64"),
-                        "_v2": pd.Series(dtype="int64"),
-                        "n": pd.Series(dtype="int64"),
-                        "_part": pd.Series(dtype="int64"),
-                    }
-                )
             c = b.groupby(col, sort=False).size()
             vals = [str(v) for v in c.index]
-            h1 = md5_u52(vals)
             return pd.DataFrame(
                 {
-                    "_v": h1.view(np.int64),
+                    "_v": md5_u52(vals).view(np.int64),
                     "_v2": md5_u52_tail(vals).view(np.int64),
                     "n": c.to_numpy(dtype=np.int64),
-                    "_part": (h1 % np.uint64(num_partitions)).astype(np.int64),
                 }
             )
 
         def dup_count(g: pd.DataFrame) -> pd.DataFrame:
-            if g.empty or "_v" not in g.columns:
-                return pd.DataFrame({"n_dup": pd.Series(dtype="int64")})
             tot = g.groupby(["_v", "_v2"], sort=False)["n"].sum()
             return pd.DataFrame({"n_dup": [int((tot - 1).clip(lower=0).sum())]})
 
-        dups = (
-            ds.select_columns([col])
-            .map_batches(dup_partial, batch_format="pandas")
-            .groupby("_part")
-            .map_groups(dup_count, batch_format="pandas")
-            .to_pandas()
-        )
+        dups = hash_partition(
+            ds.select_columns([col]).map_batches(dup_partial, batch_format="pandas"),
+            "_v", num_partitions, dup_count, _N_DUP_SCHEMA,
+        ).to_pandas()
         n_dup = int(dups["n_dup"].sum()) if not dups.empty else 0
         rows_out.append((col, "unique", n_dup, bool(n_dup == 0)))
 

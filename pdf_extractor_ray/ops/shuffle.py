@@ -31,8 +31,11 @@ sides' columns. One sentinel row per range keeps every reduce block
 non-empty even when no input block has rows: Ray skips the UDF on an
 empty block. Each reduce block emits its partitions' results, or one
 empty table of `schema` when it has none, so every output block
-carries `schema` (with schema None an empty reduce block emits
-nothing)."""
+carries `schema`. With schema None that empty table has the columns
+of fn's result on empty groups, and a column that pandas leaves
+untyped there (object) takes the type of the input column of the same
+name; only an input whose blocks are all empty sends no schema to any
+reducer and still yields schema-less blocks."""
 
 from __future__ import annotations
 
@@ -108,6 +111,15 @@ def _as_schema(out, schema: pa.Schema | None) -> pa.Table | None:
     return out.replace_schema_metadata(None)
 
 
+def _typed_like_inputs(schema: pa.Schema, inputs: list) -> pa.Schema:
+    """`schema` with each null-typed column (an empty object column in
+    pandas) typed like the input column of the same name, if any."""
+    typed = {f.name: f.type for s in inputs if s is not None for f in s}
+    return pa.schema(
+        [pa.field(f.name, typed.get(f.name, f.type)) if pa.types.is_null(f.type) else f for f in schema]
+    )
+
+
 def _exchange(inputs: list, P: int, fn, schema: pa.Schema | None) -> ray.data.Dataset:
     R = max(1, min(P, int(ray.cluster_resources().get("CPU", 1))))
     range_firsts = np.array([P * i // R for i in range(R)], dtype=np.int64)
@@ -122,25 +134,31 @@ def _exchange(inputs: list, P: int, fn, schema: pa.Schema | None) -> ray.data.Da
         empty = [
             next((t.schema for t, sd in zip(tables, side) if sd == s), None) for s in range(sides)
         ]
+
+        def group(s: int, idx) -> pd.DataFrame:
+            ts = [tables[i] for i in idx if side[i] == s and tables[i].num_rows]
+            if ts:
+                return pa.concat_tables(ts, promote_options="permissive").to_pandas()
+            return (pa.table({}) if empty[s] is None else empty[s].empty_table()).to_pandas()
+
         emitted = False
         order = np.argsort(part, kind="stable")
         for idx in np.split(order, np.flatnonzero(np.diff(part[order])) + 1):
-            groups = []
-            for s in range(sides):
-                ts = [tables[i] for i in idx if side[i] == s and tables[i].num_rows]
-                if ts:
-                    group = pa.concat_tables(ts, promote_options="permissive")
-                else:
-                    group = pa.table({}) if empty[s] is None else empty[s].empty_table()
-                groups.append(group.to_pandas())
+            groups = [group(s, idx) for s in range(sides)]
             if groups[0].empty:
                 continue
             out = _as_schema(fn(*groups), schema)
             if out is not None and out.num_rows:
                 emitted = True
                 yield out
-        if not emitted and schema is not None:
+        if emitted:
+            return
+        if schema is not None:
             yield _typed_table(schema)
+        elif empty[0] is not None:  # a left-side schema reached this block
+            out = _as_schema(fn(*[group(s, []) for s in range(sides)]), None)
+            if out is not None:
+                yield _typed_like_inputs(out.schema, empty).empty_table()
 
     tagged = [
         ds.map_batches(_tagger(key_hash, P, side, range_firsts), batch_format="pyarrow")

@@ -2,17 +2,19 @@
 
 The reference has no event-time semantics (SURVEY.md §2.9) — these are
 the training-data-pipeline temporal operators Ray Data lacks natively,
-built per the custom-operator ladder: composition of map_batches +
-groupby(key).map_groups + in-group sort (option (a)); the partitioning
-assumption is that ONE key's events fit in a worker (true for
-per-user / per-document event streams; salt hot keys otherwise).
+built on the one shuffle primitive (`ops/shuffle.py`): every per-key
+operator routes rows on hash(key) mod P with `hash_partition` (or
+`co_shuffle` for two sides) and runs ONE vectorized pandas pass per
+partition over all of its keys, never a per-key map_groups; the
+partitioning assumption is that ONE key's events fit in a worker (true
+for per-user / per-document event streams; salt hot keys otherwise).
 
 - sessionize : gap-based session assembly per key (tumbling-by-gap
   window). One shuffle on the key; in-group numpy diff, no row loop.
 - asof_join  : merge the most recent right-side row (right.ts <=
-  left.ts) onto each left row per key. Both sides are tagged and
-  co-shuffled in ONE groupby (not two), then an in-group
-  np.searchsorted merge — the classic sort-merge as-of.
+  left.ts) onto each left row per key. One co_shuffle of both sides
+  on the key, then a per-partition `pd.merge_asof` — the classic
+  sort-merge as-of.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
+
+from pdf_extractor_ray.ops.shuffle import co_shuffle, column_hash, hash_partition
 
 
 def sessionize(
@@ -45,11 +50,6 @@ def sessionize(
     10^8 users)."""
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b[key].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
     def build(g: pd.DataFrame) -> pd.DataFrame:
         order = [key, ts_col] + (
             [order_tiebreak] if order_tiebreak and order_tiebreak in g else []
@@ -68,11 +68,8 @@ def sessionize(
         )
         return agg[[key, "session_start", "session_end", "n_events"]]
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(build, batch_format="pandas")
-    )
+    # key and timestamps keep the caller's types: schemas are inferred
+    return hash_partition(ds, column_hash(key), num_partitions, build, None)
 
 
 def asof_join(
@@ -88,76 +85,30 @@ def asof_join(
     with no prior right row get nulls (ASOF LEFT JOIN semantics,
     matching DuckDB `ASOF LEFT JOIN ON l.key = r.key AND l.ts >= r.ts`).
 
-    ONE co-shuffle: both sides are projected onto a unified schema
-    (typed nulls for the other side's columns, pa.nulls — no object
-    dtype drift), tagged `_side`, unioned, and shuffled ONCE on
-    hash(key) mod num_partitions; each partition then runs a single
-    vectorized `pd.merge_asof(..., by=key)` over all of its keys
-    (per-key map_groups would be one Python call per key)."""
-    num_partitions = 32
-    import pyarrow as pa
-
+    ONE co_shuffle of both sides on hash(key) mod 32; each partition
+    runs a single vectorized `pd.merge_asof(..., by=key)` over all of
+    its keys (per-key map_groups would be one Python call per key).
+    The output schema is the left columns plus the suffixed right
+    ones, so int columns stay int and unmatched right columns are
+    typed nulls."""
     l_s, r_s = left.schema(), right.schema()
-    l_names = list(l_s.names)
-    l_types = dict(zip(l_s.names, l_s.types))
     r_types = dict(zip(r_s.names, r_s.types))
     out_right = {c: f"{c}{suffix}" for c in (ts_col, *right_cols)}
-
-    import pyarrow.compute as pc
-
-    unified = pa.schema(
-        [pa.field(n, l_types[n]) for n in l_names]
-        + [pa.field(out_right[c], r_types[c]) for c in (ts_col, *right_cols)]
-        + [pa.field("_side", pa.int8()), pa.field("_part", pa.int64())]
+    schema = pa.schema(
+        list(zip(l_s.names, l_s.types)) + [(out_right[c], r_types[c]) for c in out_right]
     )
 
-    def _part_col(keys: pa.ChunkedArray) -> pa.Array:
-        kh = pd.util.hash_array(keys.to_numpy(zero_copy_only=False))
-        return pa.array((kh % num_partitions).astype(np.int64), pa.int64())
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        lg = lg.sort_values(ts_col, kind="stable")
+        if rg.empty:  # also the column-less frame of an all-empty right side
+            return lg.assign(**{c: None for c in out_right.values()})
+        rg = rg.sort_values(ts_col, kind="stable")
+        payload = rg[[key, ts_col]].assign(**{out_right[c]: rg[c] for c in out_right})
+        payload[key] = payload[key].astype(lg[key].dtype)
+        payload[ts_col] = payload[ts_col].astype(lg[ts_col].dtype)
+        return pd.merge_asof(lg, payload, on=ts_col, by=key, direction="backward")
 
-    def project_left(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = [t.column(name).cast(l_types[name]) for name in l_names]
-        cols += [pa.nulls(n, r_types[c]) for c in (ts_col, *right_cols)]
-        cols += [pa.array([0] * n, pa.int8()), _part_col(t.column(key))]
-        return pa.Table.from_arrays(cols, schema=unified)
-
-    def project_right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = []
-        for name in l_names:
-            if name == key:
-                cols.append(t.column(key).cast(l_types[key]))
-            elif name == ts_col:
-                cols.append(t.column(ts_col).cast(l_types[ts_col]))
-            else:
-                cols.append(pa.nulls(n, l_types[name]))
-        cols += [t.column(c).cast(r_types[c]) for c in (ts_col, *right_cols)]
-        cols += [pa.array([1] * n, pa.int8()), _part_col(t.column(key))]
-        return pa.Table.from_arrays(cols, schema=unified)
-
-    both = left.map_batches(project_left, batch_format="pyarrow").union(
-        right.map_batches(project_right, batch_format="pyarrow")
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"])
-        lg = g[g["_side"] == 0].drop(columns=["_side"]).sort_values(ts_col, kind="stable")
-        rg = g[g["_side"] == 1].sort_values(ts_col, kind="stable")
-        if lg.empty or rg.empty:
-            return lg  # right-side columns stay all-null
-        rg_payload = rg[[key, ts_col, *out_right.values()]]
-        merged = pd.merge_asof(
-            lg.drop(columns=list(out_right.values())),
-            rg_payload,
-            on=ts_col,
-            by=key,
-            direction="backward",
-        )
-        merged.index = lg.index
-        return merged[list(lg.columns)]
-
-    return both.groupby("_part").map_groups(merge, batch_format="pandas")
+    return co_shuffle(left, right, column_hash(key), column_hash(key), 32, merge, schema)
 
 
 def sliding_window_agg(
@@ -226,11 +177,6 @@ def interarrival_stats(
     bit-deterministic under any partition order; the mean is ONE
     float64 division at the end (matches CAST(sum AS DOUBLE)/count)."""
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b[key].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
     def gaps(g: pd.DataFrame) -> pd.DataFrame:
         order = [key, ts_col] + ([tiebreak] if tiebreak and tiebreak in g else [])
         g = g.sort_values(order, kind="stable")
@@ -243,11 +189,7 @@ def interarrival_stats(
         )
         return part
 
-    partials = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(gaps, batch_format="pandas")
-    )
+    partials = hash_partition(ds, column_hash(key), num_partitions, gaps, None)
     from pdf_extractor_ray.ops.relational import grouped_sum
 
     final = grouped_sum(partials, [group_col], ["sum_gap_us", "n_gaps"], counts=False)
@@ -282,25 +224,16 @@ def running_total(
     bit-deterministic under any partition order (equal to the SQL
     window sum over DECIMAL), converted back with one division."""
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b[key].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
     scale = 10**decimal_scale
 
     def cum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"]).sort_values([key, ts_col, tiebreak], kind="stable")
+        g = g.sort_values([key, ts_col, tiebreak], kind="stable")
         g = g.reset_index(drop=True)
         scaled = pd.Series(np.round(g[val].to_numpy() * scale).astype(np.int64))
         g[f"running_{val}"] = scaled.groupby(g[key], sort=False).cumsum().to_numpy() / scale
         return g
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(cum, batch_format="pandas")
-    )
+    return hash_partition(ds, column_hash(key), num_partitions, cum, None)
 
 
 def topk_per_group(
@@ -323,28 +256,11 @@ def topk_per_group(
     order_cols = [val] + ([tiebreak] if tiebreak else [])
     asc = [ascending] + [True] * (1 if tiebreak else 0)
 
-    def local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            b.sort_values(order_cols, ascending=asc, kind="stable")
-            .groupby(key, sort=False)
-            .head(k)
-            .copy()
-        )
-        out["_part"] = (pd.util.hash_array(out[key].to_numpy()) % num_partitions).astype(np.int64)
-        return out
+    def topk(b: pd.DataFrame) -> pd.DataFrame:
+        return b.sort_values(order_cols, ascending=asc, kind="stable").groupby(key, sort=False).head(k)
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.sort_values(order_cols, ascending=asc, kind="stable")
-            .groupby(key, sort=False)
-            .head(k)
-        )
-        return out.drop(columns=["_part"])
-
-    return (
-        ds.map_batches(local_topk, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(final_topk, batch_format="pandas")
+    return hash_partition(
+        ds.map_batches(topk, batch_format="pandas"), column_hash(key), num_partitions, topk, None
     )
 
 
@@ -368,6 +284,9 @@ def distinct_count(
         return b.rename(columns={"n": alias})
 
     return counted.map_batches(rename, batch_format="pandas")
+
+
+_FUNNEL_SCHEMA = pa.schema([("step_idx", pa.int64()), ("step", pa.string()), ("n", pa.int64())])
 
 
 def funnel_counts(
@@ -397,28 +316,16 @@ def funnel_counts(
 
     def slim(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b[type_col].isin(wanted)]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 key: b[key].to_numpy(),
                 type_col: b[type_col].to_numpy(),
                 ts_col: b[ts_col].to_numpy(),
             }
         )
-        out["_part"] = (
-            pd.util.hash_array(out[key].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return out
 
     def walk(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        if g.empty or type_col not in g.columns:
-            return pd.DataFrame(
-                {
-                    "step_idx": pd.Series(dtype="int64"),
-                    "step": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
         cur = g[g[type_col] == step_list[0]].groupby(key)[ts_col].min()
         rows.append((1, step_list[0], len(cur)))
         for i, st in enumerate(step_list[1:], start=2):
@@ -429,15 +336,13 @@ def funnel_counts(
             sub = sub[sub[ts_col].to_numpy() > thr.to_numpy()]
             cur = sub.groupby(key)[ts_col].min()
             rows.append((i, st, len(cur)))
-        out = pd.DataFrame(rows, columns=["step_idx", "step", "n"])
-        out["step_idx"] = out["step_idx"].astype("int64")
-        out["n"] = out["n"].astype("int64")
-        return out
+        return pd.DataFrame(rows, columns=["step_idx", "step", "n"])
 
     red = grouped_sum(
-        ds.map_batches(slim, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(walk, batch_format="pandas"),
+        hash_partition(
+            ds.map_batches(slim, batch_format="pandas"),
+            column_hash(key), num_partitions, walk, _FUNNEL_SCHEMA,
+        ),
         ["step_idx", "step"],
         ["n"],
         counts=False,
@@ -478,28 +383,16 @@ def retention_matrix(
     from pdf_extractor_ray.ops.relational import grouped_sum
 
     def slim(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 key: b[key].to_numpy(),
                 "_p": pd.to_datetime(b[ts_col]).dt.floor(period).to_numpy(),
             }
         ).drop_duplicates()
-        out["_part"] = (
-            pd.util.hash_array(out[key].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return out
 
     one = pd.Timedelta(1, unit=period if period != "W" else "W")
 
     def cohortize(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "_p" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "cohort": pd.Series(dtype="datetime64[ns]"),
-                    "periods_since": pd.Series(dtype="int64"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
         g = g.drop_duplicates([key, "_p"])
         first = g.groupby(key)["_p"].transform("min")
         delta = ((g["_p"] - first) / one).astype("int64")
@@ -512,10 +405,12 @@ def retention_matrix(
         out["n"] = out["n"].astype("int64")
         return out
 
+    # the cohort keeps the timestamp unit of ts_col: schemas are inferred
     red = grouped_sum(
-        ds.map_batches(slim, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(cohortize, batch_format="pandas"),
+        hash_partition(
+            ds.map_batches(slim, batch_format="pandas"),
+            column_hash(key), num_partitions, cohortize, None,
+        ),
         ["cohort", "periods_since"],
         ["n"],
         counts=False,
@@ -620,23 +515,10 @@ def user_cadence(
     Emits (key, n_events, mean_gap_s, gap_cv, is_bot) for users
     with >= 2 events (a single event has no gaps)."""
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        cols = [key, ts_col] + ([order_tiebreak] if order_tiebreak in b else [])
-        b = b[cols].copy()
-        b["_part"] = (pd.util.hash_array(b[key].to_numpy()) % num_partitions).astype(np.int64)
-        return b
+    def slim(t: pa.Table) -> pa.Table:
+        return t.select([key, ts_col] + ([order_tiebreak] if order_tiebreak in t.column_names else []))
 
     def profile(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or key not in g.columns:
-            return pd.DataFrame(
-                {
-                    key: pd.Series(dtype="int64"),
-                    "n_events": pd.Series(dtype="int64"),
-                    "mean_gap_s": pd.Series(dtype="float64"),
-                    "gap_cv": pd.Series(dtype="float64"),
-                    "is_bot": pd.Series(dtype="int64"),
-                }
-            )
         order = [key, ts_col] + ([order_tiebreak] if order_tiebreak in g else [])
         g = g.sort_values(order, kind="stable")
         # pin the unit: pandas 2.x keeps datetime64[us] columns at us
@@ -680,10 +562,9 @@ def user_cadence(
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(profile, batch_format="pandas")
+    # the key keeps the caller's type: schemas are inferred
+    return hash_partition(
+        ds.map_batches(slim, batch_format="pyarrow"), column_hash(key), num_partitions, profile, None
     )
 
 
@@ -706,11 +587,6 @@ def transition_counts(
     over |states|^2 rows; p is ONE float division of exact int64
     counts (cross-engine float doctrine)."""
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b[key].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         order = [key, ts_col] + ([tiebreak] if tiebreak and tiebreak in g else [])
         g = g.sort_values(order, kind="stable")
@@ -729,9 +605,7 @@ def transition_counts(
     from pdf_extractor_ray.ops.relational import grouped_sum
 
     counts = grouped_sum(
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pairs, batch_format="pandas"),
+        hash_partition(ds, column_hash(key), num_partitions, pairs, None),
         ["from_type", "to_type"],
         ["n"],
         counts=False,

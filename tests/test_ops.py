@@ -486,6 +486,45 @@ def test_grouped_quantiles(ray_session):
     assert out["n"].tolist() == [10, 3, 4]
 
 
+def test_grouped_aggregates_partition_invariant(ray_session):
+    """final_aggregate (grouped_sum's reduce) and grouped_quantiles give
+    the same rows for every num_partitions, NULL keys included, and a
+    zero-row input gives zero rows."""
+    import ray.data
+
+    from pdf_extractor_ray.ops.relational import final_aggregate, grouped_quantiles, pre_aggregate
+
+    df = pd.DataFrame(
+        {
+            "k": ["a", "b", "c", "a", "b", "a", None],
+            "j": [1, 1, 2, 1, 2, 1, 1],
+            "v": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+        }
+    )
+
+    def sums(frame: pd.DataFrame, p: int) -> pd.DataFrame:
+        partials = pre_aggregate(ray.data.from_pandas(frame).repartition(3), ["k", "j"], ["v"], maxs=["v"])
+        return final_aggregate(partials, ["k", "j"], ["v"], num_partitions=p, maxs=["v"]).to_pandas()
+
+    def quantiles(frame: pd.DataFrame, p: int) -> pd.DataFrame:
+        ds = ray.data.from_pandas(frame).repartition(3)
+        return grouped_quantiles(ds, ["k"], "v", qs=(0.5,), num_partitions=p).to_pandas()
+
+    for op in (sums, quantiles):
+        outs = [op(df, p).sort_values(["k"] + (["j"] if op is sums else [])).reset_index(drop=True) for p in (1, 7, 32)]
+        for out in outs[1:]:
+            pd.testing.assert_frame_equal(out, outs[0])
+        assert len(op(df.iloc[:0], 7)) == 0
+    got = sums(df, 32).sort_values(["k", "j"]).reset_index(drop=True)
+    assert got["sum_v"].tolist() == [11.0, 2.0, 5.0, 3.0, 7.0]
+    assert got["max_v"].tolist() == [6.0, 2.0, 5.0, 3.0, 7.0]
+    assert got["n"].tolist() == [3, 1, 1, 1, 1]
+    assert got["k"].isna().tolist() == [False] * 4 + [True]
+    got = quantiles(df, 32).sort_values("k").reset_index(drop=True)
+    assert got["p50_v"].tolist() == [4.0, 2.0, 3.0, 7.0]
+    assert got["n"].tolist() == [3, 2, 1, 1]
+
+
 def test_tfidf_topk(ray_session):
     import math
 
@@ -3735,9 +3774,20 @@ def test_snapshot_delta(ray_session):
         {"url": ["a", "b", "c", "d"], "fp": ["1", "2", "3", "4"]}
     )
     new = pd.DataFrame(
-        {"url": ["b", "c", "d", "e"], "fp": ["2", "XX", "4", "5"]}
+        {"url": ["b", "c", "d", "e", "f"], "fp": ["2", "XX", "4", "5", "6"]}
     )
-    want = {"a": "removed", "b": "unchanged", "c": "changed", "d": "unchanged", "e": "added"}
+    want = {
+        "a": "removed",
+        "b": "unchanged",
+        "c": "changed",
+        "d": "unchanged",
+        "e": "added",
+        "f": "added",
+    }
+    # "f" is added in a partition (of the default 32) that holds no old
+    # row, so its rows reach the classifier from the new side only
+    part = dict(zip(want, pd.util.hash_array(np.array(list(want), dtype=object)) % np.uint64(32)))
+    assert part["f"] not in {part[u] for u in old.url}
     for parts in (1, 3):
         out = (
             snapshot_delta(

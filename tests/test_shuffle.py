@@ -111,11 +111,36 @@ def test_co_shuffle_one_side_empty(ray_session):
     assert len(_assert_typed(co_shuffle(empty_left, right, "k", "k", 4, _left_join, JOINED), JOINED)) == 0
 
 
+def test_hash_partition_inferred_schema_fewer_keys_than_ranges(ray_session):
+    """schema None and one key over several reduce ranges: the ranges
+    without rows still emit an empty block, typed like the block with
+    rows (the untyped empty string key takes the input's type), so the
+    output has one schema and no schema-less block."""
+    import ray.data
+
+    from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
+
+    ds = ray.data.from_pandas(pd.DataFrame({"s": ["x"] * 4, "v": np.arange(4)})).repartition(2)
+    count = lambda g: g.groupby("s").size().reset_index(name="n")  # noqa: E731
+    blocks = _blocks(hash_partition(ds, column_hash("s"), 8, count, None))
+    assert len(blocks) > 1
+    want = pa.schema([("s", pa.string()), ("n", pa.int64())])
+    for b in blocks:
+        assert isinstance(b, pa.Table) and b.schema.equals(want), b.schema
+    assert pa.concat_tables(blocks).to_pydict() == {"s": ["x"], "n": [4]}
+
+
 def test_migrated_modules_hand_roll_no_exchange():
     """Modules moved onto this primitive keep no hand-rolled
     `groupby("_part")` exchange."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1] / "pdf_extractor_ray"
-    for rel in ("ops/dedup.py", "ops/text_analysis.py", "pipelines/extract.py"):
+    for rel in (
+        "ops/dedup.py",
+        "ops/relational.py",
+        "ops/text_analysis.py",
+        "ops/windows.py",
+        "pipelines/extract.py",
+    ):
         assert 'groupby("_part")' not in (root / rel).read_text(), rel

@@ -49,6 +49,57 @@ def test_sessionize(events_ds):
     assert first["session_end"] == pd.Timestamp("2024-01-01 00:10:00")
 
 
+def test_sessionize_partition_invariant(events_ds):
+    from pdf_extractor_ray.ops.windows import sessionize
+
+    def run(ds, p: int):
+        return sessionize(ds, key="user_id", ts_col="ts", gap_minutes=30.0, num_partitions=p)
+
+    outs = [
+        run(events_ds.repartition(3), p).to_pandas().sort_values(["user_id", "session_start"]).reset_index(drop=True)
+        for p in (1, 7, 32)
+    ]
+    for out in outs[1:]:
+        pd.testing.assert_frame_equal(out, outs[0])
+    assert outs[0]["n_events"].tolist() == [2, 2, 1, 2, 1]
+    assert run(events_ds.filter(lambda r: False), 7).count() == 0
+
+
+def test_asof_join_empty_right(ray_session):
+    """A right side with no rows: every left row comes back once, and
+    the right columns are all null but keep their datetime and float
+    types."""
+    import ray.data
+
+    from pdf_extractor_ray.ops.windows import asof_join
+
+    base = pd.Timestamp("2024-01-01")
+    left = ray.data.from_pandas(
+        pd.DataFrame(
+            {
+                "event_id": [0, 1, 2],
+                "user_id": [1, 1, 2],
+                "ts": [base + pd.Timedelta(minutes=m) for m in (5, 20, 5)],
+            }
+        )
+    )
+    right = ray.data.from_pandas(
+        pd.DataFrame(
+            {
+                "user_id": pd.Series([], dtype="int64"),
+                "ts": pd.Series([], dtype="datetime64[ns]"),
+                "value": pd.Series([], dtype="float64"),
+            }
+        )
+    )
+    out = asof_join(left, right, key="user_id", ts_col="ts", right_cols=("value",)).to_pandas()
+    assert sorted(out["event_id"]) == [0, 1, 2]
+    assert out["ts_right"].isna().all() and out["value_right"].isna().all()
+    assert pd.api.types.is_datetime64_any_dtype(out["ts_right"])
+    assert out["value_right"].dtype == np.float64
+    assert out["event_id"].dtype == np.int64
+
+
 def test_asof_join(ray_session):
     import ray.data
 
