@@ -293,7 +293,7 @@ def stitch_candidates(
 
     import pyarrow as pa
 
-    from pdf_extractor_ray.ops.dedup import _typed_table
+    from pdf_extractor_ray.ops.shuffle import _typed_table
 
     out_schema = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
 

@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle, hash_partition
+from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle, column_hash, hash_partition
 
 _PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _DROP_ID_SCHEMA = pa.schema([("drop_id", pa.int64())])
@@ -313,17 +313,12 @@ def minhash_lsh_candidates(
     return dedup_pairs_ds(pairs, num_partitions=num_partitions)
 
 
-def _pair_hash(t: pa.Table) -> np.ndarray:
-    """Partition hash of (a, b) pair rows."""
-    return pd.util.hash_pandas_object(t.select(["a", "b"]).to_pandas(), index=False).to_numpy()
-
-
 def dedup_pairs_ds(pairs: ray.data.Dataset, num_partitions: int = 32) -> ray.data.Dataset:
     """Exact distinct over an (a, b) pair Dataset: every copy of a pair
     hashes to the same partition, so one per-partition drop_duplicates
     gives an at-most-once guarantee at any pair volume."""
     return hash_partition(
-        pairs, _pair_hash, num_partitions, lambda g: g.drop_duplicates(["a", "b"]), _PAIR_SCHEMA
+        pairs, column_hash("a", "b"), num_partitions, lambda g: g.drop_duplicates(["a", "b"]), _PAIR_SCHEMA
     )
 
 
@@ -606,7 +601,7 @@ def _verified_pairs_shuffle(
         return pd.DataFrame(_surviving_pairs(rows, hash_kind, param, threshold), columns=["a", "b"])
 
     return hash_partition(
-        sides_with_text, _pair_hash, num_partitions, assemble_verify, _PAIR_SCHEMA
+        sides_with_text, column_hash("a", "b"), num_partitions, assemble_verify, _PAIR_SCHEMA
     )
 
 
@@ -2226,15 +2221,14 @@ def dup_rate_by_group(
     computed as a single expression from exact integers and quantized
     floor(x*1e6+0.5)/1e6 on both engines."""
     from pdf_extractor_ray.ops.relational import grouped_sum
-    from pdf_extractor_ray.ops.scrub import md5_u52, md5_u52_tail
+    from pdf_extractor_ray.ops.scrub import md5_u52_pair
 
     def slim(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = list(batch[text_col].astype(str))
-        key = md5_u52(texts).astype("int64")
+        key, key2 = md5_u52_pair(list(batch[text_col].astype(str)))
         return pd.DataFrame(
             {
-                "_k": key,
-                "_k2": md5_u52_tail(texts).astype("int64"),
+                "_k": key.astype("int64"),
+                "_k2": key2.astype("int64"),
                 group_col: batch[group_col],
             }
         )

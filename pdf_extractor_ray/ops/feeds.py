@@ -33,7 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from pdf_extractor_ray.ops.dedup import _typed_table
+from pdf_extractor_ray.ops.shuffle import _typed_table
 
 SITEMAP_SCHEMA = pa.schema(
     [

@@ -14,10 +14,15 @@ JoinOperator, nothing corpus-sized on the driver.
 - host_edges : (src_host, dst_host, n) weighted cross-host edges —
   absolute http(s) anchors only; same-host navigation collapses away.
 - pagerank   : damped PageRank over the host graph, `n_iters` BSP
-  rounds; per round ONE src-keyed exchange stamps each edge with its
-  source's rank/outdegree and ONE dst-keyed exchange reduces
-  contributions; dangling mass is redistributed uniformly (the
-  standard formulation). Rank mass is conserved to float precision.
+  rounds on the one shuffle primitive (`ops/shuffle.py`); per round
+  the rank table (every host with its outweight) co-shuffles with the
+  edges on the source host, contributions reduce on the destination,
+  and the rank table co-shuffles with those in-sums to apply the
+  round; dangling mass is redistributed uniformly (the standard
+  formulation). Rank mass is conserved to float precision.
+- triangle_count : degree-oriented wedge checks, one hash_partition
+  on the wedge head and one co_shuffle of wedges with edges on the
+  (a, b) pair.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from pdf_extractor_ray.ops.dedup import _typed_table
+from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle, column_hash, hash_partition
 
 _HREF_RE = re.compile(r"""<a\s[^>]*?href\s*=\s*["']([^"'<>]+)["']""", re.IGNORECASE)
 _HOST_RE = re.compile(r"^https?://([^/:?#]+)", re.IGNORECASE)
@@ -41,6 +46,12 @@ _EDGE_SCHEMA = pa.schema(
     [("src_host", pa.large_string()), ("dst_host", pa.large_string()), ("n", pa.int64())]
 )
 _RANK_SCHEMA = pa.schema([("host", pa.large_string()), ("rank", pa.float64())])
+_PR_STATE_SCHEMA = pa.schema(
+    [("host", pa.large_string()), ("w", pa.float64()), ("rank", pa.float64())]
+)
+_PR_MSG_SCHEMA = pa.schema(
+    [("dst", pa.large_string()), ("contrib", pa.float64()), ("dangling", pa.float64())]
+)
 
 
 def page_links(
@@ -141,9 +152,11 @@ def pagerank(
     Two tiers: a HOST graph is usually bounded (hosts, not pages), so
     edge sets within `broadcast_max_edges` run one driver-side numpy
     power iteration; above the cap, fixed `n_iters` BSP rounds — each
-    round one src-keyed exchange stamps edges with rank/outdegree and
-    one dst-keyed exchange reduces contributions; node and rank tables
-    are host-cardinality and edges are never collected."""
+    round co-shuffles the rank table (left: it holds every host, so a
+    dangling host still hands on its rank) with the edges on the
+    source, reduces contributions on the destination, and co-shuffles
+    the rank table with those in-sums; node and rank tables are
+    host-cardinality and edges are never collected."""
     edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
@@ -164,215 +177,81 @@ def pagerank(
 
     edges = edges.map_batches(norm, batch_format="pyarrow").materialize()
 
-    # node table + per-src outweight (sum of edge weights per source)
-    def nodes_of(t: pa.Table) -> pa.Table:
-        hosts = np.unique(
-            np.concatenate(
-                [
-                    t.column("src_host").to_numpy(zero_copy_only=False),
-                    t.column("dst_host").to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return pa.table({"host": pa.array(hosts, pa.large_string())})
-
-    nodes = (
-        edges.map_batches(nodes_of, batch_format="pyarrow")
-        .groupby("host")
-        .count()
-        .select_columns(["host"])
-        .materialize()
-    )
-    n_nodes = nodes.count()
-
     from pdf_extractor_ray.ops.relational import grouped_sum
 
-    outw = grouped_sum(edges, ["src_host"], ["n"], counts=False).materialize()
-
-    def part_of(s: pd.Series) -> np.ndarray:
-        return (
-            pd.util.hash_array(s.astype(str).to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-
-    msg_schema = pa.schema(
-        [
-            ("key", pa.large_string()),
-            ("dst", pa.large_string()),
-            ("val", pa.float64()),
-            ("side", pa.int8()),  # 0 = edge, 1 = rank/outw carrier
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def proj_edges(t: pa.Table) -> pa.Table:
-        src = t.column("src_host").to_numpy(zero_copy_only=False)
-        s = pd.Series(src, dtype="object")
-        return _typed_table(
-            msg_schema,
-            key=src,
-            dst=t.column("dst_host").to_numpy(zero_copy_only=False),
-            val=t.column("n").to_numpy(zero_copy_only=False).astype(np.float64),
-            side=np.zeros(t.num_rows, dtype=np.int8),
-            _part=part_of(s),
+    # rank state: every host once, with its outweight w (sum of its
+    # edge weights; 0 for a dangling host) from one grouped_sum
+    def host_weights(t: pa.Table) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "host": np.concatenate(
+                    [
+                        t.column("src_host").to_numpy(zero_copy_only=False),
+                        t.column("dst_host").to_numpy(zero_copy_only=False),
+                    ]
+                ),
+                "w": np.r_[t.column("n").to_numpy(), np.zeros(t.num_rows, dtype=np.int64)],
+            }
         )
 
-    edges_proj = edges.map_batches(proj_edges, batch_format="pyarrow").materialize()
-
-    # rank state lives as a pandas-friendly Dataset (host, rank, outw)
+    nodes = grouped_sum(
+        edges.map_batches(host_weights, batch_format="pyarrow"), ["host"], ["w"], counts=False
+    ).materialize()
+    n_nodes = nodes.count()
     ranks = nodes.map_batches(
-        lambda t: pa.table(
-            {
-                "host": t.column("host").cast(pa.large_string()),
-                "rank": pa.array(
-                    np.full(t.num_rows, 1.0 / max(n_nodes, 1)), pa.float64()
-                ),
-            }
+        lambda t: _typed_table(
+            _PR_STATE_SCHEMA,
+            host=t.column("host").cast(pa.large_string()),
+            w=t.column("sum_w").to_numpy().astype(np.float64),
+            rank=np.full(t.num_rows, 1.0 / n_nodes),
         ),
         batch_format="pyarrow",
     ).materialize()
 
-    outw_pd_schema = pa.schema([("host", pa.large_string()), ("w", pa.float64())])
-    outw = outw.map_batches(
-        lambda t: _typed_table(
-            outw_pd_schema,
-            host=t.column("src_host").cast(pa.large_string()),
-            w=t.column("sum_n").to_numpy(zero_copy_only=False).astype(np.float64),
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    def contribs(rk: pd.DataFrame, eg: pd.DataFrame) -> pd.DataFrame:
+        # each source splits its rank along its edges; a dangling host
+        # hands all of it to the pool spread uniformly next round
+        by_host = rk.set_index("host")
+        src = eg["src_host"]
+        contrib = src.map(by_host["rank"]) * eg["n"] / src.map(by_host["w"])
+        dang = rk[rk["w"] == 0]
+        return pd.concat(
+            [
+                pd.DataFrame({"dst": eg["dst_host"], "contrib": contrib, "dangling": 0.0}),
+                pd.DataFrame({"dst": dang["host"], "contrib": 0.0, "dangling": dang["rank"]}),
+            ]
+        )
 
     for _ in range(n_iters):
-        # dangling mass: ranks of nodes with no outgoing edges. Tiny
-        # grouped reduction (host-cardinality), computed distributed.
-        def carrier_rank(t: pa.Table) -> pa.Table:
-            host = t.column("host").to_numpy(zero_copy_only=False)
-            s = pd.Series(host, dtype="object")
-            return _typed_table(
-                msg_schema,
-                key=host,
-                dst=host,
-                val=t.column("rank").to_numpy(zero_copy_only=False),
-                side=np.ones(t.num_rows, dtype=np.int8),
-                _part=part_of(s),
-            )
-
-        def carrier_outw(t: pa.Table) -> pa.Table:
-            host = t.column("host").to_numpy(zero_copy_only=False)
-            s = pd.Series(host, dtype="object")
-            return _typed_table(
-                msg_schema,
-                key=host,
-                dst=host,
-                val=t.column("w").to_numpy(zero_copy_only=False),
-                side=np.full(t.num_rows, 2, dtype=np.int8),
-                _part=part_of(s),
-            )
-
-        contrib_schema = pa.schema(
-            [("dst", pa.large_string()), ("contrib", pa.float64()), ("dangling", pa.float64())]
-        )
-
-        def contribs(g: pd.DataFrame) -> pa.Table:
-            if g.empty or "side" not in g.columns:
-                return _typed_table(contrib_schema)
-            rk = g[g["side"] == 1].set_index("key")["val"]
-            ow = g[g["side"] == 2].set_index("key")["val"]
-            eg = g[g["side"] == 0]
-            dsts: list = []
-            cons: list = []
-            dangs: list = []
-            if not eg.empty:
-                src_rank = eg["key"].map(rk).to_numpy(dtype=np.float64)
-                src_outw = eg["key"].map(ow).to_numpy(dtype=np.float64)
-                contrib = src_rank * eg["val"].to_numpy(dtype=np.float64) / src_outw
-                dsts.extend(eg["dst"])
-                cons.extend(contrib)
-                dangs.extend([0.0] * len(eg))
-            # dangling: rank carriers whose host has no outweight entry
-            dang = rk[~rk.index.isin(ow.index)]
-            if len(dang):
-                dsts.extend(dang.index)
-                cons.extend([0.0] * len(dang))
-                dangs.extend(dang.to_numpy(dtype=np.float64))
-            return _typed_table(
-                contrib_schema,
-                dst=dsts,
-                contrib=np.array(cons, dtype=np.float64),
-                dangling=np.array(dangs, dtype=np.float64),
-            )
-
-        msgs = (
-            edges_proj.union(
-                ranks.map_batches(carrier_rank, batch_format="pyarrow"),
-                outw.map_batches(carrier_outw, batch_format="pyarrow"),
-            )
-            .groupby("_part")
-            .map_groups(contribs, batch_format="pandas")
-            .materialize()
-        )
+        # ranks (every host, left) meet their out-edges on the source
+        msgs = co_shuffle(
+            ranks, edges, column_hash("host"), column_hash("src_host"), num_partitions, contribs,
+            _PR_MSG_SCHEMA,
+        ).materialize()
         dangling_mass = float(msgs.sum("dangling") or 0.0)
-
-        # reduce contributions on dst, then rebuild the full rank table
-        # with ONE host-keyed co-shuffle of (nodes UNION in-sums) — a
-        # web-scale host set is ~10^8 rows, so it never touches the
-        # driver; nodes with zero in-links still get the teleport share
-        agg = grouped_sum(msgs, ["dst"], ["contrib"], counts=False)
         base = (1.0 - damping) / n_nodes + damping * dangling_mass / n_nodes
 
-        def proj_node(t: pa.Table) -> pa.Table:
-            host = t.column("host").to_numpy(zero_copy_only=False)
-            s = pd.Series(host, dtype="object")
-            return _typed_table(
-                msg_schema,
-                key=host,
-                dst=host,
-                val=np.zeros(t.num_rows, dtype=np.float64),
-                side=np.ones(t.num_rows, dtype=np.int8),
-                _part=part_of(s),
-            )
+        # reduce contributions on dst, then rebuild the full rank table
+        # with ONE host-keyed co-shuffle of the nodes (left) with the
+        # in-sums — a web-scale host set is ~10^8 rows, so it never
+        # touches the driver; hosts with no in-links get the teleport
+        # share
+        def apply_rank(nd: pd.DataFrame, ins: pd.DataFrame, base=base) -> pd.DataFrame:
+            insum = pd.Series(ins["sum_contrib"].to_numpy(), index=ins["dst"]) if len(ins) else {}
+            return nd.assign(rank=base + damping * nd["host"].map(insum).fillna(0.0))
 
-        def proj_insum(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or "dst" not in t.column_names:
-                return _typed_table(msg_schema)
-            host = t.column("dst").to_numpy(zero_copy_only=False)
-            s = pd.Series(host, dtype="object")
-            return _typed_table(
-                msg_schema,
-                key=host,
-                dst=host,
-                val=t.column("sum_contrib").to_numpy(zero_copy_only=False),
-                side=np.zeros(t.num_rows, dtype=np.int8),
-                _part=part_of(s),
-            )
+        ranks = co_shuffle(
+            ranks, grouped_sum(msgs, ["dst"], ["contrib"], counts=False),
+            column_hash("host"), column_hash("dst"), num_partitions, apply_rank, _PR_STATE_SCHEMA,
+        ).materialize()
 
-        def apply_rank(g: pd.DataFrame) -> pa.Table:
-            # Arrow return keeps column names on empty partitions
-            if g.empty or "side" not in g.columns:
-                return _typed_table(_RANK_SCHEMA)
-            hosts = g.loc[g["side"] == 1, "key"]
-            contrib = g[g["side"] == 0].groupby("key", sort=False)["val"].sum()
-            r = base + damping * hosts.map(contrib).fillna(0.0).to_numpy(dtype=np.float64)
-            return _typed_table(_RANK_SCHEMA, host=hosts.to_numpy(), rank=r)
-
-        ranks = (
-            nodes.map_batches(proj_node, batch_format="pyarrow")
-            .union(agg.map_batches(proj_insum, batch_format="pyarrow"))
-            .groupby("_part")
-            .map_groups(apply_rank, batch_format="pandas")
-            .materialize()
-        )
-
-    return ranks.map_batches(
-        lambda t: _typed_table(
-            _RANK_SCHEMA,
-            host=t.column("host").cast(pa.large_string()),
-            rank=t.column("rank").to_numpy(zero_copy_only=False),
-        ),
-        batch_format="pyarrow",
-    )
+    return ranks.select_columns(["host", "rank"])
 
 
 _PR_CACHE: dict = {}  # per-worker resolved broadcast degree maps
+_ORIENTED_SCHEMA = pa.schema([("head", pa.large_string()), ("tail", pa.large_string())])
+_WEDGE_SCHEMA = pa.schema([("a", pa.large_string()), ("b", pa.large_string())])
+_TRIANGLES_SCHEMA = pa.schema([("t", pa.int64())])
 
 
 def triangle_count(
@@ -389,8 +268,8 @@ def triangle_count(
     edge from its lower-(degree, id) endpoint to the higher, so each
     node's out-neighborhood is O(sqrt(m)) even at hubs; each node
     emits its out-neighbor PAIRS (wedges) keyed like edges; one
-    co-shuffle of wedges with oriented edges on hash(pair) mod P
-    counts the closures in-partition. Every exchange is wedge/edge
+    co_shuffle of wedges with the edges on hash(pair) counts the
+    closures in-partition. Every exchange is wedge/edge
     width; the count returns as a driver int.
 
     Self-loops are dropped; parallel/reverse duplicates collapse to
@@ -406,11 +285,9 @@ def triangle_count(
         hi = np.maximum(a, c)
         return pd.DataFrame({"u": lo, "v": hi}).drop_duplicates()
 
-    und = (
-        grouped_sum(edges.map_batches(undirect, batch_format="pandas"), ["u", "v"], [])
-        .map_batches(lambda b: b[["u", "v"]], batch_format="pandas")
-        .materialize()
-    )  # distinct undirected edges
+    und = grouped_sum(
+        edges.map_batches(undirect, batch_format="pandas"), ["u", "v"], []
+    ).select_columns(["u", "v"]).materialize()  # distinct undirected edges
 
     # degrees for the orientation (ties by node id)
     def touch(b: pd.DataFrame) -> pd.DataFrame:
@@ -425,21 +302,12 @@ def triangle_count(
         und.map_batches(touch, batch_format="pandas"), ["node"], ["one"], counts=False
     ).materialize()  # one row per node — the graph's node table
 
-    def _finish_orient(b: pd.DataFrame) -> pd.DataFrame:
+    def orient(u, v, du, dv) -> pd.DataFrame:
         # orient lower (degree, id) -> higher so out-neighborhoods
         # stay O(sqrt(m)) even at hubs
-        u = b["u"].to_numpy()
-        v = b["v"].to_numpy()
-        du = b["_du"].to_numpy(dtype="int64")
-        dv = b["_dv"].to_numpy(dtype="int64")
+        u, v = np.asarray(u), np.asarray(v)
         fwd = (du < dv) | ((du == dv) & (u < v))
-        out = pd.DataFrame(
-            {"head": np.where(fwd, u, v), "tail": np.where(fwd, v, u)}
-        )
-        out["_part"] = (
-            pd.util.hash_array(out["head"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return out
+        return pd.DataFrame({"head": np.where(fwd, u, v), "tail": np.where(fwd, v, u)})
 
     if deg_ds.count() <= broadcast_max_nodes:
         # broadcast tier: the node-degree map ships once
@@ -447,76 +315,33 @@ def triangle_count(
         dmap = dict(zip(deg["node"], deg["sum_one"].astype("int64")))
         dref = ray.put(dmap)
 
-        def orient(b: pd.DataFrame) -> pd.DataFrame:
+        def orient_batch(b: pd.DataFrame) -> pd.DataFrame:
             m = _PR_CACHE.get(("deg", dref.hex()))
             if m is None:
                 m = _PR_CACHE[("deg", dref.hex())] = ray.get(dref)
-            b = b.copy()
-            b["_du"] = np.array([m[x] for x in b["u"]], dtype="int64")
-            b["_dv"] = np.array([m[x] for x in b["v"]], dtype="int64")
-            return _finish_orient(b)
+            du = np.array([m[x] for x in b["u"]], dtype="int64")
+            dv = np.array([m[x] for x in b["v"]], dtype="int64")
+            return orient(b["u"], b["v"], du, dv)
 
-        oriented = und.map_batches(orient, batch_format="pandas")
+        oriented = und.map_batches(orient_batch, batch_format="pandas")
     else:
-        # co-shuffle tier (web-scale host universe): degrees attach by
-        # co-shuffling edges with the node table on hash(node) mod P,
-        # once keyed on u, once on v — no node-width driver collect
-        def _attach_deg(edge_ds: ray.data.Dataset, side: str, out_col: str) -> ray.data.Dataset:
-            def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
-                b = b.copy()
-                b["_key"] = b[side]
-                b["_deg"] = np.int64(-1)
-                b["_side"] = np.int8(0)
-                h = pd.util.hash_array(b["_key"].to_numpy())
-                b["_kpart"] = (h % np.uint64(num_partitions)).astype("int64")
-                return b
+        # co-shuffle tier (web-scale host universe): edges (left) meet
+        # the node table on u, then on v — no node-width driver collect
+        def degree(nodes: pd.Series, d: pd.DataFrame) -> np.ndarray:
+            return nodes.map(pd.Series(d["sum_one"].to_numpy(), index=d["node"])).to_numpy(dtype="int64")
 
-            def tag_deg(b: pd.DataFrame) -> pd.DataFrame:
-                h = pd.util.hash_array(b["node"].to_numpy())
-                return pd.DataFrame(
-                    {
-                        "_key": b["node"],
-                        "_deg": b["sum_one"].to_numpy(dtype="int64"),
-                        "_side": np.full(len(b), 1, dtype=np.int8),
-                        "_kpart": (h % np.uint64(num_partitions)).astype("int64"),
-                    }
-                )
-
-            def attach_part(g: pd.DataFrame) -> pd.DataFrame:
-                if g.empty or "_side" not in g.columns:
-                    return pd.DataFrame()
-                m = dict(
-                    zip(g.loc[g["_side"] == 1, "_key"], g.loc[g["_side"] == 1, "_deg"])
-                )
-                out = g[g["_side"] == 0].copy()
-                out[out_col] = out["_key"].map(m).to_numpy(dtype="int64")
-                return out.drop(columns=["_key", "_deg", "_side", "_kpart"])
-
-            both = edge_ds.map_batches(tag_edges, batch_format="pandas").union(
-                deg_ds.map_batches(tag_deg, batch_format="pandas")
-            )
-            return both.groupby("_kpart").map_groups(attach_part, batch_format="pandas")
-
-        with_du = _attach_deg(und, "u", "_du")
-        with_dv = _attach_deg(with_du, "v", "_dv")
-
-        def orient_shuffled(b: pd.DataFrame) -> pd.DataFrame:
-            if b.empty or "_dv" not in b.columns:
-                return pd.DataFrame(
-                    {"head": pd.Series(dtype="object"), "tail": pd.Series(dtype="object"),
-                     "_part": pd.Series(dtype="int64")}
-                )
-            return _finish_orient(b)
-
-        oriented = with_dv.map_batches(orient_shuffled, batch_format="pandas")
+        with_du = co_shuffle(
+            und, deg_ds, column_hash("u"), column_hash("node"), num_partitions,
+            lambda e, d: e.assign(_du=degree(e["u"], d)), None,
+        )
+        oriented = co_shuffle(
+            with_du, deg_ds, column_hash("v"), column_hash("node"), num_partitions,
+            lambda e, d: orient(e["u"], e["v"], e["_du"].to_numpy(), degree(e["v"], d)),
+            _ORIENTED_SCHEMA,
+        )
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         # each head's COMPLETE out-neighborhood is partition-local here
-        if g.empty or "head" not in g.columns:
-            return pd.DataFrame(
-                {"a": pd.Series(dtype="object"), "b": pd.Series(dtype="object"),
-                 "_side": pd.Series(dtype="int8")}
-            )
         wa, wb = [], []
         for _, grp in g.groupby("head", sort=False):
             ts = sorted(grp["tail"])
@@ -524,51 +349,18 @@ def triangle_count(
                 for j in range(i + 1, len(ts)):
                     wa.append(ts[i])
                     wb.append(ts[j])
-        return pd.DataFrame(
-            {"a": wa, "b": wb, "_side": np.zeros(len(wa), dtype=np.int8)}
-        )
+        return pd.DataFrame({"a": wa, "b": wb})
 
-    wedge_rows = (
-        oriented.groupby("_part").map_groups(wedges, batch_format="pandas")
+    def close(w: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+        have = set(zip(e["u"], e["v"])) if len(e) else set()
+        return pd.DataFrame({"t": [sum((a, b) in have for a, b in zip(w["a"], w["b"]))]})
+
+    wedge_rows = hash_partition(oriented, column_hash("head"), num_partitions, wedges, _WEDGE_SCHEMA)
+    # wedges (left) meet the edges that would close them on the pair
+    parts = co_shuffle(
+        wedge_rows, und, column_hash("a", "b"), column_hash("u", "v"), num_partitions, close,
+        _TRIANGLES_SCHEMA,
     )
-
-    def edge_rows(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"a": b["u"], "b": b["v"], "_side": np.ones(len(b), dtype=np.int8)}
-        )
-
-    def pair_part(b: pd.DataFrame) -> pd.DataFrame:
-        if b.empty or "a" not in b.columns:
-            return pd.DataFrame(
-                {"a": pd.Series(dtype="object"), "b": pd.Series(dtype="object"),
-                 "_side": pd.Series(dtype="int8"), "_part": pd.Series(dtype="int64")}
-            )
-        b = b.copy()
-        h = pd.util.hash_pandas_object(
-            b["a"].astype(str) + "\x1f" + b["b"].astype(str), index=False
-        ).to_numpy()
-        b["_part"] = (h % num_partitions).astype("int64")
-        return b
-
-    both = (
-        wedge_rows.map_batches(pair_part, batch_format="pandas")
-        .union(
-            und.map_batches(edge_rows, batch_format="pandas").map_batches(
-                pair_part, batch_format="pandas"
-            )
-        )
-    )
-
-    def close_part(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "_side" not in g.columns:
-            return pd.DataFrame({"t": pd.Series(dtype="int64")})
-        have = g[g["_side"] == 1][["a", "b"]].drop_duplicates()
-        key = set(zip(have["a"], have["b"]))
-        w = g[g["_side"] == 0]
-        hits = sum((a, b) in key for a, b in zip(w["a"], w["b"]))
-        return pd.DataFrame({"t": [int(hits)]})
-
-    parts = both.groupby("_part").map_groups(close_part, batch_format="pandas")
     return int(parts.sum("t") or 0)
 
 

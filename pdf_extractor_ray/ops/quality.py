@@ -317,7 +317,7 @@ def perplexity_buckets(
     table, approximate cuts)."""
     import pyarrow as pa
 
-    from pdf_extractor_ray.ops.dedup import _typed_table
+    from pdf_extractor_ray.ops.shuffle import _typed_table
     from pdf_extractor_ray.ops.relational import grouped_quantiles
     from pdf_extractor_ray.ops.text_analysis import unigram_logprob
 

@@ -200,11 +200,8 @@ def final_aggregate(
                 out[f"_sum_{c}"] = out[f"_sum_{c}"].to_numpy(dtype=np.int64).astype(np.float64) / f
         return out.rename(columns=rename)
 
-    def key_hash(t: pa.Table) -> np.ndarray:
-        return pd.util.hash_pandas_object(t.select(keys).to_pandas(), index=False).to_numpy()
-
     # output types follow the key and value types, so no schema
-    return hash_partition(partials, key_hash, num_partitions, agg_part, None)
+    return hash_partition(partials, column_hash(*keys), num_partitions, agg_part, None)
 
 
 def grouped_sum(
@@ -892,14 +889,14 @@ def schema_contract_check(
             # claims EXACT duplicate counts, and a 64-bit key expects
             # ~27k birthday collisions at the 10^12-doc design scale —
             # each one a false "uniqueness violation"
-            from pdf_extractor_ray.ops.scrub import md5_u52, md5_u52_tail
+            from pdf_extractor_ray.ops.scrub import md5_u52_pair
 
             c = b.groupby(col, sort=False).size()
-            vals = [str(v) for v in c.index]
+            head, tail = md5_u52_pair([str(v) for v in c.index])
             return pd.DataFrame(
                 {
-                    "_v": md5_u52(vals).view(np.int64),
-                    "_v2": md5_u52_tail(vals).view(np.int64),
+                    "_v": head.view(np.int64),
+                    "_v2": tail.view(np.int64),
                     "n": c.to_numpy(dtype=np.int64),
                 }
             )

@@ -43,7 +43,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pdf_extractor_ray.ops.dedup import _typed_table
+from pdf_extractor_ray.ops.shuffle import _typed_table
 
 _LINE_RE = re.compile(r"^\s*([A-Za-z-]+)\s*:\s*(.*?)\s*$")
 _HOST_RE = re.compile(r"^https?://([^/]+)", re.IGNORECASE)

@@ -17,6 +17,15 @@ as extraction:
 - the split hashes the id column per row (md5, so the assignment is
   stable across engines and reproducible in SQL: DuckDB's md5()
   matches hashlib byte-for-byte).
+
+The corpus-level n-gram operators (dup_ngram_stats, dup_span_scrub,
+ngram_overlap_fraction, ngram_decontaminate_against, eval_span_scrub)
+and source_prefix_strip do need exchanges; every one runs on the one
+shuffle primitive (`ops/shuffle.py`): gram rows `hash_partition` on
+hash(gram), or `co_shuffle` with a reference corpus's distinct grams
+(left: the docs), and both span scrubs share one doc rebuild
+(`_scrub_rebuild`, the docs co-shuffled with their removed span
+starts on doc_id). Grams travel as strings, so every count is exact.
 """
 
 from __future__ import annotations
@@ -27,7 +36,11 @@ from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import ray
 import ray.data
+
+from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle, column_hash, hash_partition
 
 # Default PII pattern table. Order matters: email first (its digits
 # must not be re-counted by later patterns), ipv4 BEFORE phone (the
@@ -202,17 +215,15 @@ def bloom_decontaminate(
     matching is sound for substring semantics because a phrase's
     encoded bytes occur in a valid UTF-8 stream only at character
     boundaries (lead bytes never double as continuation bytes)."""
-    import ray as _ray
-
     plist = [str(p) for p in phrases]
-    ref = _ray.put(_bloom_table(plist, bits_per_key))
+    ref = ray.put(_bloom_table(plist, bits_per_key))
     cols = list(keep_cols) if keep_cols else None
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         key = ("bloom", ref.hex())
         tbl = _BLOOM_CACHE.get(key)
         if tbl is None:  # resolve the broadcast once per worker process
-            tbl = _BLOOM_CACHE[key] = _ray.get(ref)
+            tbl = _BLOOM_CACHE[key] = ray.get(ref)
         texts = batch[text_col].astype(str)
         arrs = [t.encode("utf-8") for t in texts]
         nd = len(arrs)
@@ -255,6 +266,52 @@ def bloom_decontaminate(
     return ds.map_batches(f, batch_format="pandas")
 
 
+def _gram_rows(batch: pd.DataFrame, n: int, id_col: str, text_col: str) -> pd.DataFrame:
+    """One (id_col, pos, gram) row per word n-gram window of each doc
+    (grams never span docs; docs shorter than n words give none).
+    Grams travel as STRINGS, so every count built on them is exact —
+    no hash collisions."""
+    ids: list = []
+    poss: list[int] = []
+    grams: list[str] = []
+    for doc_id, t in zip(batch[id_col], batch[text_col]):
+        toks = str(t).split()
+        m = len(toks) - n + 1
+        if m <= 0:
+            continue
+        ids.extend([doc_id] * m)
+        poss.extend(range(m))
+        grams.extend(" ".join(toks[i : i + n]) for i in range(m))
+    return pd.DataFrame(
+        {
+            id_col: pd.Series(ids, dtype="int64"),
+            "pos": pd.Series(poss, dtype="int64"),
+            "gram": pd.Series(grams, dtype="object"),
+        }
+    )
+
+
+def _doc_gram_counts(batch: pd.DataFrame, n: int, id_col: str, text_col: str) -> pd.DataFrame:
+    """DISTINCT (id_col, gram, m) rows, m = the gram's occurrences in
+    the doc, so a per-doc sum of m weights every window position."""
+    g = _gram_rows(batch, n, id_col, text_col)
+    return g.groupby([id_col, "gram"], sort=False).size().reset_index(name="m").astype({"m": "int64"})
+
+
+def _distinct_grams(batch: pd.DataFrame, n: int, text_col: str) -> pd.DataFrame:
+    """The batch's distinct word n-grams, one (gram) row each."""
+    grams: set = set()
+    for t in batch[text_col]:
+        toks = str(t).split()
+        grams.update(" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1))
+    return pd.DataFrame({"gram": pd.Series(sorted(grams), dtype="object")})
+
+
+_DUP_PARTIAL_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("n_grams_p", pa.int64()), ("n_dup_p", pa.int64())]
+)
+
+
 def dup_ngram_stats(
     ds: ray.data.Dataset, n: int = 5, num_partitions: int = 32
 ) -> ray.data.Dataset:
@@ -268,13 +325,13 @@ def dup_ngram_stats(
       1. per batch, explode docs to DISTINCT (doc_id, gram, m) rows
          (m = within-doc occurrences; the shuffle unit is the gram
          STRING so the result is exact — no hash collisions);
-      2. shuffle on hash(gram) mod num_partitions — every occurrence
-         of a gram lands in one partition, so a single vectorized
-         pandas pass computes the GLOBAL count per gram AND reduces to
-         per-doc partials (n grams seen, n in duplicated grams) right
-         there. No count table is ever joined back or broadcast
-         (a first cut used sized_join and fell into Ray's native
-         JoinOperator: +12s actor-pool spawn per query);
+      2. hash_partition on hash(gram) — every occurrence of a gram
+         lands in one partition, so a single vectorized pandas pass
+         computes the GLOBAL count per gram AND reduces to per-doc
+         partials (n grams seen, n in duplicated grams) right there.
+         No count table is ever joined back or broadcast (a first cut
+         used sized_join and fell into Ray's native JoinOperator:
+         +12s actor-pool spawn per query);
       3. grouped_sum the per-(partition, doc) partials by doc_id —
          rows entering this shuffle are bounded by docs x partitions.
     At corpus scale raise num_partitions so a partition's gram rows
@@ -283,43 +340,20 @@ def dup_ngram_stats(
     than n words emit nothing (mirrors the SQL oracle)."""
     from pdf_extractor_ray.ops.relational import grouped_sum
 
-    def explode_grams(batch: pd.DataFrame) -> pd.DataFrame:
-        ids: list = []
-        grams: list[str] = []
-        for doc_id, t in zip(batch["doc_id"], batch["text"]):
-            toks = str(t).split()
-            m = len(toks) - n + 1
-            if m <= 0:
-                continue
-            ids.extend([doc_id] * m)
-            grams.extend(" ".join(toks[i : i + n]) for i in range(m))
-        df = pd.DataFrame(
-            {"doc_id": pd.Series(ids, dtype="int64"), "gram": pd.Series(grams, dtype="object")}
-        )
-        g = df.groupby(["doc_id", "gram"], sort=False).size().reset_index(name="m")
-        g["m"] = g["m"].astype("int64")
-        # deterministic 64-bit string hash (pandas siphash, fixed key)
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return g
-
-    grams = ds.map_batches(explode_grams, batch_format="pandas")
-
     def part_pass(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("gram", sort=False)["m"].transform("sum")
         dup_m = g["m"].where(c.to_numpy() > 1, 0)
-        out = (
+        return (
             g.assign(_dup=dup_m)
             .groupby("doc_id", sort=False)
             .agg(n_grams_p=("m", "sum"), n_dup_p=("_dup", "sum"))
             .reset_index()
         )
-        out["n_grams_p"] = out["n_grams_p"].astype("int64")
-        out["n_dup_p"] = out["n_dup_p"].astype("int64")
-        return out
 
-    partials = grams.groupby("_part").map_groups(part_pass, batch_format="pandas")
+    partials = hash_partition(
+        ds.map_batches(lambda b: _doc_gram_counts(b, n, "doc_id", "text"), batch_format="pandas"),
+        column_hash("gram"), num_partitions, part_pass, _DUP_PARTIAL_SCHEMA,
+    )
     out = grouped_sum(partials, ["doc_id"], ["n_grams_p", "n_dup_p"], counts=False)
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
@@ -365,6 +399,102 @@ _DUP_SPAN_MAX_BYTES = 256 * 2**20
 _DUPSET_CACHE: dict = {}
 
 
+def _scrub_schema(id_col: str) -> pa.Schema:
+    return pa.schema(
+        [
+            (id_col, pa.int64()),
+            ("text", pa.large_string()),
+            ("n_tokens", pa.int64()),
+            ("n_removed_tokens", pa.int64()),
+        ]
+    )
+
+
+def _scrub_rows(ids, texts, starts_of, n: int, id_col: str) -> pa.Table:
+    """Rebuild each doc without the tokens covered by the n-token spans
+    starting at starts_of(doc_id, toks); token-less docs emit no row
+    (mirrors the oracle)."""
+    out_ids: list[int] = []
+    out_text: list[str] = []
+    out_nt: list[int] = []
+    out_nr: list[int] = []
+    for doc_id, t in zip(ids, texts):
+        toks = str(t).split()
+        if not toks:
+            continue
+        cleaned, nt, nr = _scrub_tokens(toks, starts_of(doc_id, toks), n)
+        out_ids.append(int(doc_id))
+        out_text.append(cleaned)
+        out_nt.append(nt)
+        out_nr.append(nr)
+    return _typed_table(
+        _scrub_schema(id_col),
+        **{
+            id_col: np.array(out_ids, dtype=np.int64),
+            "text": out_text,
+            "n_tokens": np.array(out_nt, dtype=np.int64),
+            "n_removed_tokens": np.array(out_nr, dtype=np.int64),
+        },
+    )
+
+
+def _scrub_broadcast(
+    ds: ray.data.Dataset, grams: ray.data.Dataset, n: int, id_col: str, text_col: str,
+    max_grams: int, max_bytes: int,
+) -> ray.data.Dataset | None:
+    """Broadcast tier of the span scrubs: the materialized (gram) set
+    ships once via ray.put when it fits both caps, and one
+    shuffle-free pass rebuilds every doc; None when it does not fit."""
+    n_grams = grams.count()
+    if n_grams > max_grams or grams.size_bytes() > max_bytes:
+        return None
+    ref = ray.put(frozenset(grams.to_pandas()["gram"]) if n_grams else frozenset())
+
+    def score(batch: pd.DataFrame) -> pa.Table:
+        s = _DUPSET_CACHE.get(ref.hex())
+        if s is None:  # resolve the broadcast once per worker process
+            s = _DUPSET_CACHE[ref.hex()] = ray.get(ref)
+
+        def starts_of(_doc_id, toks):
+            m = len(toks) - n + 1
+            if m <= 0 or not s:
+                return np.empty(0, dtype=np.int64)
+            return np.fromiter(
+                (i for i in range(m) if " ".join(toks[i : i + n]) in s), dtype=np.int64
+            )
+
+        return _scrub_rows(batch[id_col], batch[text_col], starts_of, n, id_col)
+
+    return ds.map_batches(score, batch_format="pandas")
+
+
+def _scrub_rebuild(
+    ds: ray.data.Dataset, removed: ray.data.Dataset, n: int, id_col: str, text_col: str,
+    num_partitions: int,
+) -> ray.data.Dataset:
+    """Positional tier's doc rebuild: the docs (left) co-shuffle with
+    the (tiny) removed-start rows (id_col, pos) on the doc id, and each
+    partition's docs rebuild in one pass."""
+    empty = np.empty(0, dtype=np.int64)
+
+    def rebuild(docs: pd.DataFrame, rem: pd.DataFrame) -> pa.Table:
+        starts = {} if rem.empty else {
+            int(k): v.to_numpy(dtype=np.int64) for k, v in rem.groupby(id_col, sort=False)["pos"]
+        }
+        return _scrub_rows(
+            docs[id_col], docs[text_col], lambda d, _t: starts.get(int(d), empty), n, id_col
+        )
+
+    return co_shuffle(
+        ds.select_columns([id_col, text_col]), removed, id_col, id_col, num_partitions, rebuild,
+        _scrub_schema(id_col),
+    )
+
+
+def _starts_schema(id_col: str) -> pa.Schema:
+    return pa.schema([(id_col, pa.int64()), ("pos", pa.int64())])
+
+
 def dup_span_scrub(
     ds: ray.data.Dataset,
     n: int = 8,
@@ -403,207 +533,43 @@ def dup_span_scrub(
       the gram-count AND byte caps it broadcasts once (`ray.put`) and
       one shuffle-free scoring pass rebuilds every doc locally.
     - positional tier (duplication-heavy corpora): exchange A explodes
-      (doc_id, pos, gram) occurrences and co-shuffles on hash(gram)
-      mod P — each gram's global count is partition-local, so dup
+      (doc_id, pos, gram) occurrences and hash_partitions them on
+      hash(gram) — each gram's global count is partition-local, so dup
       START positions fall out of one vectorized pass with no count
-      table ever joined back; exchange B co-shuffles those (tiny)
-      removed-start rows with the corpus on hash(doc_id) mod P and
-      rebuilds each partition's docs in one pass. Never a JoinOperator
-      (per-query actor-pool spawn; see dup_ngram_stats).
+      table ever joined back; exchange B (`_scrub_rebuild`, shared
+      with eval_span_scrub) co-shuffles the corpus with those (tiny)
+      removed-start rows on doc_id and rebuilds each partition's docs
+      in one pass. Never a JoinOperator (per-query actor-pool spawn;
+      see dup_ngram_stats).
     """
-    import pyarrow as pa
-    import ray as _ray
-
-    from pdf_extractor_ray.ops.dedup import _typed_table
     from pdf_extractor_ray.ops.relational import grouped_sum
 
-    def explode_distinct_counts(batch: pd.DataFrame) -> pd.DataFrame:
-        ids: list = []
-        grams: list[str] = []
-        for doc_id, t in zip(batch[id_col], batch[text_col]):
-            toks = str(t).split()
-            m = len(toks) - n + 1
-            if m <= 0:
-                continue
-            ids.extend([doc_id] * m)
-            grams.extend(" ".join(toks[i : i + n]) for i in range(m))
-        df = pd.DataFrame({"gram": pd.Series(grams, dtype="object")})
-        g = df.groupby("gram", sort=False).size().reset_index(name="m")
-        g["m"] = g["m"].astype("int64")
-        return g
+    def gram_counts(batch: pd.DataFrame) -> pd.DataFrame:
+        g = _gram_rows(batch, n, id_col, text_col)
+        return g.groupby("gram", sort=False).size().reset_index(name="m").astype({"m": "int64"})
 
     counts = grouped_sum(
-        ds.map_batches(explode_distinct_counts, batch_format="pandas"),
-        ["gram"],
-        ["m"],
-        counts=False,
+        ds.map_batches(gram_counts, batch_format="pandas"), ["gram"], ["m"], counts=False
     )
-
-    def only_dups(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b["sum_m"] > max_count, ["gram"]]
-
-    dups = counts.map_batches(only_dups, batch_format="pandas").materialize()
-    n_dups = dups.count()
-
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("text", pa.large_string()),
-            ("n_tokens", pa.int64()),
-            ("n_removed_tokens", pa.int64()),
-        ]
+    dups = counts.map_batches(
+        lambda b: b.loc[b["sum_m"] > max_count, ["gram"]], batch_format="pandas"
+    ).materialize()
+    scrubbed = _scrub_broadcast(
+        ds, dups, n, id_col, text_col, broadcast_max_grams, broadcast_max_bytes
     )
-
-    def rebuild_rows(ids, texts, starts_of) -> pa.Table:
-        out_ids: list[int] = []
-        out_text: list[str] = []
-        out_nt: list[int] = []
-        out_nr: list[int] = []
-        for doc_id, t in zip(ids, texts):
-            toks = str(t).split()
-            if not toks:
-                continue  # token-less doc: no row (mirrors the oracle)
-            cleaned, nt, nr = _scrub_tokens(toks, starts_of(doc_id, toks), n)
-            out_ids.append(int(doc_id))
-            out_text.append(cleaned)
-            out_nt.append(nt)
-            out_nr.append(nr)
-        return _typed_table(
-            out_schema,
-            **{
-                id_col: np.array(out_ids, dtype=np.int64),
-                "text": out_text,
-                "n_tokens": np.array(out_nt, dtype=np.int64),
-                "n_removed_tokens": np.array(out_nr, dtype=np.int64),
-            },
-        )
-
-    if n_dups <= broadcast_max_grams and dups.size_bytes() <= broadcast_max_bytes:
-        dupset = frozenset(dups.to_pandas()["gram"]) if n_dups else frozenset()
-        ref = _ray.put(dupset)
-
-        def score(batch: pd.DataFrame) -> pa.Table:
-            key = ("dupspan", ref.hex())
-            s = _DUPSET_CACHE.get(key)
-            if s is None:  # resolve the broadcast once per worker process
-                s = _DUPSET_CACHE[key] = _ray.get(ref)
-
-            def starts_of(_doc_id, toks):
-                m = len(toks) - n + 1
-                if m <= 0 or not s:
-                    return np.empty(0, dtype=np.int64)
-                return np.fromiter(
-                    (i for i in range(m) if " ".join(toks[i : i + n]) in s),
-                    dtype=np.int64,
-                )
-
-            return rebuild_rows(batch[id_col], batch[text_col], starts_of)
-
-        return ds.map_batches(score, batch_format="pandas")
+    if scrubbed is not None:
+        return scrubbed
 
     # ---- positional tier: exact at any duplication level ----
-    def explode_positions(batch: pd.DataFrame) -> pd.DataFrame:
-        ids: list = []
-        poss: list[int] = []
-        grams: list[str] = []
-        for doc_id, t in zip(batch[id_col], batch[text_col]):
-            toks = str(t).split()
-            m = len(toks) - n + 1
-            if m <= 0:
-                continue
-            ids.extend([doc_id] * m)
-            poss.extend(range(m))
-            grams.extend(" ".join(toks[i : i + n]) for i in range(m))
-        g = pd.DataFrame(
-            {
-                id_col: pd.Series(ids, dtype="int64"),
-                "pos": pd.Series(poss, dtype="int64"),
-                "gram": pd.Series(grams, dtype="object"),
-            }
-        )
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return g
-
     def find_dup_starts(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "gram" not in g.columns:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series([], dtype="int64"),
-                    "pos": pd.Series([], dtype="int64"),
-                }
-            )
         c = g.groupby("gram", sort=False)["gram"].transform("size")
-        return g.loc[c.to_numpy() > max_count, [id_col, "pos"]].reset_index(drop=True)
+        return g.loc[c.to_numpy() > max_count, [id_col, "pos"]]
 
-    removed = (
-        ds.map_batches(explode_positions, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(find_dup_starts, batch_format="pandas")
+    removed = hash_partition(
+        ds.map_batches(lambda b: _gram_rows(b, n, id_col, text_col), batch_format="pandas"),
+        column_hash("gram"), num_partitions, find_dup_starts, _starts_schema(id_col),
     )
-
-    side_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("pos", pa.int64()),
-            ("text", pa.large_string()),
-            ("side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def proj_docs(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                t.column(text_col).cast(pa.large_string()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    def proj_removed(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "pos" not in t.column_names:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("pos").cast(pa.int64()),
-                pa.nulls(t.num_rows, pa.large_string()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(proj_docs, batch_format="pyarrow")
-        .union(removed.map_batches(proj_removed, batch_format="pyarrow"))
-    )
-
-    def rebuild_partition(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "side" not in g.columns:
-            return _typed_table(out_schema)
-        docs = g[g["side"] == 0]
-        rem = g[g["side"] == 1]
-        starts_by_doc = {
-            int(k): v.to_numpy(dtype=np.int64)
-            for k, v in rem.groupby(id_col, sort=False)["pos"]
-        }
-        empty = np.empty(0, dtype=np.int64)
-
-        def starts_of(doc_id, _toks):
-            return starts_by_doc.get(int(doc_id), empty)
-
-        return rebuild_rows(docs[id_col], docs["text"], starts_of)
-
-    return both.groupby("_part").map_groups(rebuild_partition, batch_format="pandas")
+    return _scrub_rebuild(ds, removed, n, id_col, text_col, num_partitions)
 
 
 # MD5 round constants (RFC 1321): K[i] = floor(abs(sin(i+1)) * 2^32),
@@ -618,13 +584,6 @@ _MD5_S = np.array(
     dtype=np.uint64,
 )
 _M32 = np.uint64(0xFFFFFFFF)
-
-
-def _md5_words_ab(strs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """First two 32-bit state words (a, b) of md5(s) for each string —
-    see _md5_words for the full-state kernel."""
-    a, b, _c, _d = _md5_words(strs)
-    return a, b
 
 
 def _md5_words(
@@ -702,8 +661,19 @@ def md5_first_nibble(strs: Sequence[str]) -> np.ndarray:
     """First hex-digit (high nibble of digest byte 0) of md5(s) for
     each string, as uint8 0..15. Bit-identical to
     ``hashlib.md5(s.encode()).hexdigest()[0]`` (property-tested)."""
-    a, _ = _md5_words_ab(strs)
+    a = _md5_words(strs)[0]
     return ((a & np.uint64(0xF0)) >> np.uint64(4)).astype(np.uint8)
+
+
+def _u52(w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """The 13 hex digits of the digest bytes held by two consecutive
+    state words (little-endian): w0's four bytes, then w1's low three,
+    the last of them cut to its high nibble."""
+    out = np.zeros(len(w0), dtype=np.uint64)
+    for w, nbytes in ((w0, 4), (w1, 3)):
+        for i in range(nbytes):
+            out = (out << np.uint64(8)) | ((w >> np.uint64(8 * i)) & np.uint64(0xFF))
+    return out >> np.uint64(4)
 
 
 def md5_u52(strs: Sequence[str]) -> np.ndarray:
@@ -711,53 +681,23 @@ def md5_u52(strs: Sequence[str]) -> np.ndarray:
     string, as uint64 (52 bits — chosen to fit a double EXACTLY, so
     estimators dividing by it are bit-reproducible in any engine that
     can parse the same hex prefix, e.g. DuckDB
-    ``('0x' || substr(md5(s), 1, 13))::UBIGINT``). The hexdigest is
-    the digest bytes in order; digest bytes 0-3 are state word `a`
-    little-endian, bytes 4-6 the low bytes of `b`."""
-    a, b = _md5_words_ab(strs)
-    b0 = a & np.uint64(0xFF)
-    b1 = (a >> np.uint64(8)) & np.uint64(0xFF)
-    b2 = (a >> np.uint64(16)) & np.uint64(0xFF)
-    b3 = (a >> np.uint64(24)) & np.uint64(0xFF)
-    b4 = b & np.uint64(0xFF)
-    b5 = (b >> np.uint64(8)) & np.uint64(0xFF)
-    b6 = (b >> np.uint64(16)) & np.uint64(0xFF)
-    hi48 = (
-        (b0 << np.uint64(40))
-        | (b1 << np.uint64(32))
-        | (b2 << np.uint64(24))
-        | (b3 << np.uint64(16))
-        | (b4 << np.uint64(8))
-        | b5
-    )
-    return (hi48 << np.uint64(4)) | (b6 >> np.uint64(4))
+    ``('0x' || substr(md5(s), 1, 13))::UBIGINT``): digest bytes 0-6,
+    state word `a` plus the low bytes of `b`."""
+    a, b, _c, _d = _md5_words(strs)
+    return _u52(a, b)
 
 
-def md5_u52_tail(strs: Sequence[str]) -> np.ndarray:
-    """``int(hashlib.md5(s.encode()).hexdigest()[16:29], 16)`` for each
-    string, as uint64 — a SECOND independent 52-bit slice (digest bytes
-    8-14: state word `c` little-endian plus the low bytes of `d`),
-    engine-portable as DuckDB ``('0x' || substr(md5(s), 17, 13))::UBIGINT``.
-    Pairing it with md5_u52 widens a content key to 104 bits, pushing
-    the birthday bound from ~2^26 to ~2^52 distinct values — the
-    collision margin corpus-scale exact dedup needs."""
-    _a, _b, c, d = _md5_words(strs)
-    b8 = c & np.uint64(0xFF)
-    b9 = (c >> np.uint64(8)) & np.uint64(0xFF)
-    b10 = (c >> np.uint64(16)) & np.uint64(0xFF)
-    b11 = (c >> np.uint64(24)) & np.uint64(0xFF)
-    b12 = d & np.uint64(0xFF)
-    b13 = (d >> np.uint64(8)) & np.uint64(0xFF)
-    b14 = (d >> np.uint64(16)) & np.uint64(0xFF)
-    hi48 = (
-        (b8 << np.uint64(40))
-        | (b9 << np.uint64(32))
-        | (b10 << np.uint64(24))
-        | (b11 << np.uint64(16))
-        | (b12 << np.uint64(8))
-        | b13
-    )
-    return (hi48 << np.uint64(4)) | (b14 >> np.uint64(4))
+def md5_u52_pair(strs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(md5_u52, tail) for each string from one md5 pass; the tail is
+    ``int(hashlib.md5(s.encode()).hexdigest()[16:29], 16)`` — a SECOND
+    independent 52-bit slice (digest bytes 8-14: state word `c` plus
+    the low bytes of `d`), engine-portable as DuckDB
+    ``('0x' || substr(md5(s), 17, 13))::UBIGINT``. The pair widens a
+    content key to 104 bits, pushing the birthday bound from ~2^26 to
+    ~2^52 distinct values — the collision margin corpus-scale exact
+    dedup needs."""
+    a, b, c, d = _md5_words(strs)
+    return _u52(a, b), _u52(c, d)
 
 
 def _md5_split(ids: pd.Series, test_hex_prefixes: tuple[str, ...]) -> np.ndarray:
@@ -789,6 +729,34 @@ def train_test_split(
     return ds.map_batches(f, batch_format="pandas")
 
 
+def _gram_hits(
+    docs: ray.data.Dataset, ref: ray.data.Dataset, n: int, id_col: str, text_col: str,
+    ref_text_col: str, num_partitions: int,
+) -> ray.data.Dataset:
+    """(id_col, sum_n_grams, sum_n_hits) per doc of `docs`: its word
+    n-gram positions, and those whose gram occurs anywhere in `ref`.
+    Doc (id_col, gram, m) rows (left) and the reference's per-batch
+    distinct grams (right) co-shuffle on hash(gram); membership
+    resolves per partition with one vectorized isin, and the
+    per-(partition, doc) partials reduce through grouped_sum. Document
+    text never crosses an exchange."""
+    from pdf_extractor_ray.ops.relational import grouped_sum
+
+    def part_pass(d: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        hit = d["gram"].isin(set(r.get("gram", ()))).to_numpy()
+        m = d["m"].to_numpy(dtype="int64")
+        out = pd.DataFrame({id_col: d[id_col], "n_grams": m, "n_hits": np.where(hit, m, 0)})
+        return out.groupby(id_col, sort=False, as_index=False).sum()
+
+    partials = co_shuffle(
+        docs.map_batches(lambda b: _doc_gram_counts(b, n, id_col, text_col), batch_format="pandas"),
+        ref.map_batches(lambda b: _distinct_grams(b, n, ref_text_col), batch_format="pandas"),
+        column_hash("gram"), column_hash("gram"), num_partitions, part_pass,
+        pa.schema([(id_col, pa.int64()), ("n_grams", pa.int64()), ("n_hits", pa.int64())]),
+    )
+    return grouped_sum(partials, [id_col], ["n_grams", "n_hits"], counts=False)
+
+
 def ngram_overlap_fraction(
     ds: ray.data.Dataset,
     ref: ray.data.Dataset,
@@ -805,89 +773,21 @@ def ngram_overlap_fraction(
     not just a boolean hit): for each doc, the fraction of its word
     n-gram positions whose gram exists anywhere in `ref`.
 
-    JOIN-FREE shape (the dup_ngram_stats discipline): docs explode to
-    DISTINCT (doc_id, gram, m) rows (m = within-doc occurrences, so
-    the fraction weights every window position), the reference
-    explodes to distinct gram rows, both co-shuffle on hash(gram) mod
-    P — membership resolves inside each partition with one vectorized
-    isin — and per-(partition, doc) partials reduce by doc_id. Grams
-    travel as STRINGS (exact, collision-free); the reference side
-    ships each distinct gram once per batch. Docs shorter than n
-    words emit nothing. Emits (id_col, n_grams, n_overlap,
-    overlap_fraction)."""
-    from pdf_extractor_ray.ops.relational import grouped_sum
-
-    def explode_docs(batch: pd.DataFrame) -> pd.DataFrame:
-        ids: list = []
-        grams: list[str] = []
-        for doc_id, t in zip(batch[id_col], batch[text_col]):
-            toks = str(t).split()
-            m = len(toks) - n + 1
-            if m <= 0:
-                continue
-            ids.extend([doc_id] * m)
-            grams.extend(" ".join(toks[i : i + n]) for i in range(m))
-        df = pd.DataFrame(
-            {id_col: pd.Series(ids, dtype="int64"), "gram": pd.Series(grams, dtype="object")}
-        )
-        g = df.groupby([id_col, "gram"], sort=False).size().reset_index(name="m")
-        g["m"] = g["m"].astype("int64")
-        g["_side"] = np.int8(0)
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return g
-
-    def explode_ref(batch: pd.DataFrame) -> pd.DataFrame:
-        grams: set = set()
-        for t in batch[ref_text_col]:
-            toks = str(t).split()
-            for i in range(len(toks) - n + 1):
-                grams.add(" ".join(toks[i : i + n]))
-        g = pd.DataFrame(
-            {
-                id_col: np.zeros(len(grams), dtype="int64"),
-                "gram": pd.Series(sorted(grams), dtype="object"),
-                "m": np.zeros(len(grams), dtype="int64"),
-            }
-        )
-        g["_side"] = np.int8(1)
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return g
-
-    both = ds.map_batches(explode_docs, batch_format="pandas").union(
-        ref.map_batches(explode_ref, batch_format="pandas")
-    )
-
-    def part_pass(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "_side" not in g.columns:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(dtype="int64"),
-                    "n_grams": pd.Series(dtype="int64"),
-                    "n_overlap": pd.Series(dtype="int64"),
-                }
-            )
-        have = g.loc[g["_side"] == 1, "gram"].unique()
-        d = g[g["_side"] == 0]
-        hit = d["gram"].isin(have).to_numpy()
-        out = pd.DataFrame(
-            {
-                id_col: d[id_col].to_numpy(dtype="int64"),
-                "n_grams": d["m"].to_numpy(dtype="int64"),
-                "n_overlap": np.where(hit, d["m"].to_numpy(dtype="int64"), 0),
-            }
-        )
-        return out.groupby(id_col, sort=False, as_index=False).sum()
-
-    partials = both.groupby("_part").map_groups(part_pass, batch_format="pandas")
-    red = grouped_sum(partials, [id_col], ["n_grams", "n_overlap"], counts=False)
+    JOIN-FREE shape (the dup_ngram_stats discipline, `_gram_hits`):
+    docs explode to DISTINCT (doc_id, gram, m) rows (m = within-doc
+    occurrences, so the fraction weights every window position), the
+    reference explodes to distinct gram rows, both co-shuffle on
+    hash(gram) — membership resolves inside each partition with one
+    vectorized isin — and per-(partition, doc) partials reduce by
+    doc_id. Grams travel as STRINGS (exact, collision-free); the
+    reference side ships each distinct gram once per batch. Docs
+    shorter than n words emit nothing. Emits (id_col, n_grams,
+    n_overlap, overlap_fraction)."""
+    red = _gram_hits(ds, ref, n, id_col, text_col, ref_text_col, num_partitions)
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         ng = b["sum_n_grams"].to_numpy(dtype="int64")
-        no = b["sum_n_overlap"].to_numpy(dtype="int64")
+        no = b["sum_n_hits"].to_numpy(dtype="int64")
         return pd.DataFrame(
             {
                 id_col: b[id_col].to_numpy(dtype="int64"),
@@ -917,75 +817,22 @@ def ngram_decontaminate_against(
     (bloom_decontaminate) is the huge-blocklist scale path; this one
     is exact, so it doubles as the oracle for it.
 
-    Same join-free gram-string shuffle as dup_ngram_stats: train
-    (doc_id, gram, m) rows and eval DISTINCT-gram rows co-shuffle on
-    hash(gram) mod num_partitions (every occurrence of a gram string
-    lands in exactly one partition — string keys, no hash-collision
-    false hits), one vectorized isin pass resolves hits per partition,
-    and per-doc partials reduce through grouped_sum. Document text
-    never crosses an exchange. Docs shorter than n words emit nothing,
-    mirroring the SQL oracle's gram CTE."""
-    from pdf_extractor_ray.ops.relational import grouped_sum
-
-    cols = ["doc_id", "gram", "m", "_side", "_part"]
-
-    def explode(side: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            ids: list = []
-            grams: list[str] = []
-            for doc_id, t in zip(batch[id_col], batch[text_col]):
-                toks = str(t).split()
-                m = len(toks) - n + 1
-                if m <= 0:
-                    continue
-                ids.extend([int(doc_id)] * m)
-                grams.extend(" ".join(toks[i : i + n]) for i in range(m))
-            df = pd.DataFrame(
-                {"doc_id": pd.Series(ids, dtype="int64"), "gram": pd.Series(grams, dtype="object")}
-            )
-            g = df.groupby(["doc_id", "gram"], sort=False).size().reset_index(name="m")
-            g["m"] = g["m"].astype("int64")
-            if side == 0:
-                # eval side ships only its distinct gram strings
-                g = g.drop_duplicates("gram")[["gram"]].assign(doc_id=-1, m=0)
-            g["_side"] = np.int8(side)
-            g["_part"] = (
-                pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-            ).astype("int64")
-            return g[cols]
-
-        return f
-
-    both = train_ds.map_batches(explode(1), batch_format="pandas").union(
-        eval_ds.map_batches(explode(0), batch_format="pandas")
-    )
-
-    def part_pass(g: pd.DataFrame) -> pd.DataFrame:
-        out_cols = {"doc_id": "int64", "n_grams_p": "int64", "n_hit_p": "int64"}
-        if g.empty or "_side" not in g.columns:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in out_cols.items()})
-        tr = g[g["_side"] == 1]
-        if tr.empty:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in out_cols.items()})
-        ev = set(g.loc[g["_side"] == 0, "gram"])
-        hit = tr["gram"].isin(ev).to_numpy()
-        out = (
-            tr.assign(_hit=tr["m"].to_numpy() * hit)
-            .groupby("doc_id", sort=False)
-            .agg(n_grams_p=("m", "sum"), n_hit_p=("_hit", "sum"))
-            .reset_index()
-        )
-        return out.astype(out_cols)
-
-    partials = both.groupby("_part").map_groups(part_pass, batch_format="pandas")
-    red = grouped_sum(partials, ["doc_id"], ["n_grams_p", "n_hit_p"], counts=False)
+    Same join-free gram-string shuffle as ngram_overlap_fraction
+    (`_gram_hits`): train (doc_id, gram, m) rows and eval
+    DISTINCT-gram rows co-shuffle on hash(gram) (every occurrence of a
+    gram string lands in exactly one partition — string keys, no
+    hash-collision false hits), one vectorized isin pass resolves hits
+    per partition, and per-doc partials reduce through grouped_sum.
+    Document text never crosses an exchange. Docs shorter than n words
+    emit nothing, mirroring the SQL oracle's gram CTE."""
+    red = _gram_hits(train_ds, eval_ds, n, id_col, text_col, text_col, num_partitions)
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        ng = batch["sum_n_grams_p"].to_numpy().astype("int64")
-        nh = batch["sum_n_hit_p"].to_numpy().astype("int64")
+        ng = batch["sum_n_grams"].to_numpy().astype("int64")
+        nh = batch["sum_n_hits"].to_numpy().astype("int64")
         return pd.DataFrame(
             {
-                "doc_id": batch["doc_id"].to_numpy(),
+                "doc_id": batch[id_col].to_numpy(),
                 "n_grams": ng,
                 "n_hit_grams": nh,
                 "contaminated": nh > 0,
@@ -1017,212 +864,38 @@ def eval_span_scrub(
     doc scrubs to the empty string. Token-less train docs emit no
     row; docs shorter than n tokens pass through unchanged.
 
-    Tiers, mirroring dup_span_scrub:
+    Tiers, shared with dup_span_scrub:
     - broadcast (the realistic case — eval suites are tiny next to
       the crawl): the eval corpus's DISTINCT grams pre-aggregate per
       batch, ship once via ray.put under the same gram/byte caps, and
       one shuffle-free pass rebuilds every train doc locally;
     - positional (huge eval side): train (doc_id, pos, gram) rows and
-      eval distinct-gram rows co-shuffle on hash(gram) mod P — hit
-      START positions fall out of one vectorized isin pass — then the
-      (tiny) removed-start rows co-shuffle with the train corpus on
-      hash(doc_id) mod P for the per-partition rebuild. Grams travel
+      eval distinct-gram rows co-shuffle on hash(gram) — hit START
+      positions fall out of one vectorized isin pass — then the train
+      corpus co-shuffles with the (tiny) removed-start rows on doc_id
+      for the per-partition rebuild (`_scrub_rebuild`). Grams travel
       as STRINGS (exact; no hash-collision scrubs)."""
-    import pyarrow as pa
-    import ray as _ray
-
-    from pdf_extractor_ray.ops.dedup import _typed_table
-
-    def explode_eval_distinct(batch: pd.DataFrame) -> pd.DataFrame:
-        grams: set = set()
-        for t in batch[text_col]:
-            toks = str(t).split()
-            m = len(toks) - n + 1
-            if m > 0:
-                grams.update(" ".join(toks[i : i + n]) for i in range(m))
-        return pd.DataFrame({"gram": pd.Series(sorted(grams), dtype="object")})
-
     ev_grams = (
-        eval_ds.map_batches(explode_eval_distinct, batch_format="pandas")
+        eval_ds.map_batches(lambda b: _distinct_grams(b, n, text_col), batch_format="pandas")
         .map_batches(lambda b: b.drop_duplicates("gram"), batch_format="pandas")
         .materialize()
     )
-    n_ev = ev_grams.count()
-
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("text", pa.large_string()),
-            ("n_tokens", pa.int64()),
-            ("n_removed_tokens", pa.int64()),
-        ]
+    scrubbed = _scrub_broadcast(
+        train_ds, ev_grams, n, id_col, text_col, broadcast_max_grams, broadcast_max_bytes
     )
-
-    def rebuild_rows(ids, texts, starts_of) -> pa.Table:
-        out_ids: list[int] = []
-        out_text: list[str] = []
-        out_nt: list[int] = []
-        out_nr: list[int] = []
-        for doc_id, t in zip(ids, texts):
-            toks = str(t).split()
-            if not toks:
-                continue  # token-less doc: no row (mirrors the oracle)
-            cleaned, nt, nr = _scrub_tokens(toks, starts_of(doc_id, toks), n)
-            out_ids.append(int(doc_id))
-            out_text.append(cleaned)
-            out_nt.append(nt)
-            out_nr.append(nr)
-        return _typed_table(
-            out_schema,
-            **{
-                id_col: np.array(out_ids, dtype=np.int64),
-                "text": out_text,
-                "n_tokens": np.array(out_nt, dtype=np.int64),
-                "n_removed_tokens": np.array(out_nr, dtype=np.int64),
-            },
-        )
-
-    if n_ev <= broadcast_max_grams and ev_grams.size_bytes() <= broadcast_max_bytes:
-        evset = frozenset(ev_grams.to_pandas()["gram"]) if n_ev else frozenset()
-        ref = _ray.put(evset)
-
-        def score(batch: pd.DataFrame) -> pa.Table:
-            key = ("evalspan", ref.hex())
-            s = _DUPSET_CACHE.get(key)
-            if s is None:  # resolve the broadcast once per worker process
-                s = _DUPSET_CACHE[key] = _ray.get(ref)
-
-            def starts_of(_doc_id, toks):
-                m = len(toks) - n + 1
-                if m <= 0 or not s:
-                    return np.empty(0, dtype=np.int64)
-                return np.fromiter(
-                    (i for i in range(m) if " ".join(toks[i : i + n]) in s),
-                    dtype=np.int64,
-                )
-
-            return rebuild_rows(batch[id_col], batch[text_col], starts_of)
-
-        return train_ds.map_batches(score, batch_format="pandas")
+    if scrubbed is not None:
+        return scrubbed
 
     # ---- positional tier: eval side too big to broadcast ----
-    pos_cols = [id_col, "pos", "gram", "_side", "_part"]
+    def find_hit_starts(tr: pd.DataFrame, ev: pd.DataFrame) -> pd.DataFrame:
+        return tr.loc[tr["gram"].isin(set(ev.get("gram", ()))), [id_col, "pos"]]
 
-    def explode_train_positions(batch: pd.DataFrame) -> pd.DataFrame:
-        ids: list = []
-        poss: list[int] = []
-        grams: list[str] = []
-        for doc_id, t in zip(batch[id_col], batch[text_col]):
-            toks = str(t).split()
-            m = len(toks) - n + 1
-            if m <= 0:
-                continue
-            ids.extend([int(doc_id)] * m)
-            poss.extend(range(m))
-            grams.extend(" ".join(toks[i : i + n]) for i in range(m))
-        g = pd.DataFrame(
-            {
-                id_col: pd.Series(ids, dtype="int64"),
-                "pos": pd.Series(poss, dtype="int64"),
-                "gram": pd.Series(grams, dtype="object"),
-            }
-        )
-        g["_side"] = np.int8(1)
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return g[pos_cols]
-
-    def tag_eval(b: pd.DataFrame) -> pd.DataFrame:
-        g = b[["gram"]].copy()
-        g[id_col] = np.int64(-1)
-        g["pos"] = np.int64(-1)
-        g["_side"] = np.int8(0)
-        g["_part"] = (
-            pd.util.hash_array(g["gram"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return g[pos_cols]
-
-    both_grams = train_ds.map_batches(explode_train_positions, batch_format="pandas").union(
-        ev_grams.map_batches(tag_eval, batch_format="pandas")
+    removed = co_shuffle(
+        train_ds.map_batches(lambda b: _gram_rows(b, n, id_col, text_col), batch_format="pandas"),
+        ev_grams, column_hash("gram"), column_hash("gram"), num_partitions, find_hit_starts,
+        _starts_schema(id_col),
     )
-
-    def find_hit_starts(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {id_col: pd.Series([], dtype="int64"), "pos": pd.Series([], dtype="int64")}
-        )
-        if g.empty or "_side" not in g.columns:
-            return empty
-        tr = g[g["_side"] == 1]
-        if tr.empty:
-            return empty
-        ev = set(g.loc[g["_side"] == 0, "gram"])
-        hit = tr["gram"].isin(ev).to_numpy()
-        return tr.loc[hit, [id_col, "pos"]].reset_index(drop=True)
-
-    removed = both_grams.groupby("_part").map_groups(find_hit_starts, batch_format="pandas")
-
-    side_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("pos", pa.int64()),
-            ("text", pa.large_string()),
-            ("side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def proj_docs(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                t.column(text_col).cast(pa.large_string()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    def proj_removed(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "pos" not in t.column_names:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("pos").cast(pa.int64()),
-                pa.nulls(t.num_rows, pa.large_string()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = (
-        train_ds.select_columns([id_col, text_col])
-        .map_batches(proj_docs, batch_format="pyarrow")
-        .union(removed.map_batches(proj_removed, batch_format="pyarrow"))
-    )
-
-    def rebuild_partition(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "side" not in g.columns:
-            return _typed_table(out_schema)
-        docs = g[g["side"] == 0]
-        rem = g[g["side"] == 1]
-        starts_by_doc = {
-            int(k): v.to_numpy(dtype=np.int64)
-            for k, v in rem.groupby(id_col, sort=False)["pos"]
-        }
-        empty = np.empty(0, dtype=np.int64)
-
-        def starts_of(doc_id, _toks):
-            return starts_by_doc.get(int(doc_id), empty)
-
-        return rebuild_rows(docs[id_col], docs["text"], starts_of)
-
-    return both.groupby("_part").map_groups(rebuild_partition, batch_format="pandas")
+    return _scrub_rebuild(train_ds, removed, n, id_col, text_col, num_partitions)
 
 
 def source_prefix_strip(
@@ -1251,7 +924,7 @@ def source_prefix_strip(
 
     Scale shape: per-batch (source, prefix) partials -> grouped_sum
     (distributed — distinct prefixes per source are unbounded), one
-    hash(source) mod P pass picks each source's argmax row, and only
+    hash_partition on the source picks each source's argmax row, and only
     the tiny per-source winner/total tables reach the driver (bounded
     by source cardinality — the temperature_sample contract). The
     strip itself is a shuffle-free vectorized scan. Docs with no
@@ -1280,29 +953,18 @@ def source_prefix_strip(
         counts=False,
     )
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_array(b[group_col].astype(str).to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return b
-
     def argmax_per_source(g: pd.DataFrame) -> pd.DataFrame:
         cols = {group_col: "object", "pref": "object", "c": "int64", "n": "int64"}
-        if g.empty or "pref" not in g.columns:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
         g = g.sort_values(["sum_c", "pref"], ascending=[False, True], kind="stable")
         tot = g.groupby(group_col, sort=False)["sum_c"].transform("sum")
         out = g.assign(n=tot).drop_duplicates(group_col, keep="first")
         out = out.rename(columns={"sum_c": "c"})[list(cols)]
         return out.astype(cols)
 
-    winners = (
-        counts.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(argmax_per_source, batch_format="pandas")
-        .to_pandas()  # one row per source — driver-bounded by design
-    )
+    # source values keep the caller's type: the schema is inferred
+    winners = hash_partition(
+        counts, column_hash(group_col), num_partitions, argmax_per_source, None
+    ).to_pandas()  # one row per source — driver-bounded by design
     strip_map = {
         row[group_col]: row["pref"]
         for _, row in winners.iterrows()

@@ -49,9 +49,13 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle, column_hash, hash_partition
 from pdf_extractor_ray.ops.text_analysis import _doc_term_tf
 
 _DSIR_CACHE: dict = {}  # per-worker resolved broadcast maps
+_DSIR_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("n_ws_tokens", pa.int64()), ("logweight", pa.float64())]
+)
 
 
 def _per_doc(out: pd.DataFrame, const: float) -> pd.DataFrame:
@@ -144,14 +148,7 @@ def dsir_logweights(
         return ds.map_batches(score, batch_format="pandas")
 
     # ---- shuffle tier: exact at any vocabulary size ----
-    def add_term_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pd.util.hash_pandas_object(b["term"], index=False).to_numpy()
-        b["_part"] = (h % num_partitions).astype(np.int64)
-        return b
-
     def score_term_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_part"]).copy()
         cr = g.groupby("term", sort=False)["tf"].sum()
         ct = g[g["_tgt"].astype(bool)].groupby("term", sort=False)["tf"].sum()
         lw = {
@@ -161,26 +158,12 @@ def dsir_logweights(
         g["_lp"] = g["tf"].astype("float64") * g["term"].map(lw)
         return g.drop(columns=["_tgt"])
 
-    def add_doc_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_pandas_object(b["doc_id"], index=False).to_numpy() % num_partitions
-        ).astype(np.int64)
-        return b
-
-    def reduce_doc_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _per_doc(g.drop(columns=["_part"]), const)
-
-    scored = (
-        ds.map_batches(doc_rows, batch_format="pandas")
-        .map_batches(add_term_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(score_term_partition, batch_format="pandas")
+    scored = hash_partition(
+        ds.map_batches(doc_rows, batch_format="pandas"),
+        column_hash("term"), num_partitions, score_term_partition, None,
     )
-    return (
-        scored.map_batches(add_doc_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(reduce_doc_partition, batch_format="pandas")
+    return hash_partition(
+        scored, column_hash("doc_id"), num_partitions, lambda g: _per_doc(g, const), _DSIR_SCHEMA
     )
 
 
@@ -415,9 +398,6 @@ def temperature_sample(
     return ds.map_batches(accept, batch_format="pandas")
 
 
-_SPLIT_SIDE_SCHEMA_COLS = ("node", "component", "_side", "_part")
-
-
 def leakage_safe_split(
     ds: ray.data.Dataset,
     comp: ray.data.Dataset,
@@ -443,84 +423,41 @@ def leakage_safe_split(
     and independent of partitioning, so the assignment is stable
     under resume and cluster-size changes.
 
-    Execution shape: the (node, component) rows and the corpus id
-    column co-shuffle on hash(id) mod P (document text never enters
-    the exchange), families resolve with one vectorized merge per
-    partition, and the md5 gate is a row-local pass — no driver-side
-    id map at any corpus size."""
-    import pyarrow as pa
-
-    from pdf_extractor_ray.ops.dedup import _typed_table
+    Execution shape: the corpus id column (left) and the (node,
+    component) rows co-shuffle on the id mod P (document text never
+    enters the exchange), families resolve with one vectorized lookup
+    per partition, and the md5 gate runs in the same pass — no
+    driver-side id map at any corpus size."""
     from pdf_extractor_ray.ops.scrub import md5_u52
 
-    side_schema = pa.schema(
-        [
-            ("node", pa.int64()),
-            ("component", pa.int64()),
-            ("_side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
     out_schema = pa.schema(
         [(id_col, pa.int64()), ("family", pa.int64()), ("split", pa.string())]
     )
     thr = float(np.floor(val_frac * 2.0**52))
 
-    def proj_comp(t: pa.Table) -> pa.Table:
+    def comp_id(names) -> str:
         # comp datasets name their id column either after the corpus
         # id (dup_ngram_components) or "node" (connected_components)
-        comp_id = id_col if id_col in t.column_names else "node"
-        if t.num_rows == 0 or comp_id not in t.column_names:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column(comp_id).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("component").cast(pa.int64()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
+        return id_col if id_col in names else "node"
 
-    def proj_ids(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = comp.map_batches(proj_comp, batch_format="pyarrow").union(
-        ds.select_columns([id_col]).map_batches(proj_ids, batch_format="pyarrow")
-    )
-
-    def assign(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_side" not in g.columns:
-            return _typed_table(out_schema)
-        docs = g[g["_side"] == 1]
-        if docs.empty:
-            return _typed_table(out_schema)
-        members = g[g["_side"] == 0]
-        lookup = pd.Series(
-            members["component"].to_numpy(dtype=np.int64), index=members["node"].to_numpy()
-        )
-        fam = docs["node"].map(lookup).fillna(docs["node"]).to_numpy(dtype=np.int64)
+    def assign(docs: pd.DataFrame, members: pd.DataFrame) -> pa.Table:
+        ids = docs[id_col].to_numpy(dtype=np.int64)
+        fam = ids
+        if not members.empty:
+            lookup = pd.Series(
+                members["component"].to_numpy(dtype=np.int64),
+                index=members[comp_id(members.columns)].to_numpy(dtype=np.int64),
+            )
+            fam = pd.Series(ids).map(lookup).fillna(pd.Series(ids)).to_numpy(dtype=np.int64)
         u = md5_u52([str(int(f)) for f in fam]).astype("float64")
         return _typed_table(
-            out_schema,
-            **{
-                id_col: docs["node"].to_numpy(dtype=np.int64),
-                "family": fam,
-                "split": np.where(u < thr, "val", "train"),
-            },
+            out_schema, **{id_col: ids, "family": fam, "split": np.where(u < thr, "val", "train")}
         )
 
-    return both.groupby("_part").map_groups(assign, batch_format="pandas")
+    return co_shuffle(
+        ds.select_columns([id_col]), comp, id_col,
+        lambda t: t.column(comp_id(t.column_names)).to_numpy(), num_partitions, assign, out_schema,
+    )
 
 
 def mixture_plan(
@@ -652,23 +589,20 @@ def dup_debias_sample(
     hash mod P, cluster sizes are value_counts per co-located
     partition, REJECTED ids stream to anti_join_ids (broadcast under
     the small-drop cap, one co-shuffle above it). The content key is
-    104 bits (md5 head + tail u52 slices, md5_u52 / md5_u52_tail) —
+    104 bits (md5 head + tail u52 slices, md5_u52_pair) —
     birthday-safe to ~2^52 distinct documents; both slices are
     engine-portable (DuckDB substr(md5(), 1|17, 13))."""
     from pdf_extractor_ray.ops.dedup import _DROP_ID_SCHEMA, anti_join_ids
-    from pdf_extractor_ray.ops.scrub import md5_u52, md5_u52_tail
+    from pdf_extractor_ray.ops.scrub import md5_u52, md5_u52_pair
 
     def slim(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = list(batch[text_col].astype(str))
-        key = md5_u52(texts).astype("int64")
-        u = md5_u52([str(v) for v in batch[id_col]]).astype("int64")
+        key, key2 = md5_u52_pair(list(batch[text_col].astype(str)))
         return pd.DataFrame(
             {
-                "_k": key,
-                "_k2": md5_u52_tail(texts).astype("int64"),
-                "_u": u,
+                "_k": key.astype("int64"),
+                "_k2": key2.astype("int64"),
+                "_u": md5_u52([str(v) for v in batch[id_col]]).astype("int64"),
                 id_col: batch[id_col].to_numpy(dtype=np.int64),
-                "_part": key % num_partitions,
             }
         )
 
@@ -678,10 +612,8 @@ def dup_debias_sample(
         lost = g.loc[g["_u"].to_numpy(dtype=np.int64) >= thr, id_col].to_numpy(dtype=np.int64)
         return pa.table({"drop_id": pa.array(lost, pa.int64())}, schema=_DROP_ID_SCHEMA)
 
-    drops = (
-        ds.map_batches(slim, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(rejected, batch_format="pandas")
+    drops = hash_partition(
+        ds.map_batches(slim, batch_format="pandas"), "_k", num_partitions, rejected, _DROP_ID_SCHEMA
     )
     return anti_join_ids(ds, drops, id_col=id_col, num_partitions=num_partitions)
 

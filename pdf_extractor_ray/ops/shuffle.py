@@ -10,8 +10,8 @@ per-partition operators in `ops/`.
 A row goes to partition `key_hash % P`, with the hash viewed as uint64.
 `key_hash` is a column name or a callable `(pa.Table) -> ndarray`; the
 caller passes the hash it already computes (md5 words, `hash_array`,
-`hash_pandas_object`, int64 ids; `column_hash(col)` is the pandas hash
-of one column), so the caller decides partition contents. Groups reach
+`hash_pandas_object`, int64 ids; `column_hash(*cols)` is the pandas
+hash of key columns), so the caller decides partition contents. Groups reach
 `fn` as pandas DataFrames built from each side's own Arrow rows (no
 null-filled columns from the other side, so int columns stay int).
 `fn` returns a DataFrame, an Arrow table or None; the module casts it
@@ -173,10 +173,14 @@ def _exchange(inputs: list, P: int, fn, schema: pa.Schema | None) -> ray.data.Da
     return rows.map_batches(reduce, batch_size=None, batch_format="pyarrow")
 
 
-def column_hash(col: str) -> Callable[[pa.Table], np.ndarray]:
-    """Key hash of one column: pandas' `hash_array` of its values, the
-    same uint64 that `hash_pandas_object(series, index=False)` gives."""
-    return lambda t: pd.util.hash_array(t.column(col).to_numpy())
+def column_hash(*cols: str) -> Callable[[pa.Table], np.ndarray]:
+    """Key hash of one or more columns: pandas' `hash_array` of one
+    column's values (the same uint64 that `hash_pandas_object(series,
+    index=False)` gives), or `hash_pandas_object` of the rows of
+    several."""
+    if len(cols) == 1:
+        return lambda t: pd.util.hash_array(t.column(cols[0]).to_numpy())
+    return lambda t: pd.util.hash_pandas_object(t.select(list(cols)).to_pandas(), index=False).to_numpy()
 
 
 def hash_partition(

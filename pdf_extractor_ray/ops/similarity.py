@@ -12,6 +12,12 @@
   query touches a fraction of blocks.
 - embedding_neardup_pairs : all pairs with cosine >= threshold
   (embedding near-duplicate detection) via bucketed blocking.
+
+Keyed reductions past the per-bucket tiles (srp_neardup_pairs' band
+buckets, the per-query top-k of hard_negatives' IVF tier, bitext
+mining's per-target b_y and per-source best pair) run on the one
+shuffle primitive (`ops/shuffle.py` `hash_partition`): one vectorized
+pandas pass per hash partition, never one Ray group per key.
 """
 
 from __future__ import annotations
@@ -20,8 +26,13 @@ from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
+
+from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
+
+_COS_PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cos", pa.float64())])
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -277,10 +288,9 @@ def srp_neardup_pairs(
        signature — P(bit agrees) = 1 - angle/pi, so near-identical
        vectors share whole bit-bands with high probability
     2. band the signature (bands x n_bits/bands); rows sharing any
-       exact band key are candidates. Band keys are coarsened to
-       hash-mod-P shuffle partitions and each partition runs ONE
-       vectorized pandas pass (the dedup-LSH pattern — never one Ray
-       group per bucket)
+       exact band key are candidates. Band keys hash_partition into P
+       partitions and each partition runs ONE vectorized pandas pass
+       (the dedup-LSH pattern — never one Ray group per bucket)
     3. candidates verify by TRUE cosine inside the partition (chunked
        block tiles bound memory); pairs dedup across bands on the
        driver (bounded by the near-dup count, like the IVF variant)
@@ -301,16 +311,6 @@ def srp_neardup_pairs(
     weights = (1 << np.arange(bits_per_band, dtype=np.int64))
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return pd.DataFrame(
-                {
-                    "band_id": pd.Series(dtype="int64"),
-                    "band_key": pd.Series(dtype="int64"),
-                    id_col: pd.Series(dtype="int64"),
-                    vec_col: pd.Series(dtype="object"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
         r = _QUERY_CACHE.get(("srp", rref.hex()))
         if r is None:
             r = _QUERY_CACHE[("srp", rref.hex())] = ray.get(rref)
@@ -318,24 +318,22 @@ def srp_neardup_pairs(
         bits = (m @ r) >= 0  # (n, n_bits); sign is norm-invariant
         n = len(batch)
         keys = (bits.reshape(n, bands, bits_per_band) * weights).sum(axis=2)  # (n, bands)
-        flat_keys = keys.reshape(-1)
-        mixed = pd.util.hash_array(
-            flat_keys * np.int64(bands) + np.tile(np.arange(bands, dtype=np.int64), n)
-        )
         return pd.DataFrame(
             {
                 "band_id": np.tile(np.arange(bands, dtype=np.int64), n),
-                "band_key": flat_keys,
+                "band_key": keys.reshape(-1),
                 id_col: np.repeat(batch[id_col].to_numpy(), bands),
                 vec_col: np.repeat(batch[vec_col].to_numpy(), bands),
-                "_part": (mixed % np.uint64(num_partitions)).astype(np.int64),
             }
         )
 
-    def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"), "cos": pd.Series(dtype="float64")}
+    def band_hash(t: pa.Table) -> np.ndarray:
+        # one hash per (band, key) bucket
+        return pd.util.hash_array(
+            t.column("band_key").to_numpy() * np.int64(bands) + t.column("band_id").to_numpy()
         )
+
+    def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame | None:
         frames = []
         for _, grp in g.groupby(["band_id", "band_key"], sort=False):
             if len(grp) < 2:
@@ -360,19 +358,12 @@ def srp_neardup_pairs(
                         }
                     )
                 )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+        return pd.concat(frames, ignore_index=True) if frames else None
 
-    out = (
-        ds.select_columns([id_col, vec_col])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-        .to_pandas()  # bounded by the near-dup pair count (x bands)
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"), "cos": pd.Series(dtype="float64")}
-        )
+    out = hash_partition(
+        ds.select_columns([id_col, vec_col]).map_batches(explode, batch_format="pandas"),
+        band_hash, num_partitions, pairs_in_partition, _COS_PAIR_SCHEMA,
+    ).to_pandas()  # bounded by the near-dup pair count (x bands)
     out = out.drop_duplicates(["a", "b"])  # same pair from several bands
     return out.sort_values(["a", "b"], kind="stable").reset_index(drop=True)
 
@@ -677,52 +668,18 @@ def _hard_negatives_bucketed(
         .map_groups(mine, batch_format="pandas")
     )
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        if b.empty or id_col not in b.columns:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(dtype="int64"),
-                    "neg_id": pd.Series(dtype="int64"),
-                    "cos": pd.Series(dtype="float64"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b[id_col].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or id_col not in g.columns:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(dtype="int64"),
-                    "neg_id": pd.Series(dtype="int64"),
-                    "cos": pd.Series(dtype="float64"),
-                    "rank": pd.Series(dtype="int64"),
-                }
-            )
         g = g.sort_values([id_col, "cos", "neg_id"], ascending=[True, False, True], kind="stable")
         g = g.reset_index(drop=True)
         g["rank"] = g.groupby(id_col, sort=False).cumcount() + 1
-        g = g[g["rank"] <= k].drop(columns=["_part"])
-        g["rank"] = g["rank"].astype("int64")
-        return g
+        return g[g["rank"] <= k]
 
-    out = (
-        cands.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(finish, batch_format="pandas")
-        .to_pandas()
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {
-                id_col: pd.Series(dtype="int64"),
-                "neg_id": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-                "rank": pd.Series(dtype="int64"),
-            }
-        )
+    out = hash_partition(
+        cands, column_hash(id_col), num_partitions, finish,
+        pa.schema(
+            [(id_col, pa.int64()), ("neg_id", pa.int64()), ("cos", pa.float64()), ("rank", pa.int64())]
+        ),
+    ).to_pandas()
     return out.sort_values([id_col, "rank"], kind="stable").reset_index(drop=True)
 
 
@@ -940,6 +897,14 @@ def truncation_recall(
     return pd.DataFrame(rows, columns=["query_id", "n_overlap", "recall_at_k"])
 
 
+_BY_SCHEMA = pa.schema([("yid", pa.int64()), ("b", pa.float64())])
+
+
+_BITEXT_SCHEMA = pa.schema(
+    [("src_id", pa.int64()), ("tgt_id", pa.int64()), ("cos", pa.float64()), ("margin", pa.float64())]
+)
+
+
 def _by_reduce(
     parts: ray.data.Dataset, k: int, num_partitions: int
 ) -> dict[int, float]:
@@ -948,35 +913,14 @@ def _by_reduce(
     Schwenk margin denominator). Shuffles only slim scalar rows on
     hash(yid) mod P; the driver receives exactly |Y| (yid, b) rows."""
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        if b.empty or "yid" not in b.columns:
-            return pd.DataFrame(
-                {
-                    "yid": pd.Series(dtype="int64"),
-                    "cos": pd.Series(dtype="float64"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b["yid"].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "yid" not in g.columns:
-            return pd.DataFrame(
-                {"yid": pd.Series(dtype="int64"), "b": pd.Series(dtype="float64")}
-            )
         g = g.sort_values(["yid", "cos"], ascending=[True, False], kind="stable")
         top = g.groupby("yid", sort=False).head(k)
-        out = top.groupby("yid", sort=True)["cos"].mean().reset_index()
-        return pd.DataFrame({"yid": out["yid"].astype("int64"), "b": out["cos"].astype("float64")})
+        return top.groupby("yid", sort=True)["cos"].mean().reset_index().rename(columns={"cos": "b"})
 
-    rows = (
-        parts.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(reduce_part, batch_format="pandas")
-        .to_pandas()
-    )
+    rows = hash_partition(
+        parts, column_hash("yid"), num_partitions, reduce_part, _BY_SCHEMA
+    ).to_pandas()
     return dict(zip(rows["yid"].astype(np.int64), rows["b"].astype(np.float64)))
 
 
@@ -1025,9 +969,10 @@ def bitext_mine(
       its argmax bucket as pool, each source replicates into its
       `n_probe` nearest buckets as query; per-bucket tiles emit (a)
       per-source top-max(k, cand_per_query) candidate pairs and (b)
-      per-target top-k backward partials. Three hash-mod-P scalar
-      shuffles finish: a_x + candidate cut on hash(xid), b_y on
-      hash(yid), margin join on hash(yid) then argmax on hash(xid).
+      per-target top-k backward partials. Two scalar hash_partitions
+      finish: b_y on hash(yid) (broadcast back as a |Y| map), then on
+      hash(xid) a_x, the candidate cut, the margins and the argmax in
+      one pass.
       Recall < 1.0 by design (a true pair hiding in an unprobed
       bucket, or outside the top-cand_per_query cosines, is missed);
       with n_probe == n_centroids and cand_per_query >= |Y| it equals
@@ -1253,146 +1198,38 @@ def _bitext_mine_bucketed(
     # per-bucket map_groups obeys the groupby scale rule
     mined = tagged.groupby("bucket").map_groups(mine, batch_format="pandas")
 
-    def part_on(col: str, kinds: tuple[int, ...]):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            if b.empty or "kind" not in b.columns:
-                return pd.DataFrame(
-                    {
-                        "kind": pd.Series(dtype="int8"),
-                        "xid": pd.Series(dtype="int64"),
-                        "yid": pd.Series(dtype="int64"),
-                        "cos": pd.Series(dtype="float64"),
-                        "_part": pd.Series(dtype="int64"),
-                    }
-                )
-            b = b[b["kind"].isin(kinds)].copy()
-            b["_part"] = (pd.util.hash_array(b[col].to_numpy()) % num_partitions).astype(
-                np.int64
-            )
-            return b
+    # per-target b_y (hash(yid)) — same reduce as the exact tier,
+    # broadcast back as a |Y| map of k-scalar means, not vectors
+    b_rows = _by_reduce(
+        mined.map_batches(lambda b: b.loc[b["kind"] == 1, ["yid", "cos"]], batch_format="pandas"),
+        k, num_partitions,
+    )
+    bref = ray.put(b_rows)
 
-        return f
-
-    # stage 1: per-source a_x + candidate cut (hash(xid) mod P)
-    def fwd_finish(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "xid": pd.Series(dtype="int64"),
-                "yid": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-                "a": pd.Series(dtype="float64"),
-            }
-        )
-        if g.empty or "xid" not in g.columns:
-            return empty
+    # per source (hash(xid)): a_x, the candidate cut, margins, argmax
+    def best_pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["xid", "cos", "yid"], ascending=[True, False, True], kind="stable")
         # dedup (xid, yid) pairs scored in more than one probed bucket
         g = g.drop_duplicates(subset=["xid", "yid"], keep="first")
-        topk = g.groupby("xid", sort=False).head(k)
-        a = topk.groupby("xid", sort=False)["cos"].mean()
-        cand = g.groupby("xid", sort=False).head(keep_cand).copy()
-        cand["a"] = cand["xid"].map(a).astype(np.float64)
-        return cand[["xid", "yid", "cos", "a"]]
-
-    cands = (
-        mined.map_batches(part_on("xid", (0,)), batch_format="pandas")
-        .groupby("_part")
-        .map_groups(fwd_finish, batch_format="pandas")
-    )
-
-    # stage 2: per-target b_y (hash(yid) mod P) — same reduce as exact
-    def to_y(b: pd.DataFrame) -> pd.DataFrame:
-        if b.empty or "kind" not in b.columns:
-            return pd.DataFrame(
-                {"yid": pd.Series(dtype="int64"), "cos": pd.Series(dtype="float64")}
-            )
-        b = b[b["kind"] == 1]
-        return b[["yid", "cos"]].copy()
-
-    b_rows = _by_reduce(mined.map_batches(to_y, batch_format="pandas"), k, num_partitions)
-
-    # stage 3: margins (b_y is |Y|-bounded per partition via broadcast
-    # of the reduced map — k scalars per target, not vectors)
-    bref = ray.put(b_rows)
-
-    def margins(b: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "xid": pd.Series(dtype="int64"),
-                "yid": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-                "margin": pd.Series(dtype="float64"),
-            }
-        )
-        if b.empty or "xid" not in b.columns:
-            return empty
+        a = g.groupby("xid", sort=False).head(k).groupby("xid", sort=False)["cos"].mean()
+        cand = g.groupby("xid", sort=False).head(keep_cand)
         bm = _QUERY_CACHE.get(("btb2", bref.hex()))
         if bm is None:
             bm = _QUERY_CACHE[("btb2", bref.hex())] = ray.get(bref)
-        bv = b["yid"].map(bm).to_numpy(dtype=np.float64)
-        marg = b["cos"].to_numpy(dtype=np.float64) / (
-            (b["a"].to_numpy(dtype=np.float64) + bv) / 2.0
-        )
-        out = b[["xid", "yid", "cos"]].copy()
-        out["margin"] = marg
-        return out
-
-    def pick_best(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "src_id": pd.Series(dtype="int64"),
-                "tgt_id": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-                "margin": pd.Series(dtype="float64"),
-            }
-        )
-        if g.empty or "xid" not in g.columns:
-            return empty
-        g = g.sort_values(
-            ["xid", "margin", "yid"], ascending=[True, False, True], kind="stable"
-        )
-        best = g.groupby("xid", sort=False).head(1)
+        bv = cand["yid"].map(bm).to_numpy(dtype=np.float64)
+        av = cand["xid"].map(a).to_numpy(dtype=np.float64)
+        cand = cand.assign(margin=cand["cos"].to_numpy(dtype=np.float64) / ((av + bv) / 2.0))
+        cand = cand.sort_values(["xid", "margin", "yid"], ascending=[True, False, True], kind="stable")
+        best = cand.groupby("xid", sort=False).head(1)
         best = best[best["margin"] >= threshold]
         return pd.DataFrame(
-            {
-                "src_id": best["xid"].astype("int64"),
-                "tgt_id": best["yid"].astype("int64"),
-                "cos": best["cos"].astype("float64"),
-                "margin": best["margin"].astype("float64"),
-            }
+            {"src_id": best["xid"], "tgt_id": best["yid"], "cos": best["cos"], "margin": best["margin"]}
         )
 
-    def part_x(b: pd.DataFrame) -> pd.DataFrame:
-        if b.empty or "xid" not in b.columns:
-            return pd.DataFrame(
-                {
-                    "xid": pd.Series(dtype="int64"),
-                    "yid": pd.Series(dtype="int64"),
-                    "cos": pd.Series(dtype="float64"),
-                    "margin": pd.Series(dtype="float64"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        b = b.copy()
-        b["_part"] = (pd.util.hash_array(b["xid"].to_numpy()) % num_partitions).astype(np.int64)
-        return b
-
-    out = (
-        cands.map_batches(margins, batch_format="pandas")
-        .map_batches(part_x, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(pick_best, batch_format="pandas")
-        .to_pandas()
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {
-                "src_id": pd.Series(dtype="int64"),
-                "tgt_id": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-                "margin": pd.Series(dtype="float64"),
-            }
-        )
+    out = hash_partition(
+        mined.map_batches(lambda b: b[b["kind"] == 0], batch_format="pandas"),
+        column_hash("xid"), num_partitions, best_pairs, _BITEXT_SCHEMA,
+    ).to_pandas()
     return out.sort_values("src_id", kind="stable").reset_index(drop=True)
 
 

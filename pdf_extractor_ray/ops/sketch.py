@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.ops.scrub import md5_u52
+from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
 
 # ---------------------------------------------------------------------------
 # Count-min sketch heavy hitters
@@ -207,18 +209,9 @@ def kmv_distinct(
             }
         )
         d = d.sort_values("_h", kind="stable")
-        d = d.groupby(group_col, sort=False).head(k).copy()
-        d["_part"] = (
-            pd.util.hash_array(d[group_col].to_numpy()) % num_partitions
-        ).astype(np.int64)
-        return d
+        return d.groupby(group_col, sort=False).head(k)
 
     def merge_part(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {group_col: pd.Series(dtype="object"), "kmv_est": pd.Series(dtype="float64")}
-        )
-        if g.empty or group_col not in g.columns:
-            return empty
         d = g[[group_col, "_h"]].drop_duplicates().sort_values([group_col, "_h"], kind="stable")
         grp = d.groupby(group_col, sort=False)["_h"]
         cnt = grp.size()
@@ -232,12 +225,11 @@ def kmv_distinct(
         )
         return pd.DataFrame({group_col: cnt.index.to_numpy(), "kmv_est": est})
 
-    rows = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(merge_part, batch_format="pandas")
-        .take_all()
-    )
+    # group values keep the caller's type: the schema is inferred
+    rows = hash_partition(
+        ds.map_batches(partial, batch_format="pandas"), column_hash(group_col), num_partitions,
+        merge_part, None,
+    ).take_all()
     out = pd.DataFrame(rows, columns=[group_col, "kmv_est"])
     out["kmv_est"] = out["kmv_est"].astype("float64")
     return out.sort_values(group_col).reset_index(drop=True)
@@ -326,24 +318,18 @@ def tdigest_quantiles(
     depend on batch boundaries; callers needing bit-stable outputs use
     grouped_quantiles."""
 
+    qcols = [f"p{int(round(q * 100))}_{val}" for q in qs]
+
+    def key_values(kv) -> dict:
+        return dict(zip(keys, kv if isinstance(kv, tuple) else (kv,)))
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for kv, g in batch.groupby(keys, sort=False, dropna=False):
             v = np.sort(g[val].to_numpy(dtype="float64"))
             m, w = _compress(v, np.ones(len(v)), delta)
-            part = pd.DataFrame({"_mean": m, "_weight": w})
-            if len(keys) == 1:
-                part[keys[0]] = kv if not isinstance(kv, tuple) else kv[0]
-            else:
-                for k, x in zip(keys, kv):
-                    part[k] = x
-            outs.append(part)
-        out = pd.concat(outs, ignore_index=True)
-        h = np.zeros(len(out), dtype=np.uint64)
-        for k in keys:
-            h ^= pd.util.hash_array(out[k].to_numpy())
-        out["_part"] = (h % num_partitions).astype(np.int64)
-        return out
+            outs.append(pd.DataFrame({"_mean": m, "_weight": w}).assign(**key_values(kv)))
+        return pd.concat(outs, ignore_index=True)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -354,27 +340,94 @@ def tdigest_quantiles(
                 grp["_weight"].to_numpy(dtype="float64"),
                 delta,
             )
-            row = {}
-            if len(keys) == 1:
-                row[keys[0]] = kv if not isinstance(kv, tuple) else kv[0]
-            else:
-                row.update(dict(zip(keys, kv)))
+            row = key_values(kv)
             row["n"] = int(round(w.sum()))
-            for q in qs:
-                row[f"p{int(round(q * 100))}_{val}"] = _digest_quantile(m, w, q)
+            row.update({c: _digest_quantile(m, w, q) for c, q in zip(qcols, qs)})
             rows.append(row)
-        return pd.DataFrame(rows)
+        # typed even without rows: keys take the input types by name
+        out = pd.DataFrame(rows, columns=[*keys, "n", *qcols])
+        return out.astype({"n": "int64", **{c: "float64" for c in qcols}})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(merge, batch_format="pandas")
+    # Ray calls no UDF on an all-empty input, so a typed empty result
+    # needs the key types up front: declared when the input schema has
+    # Arrow types for every key, inferred from the rows otherwise
+    in_schema = ds.schema()
+    types = dict(zip(in_schema.names, in_schema.types)) if in_schema is not None else {}
+    schema = None
+    if all(isinstance(types.get(k), pa.DataType) for k in keys):
+        schema = pa.schema(
+            [(k, types[k]) for k in keys] + [("n", pa.int64())] + [(c, pa.float64()) for c in qcols]
+        )
+    return hash_partition(
+        ds.map_batches(partial, batch_format="pandas"), column_hash(*keys), num_partitions, merge, schema
     )
 
 
 # ---------------------------------------------------------------------------
 # HyperLogLog distinct-count estimator
 # ---------------------------------------------------------------------------
+
+
+def _hll_registers(batch: pd.DataFrame, group_col: str, value_col: str, p: int) -> pd.DataFrame:
+    """(group, bucket, rho) max-register rows of one batch: each
+    distinct value's md5_u52 gives bucket = its top p bits and rho =
+    leading zeros of the remaining (52-p)-bit field + 1."""
+    d = batch[[group_col, value_col]].drop_duplicates()
+    hv = md5_u52([str(v) for v in d[value_col]])
+    rest = hv & np.uint64((1 << (52 - p)) - 1)
+    # bit_length via frexp (EXACT for integers < 2^52: the float64
+    # conversion is lossless and frexp returns the true exponent)
+    bl = np.frexp(rest.astype(np.float64))[1].astype(np.int64)
+    out = pd.DataFrame(
+        {
+            group_col: d[group_col].to_numpy(),
+            "bucket": (hv >> np.uint64(52 - p)).astype(np.int64),
+            "rho": (52 - p) - bl + 1,
+        }
+    )
+    return _max_registers(out, group_col)
+
+
+def _max_registers(regs: pd.DataFrame, group_col: str) -> pd.DataFrame:
+    return regs.groupby([group_col, "bucket"], sort=False)["rho"].max().reset_index()
+
+
+def _hll_estimate(regs: pd.DataFrame, group_col: str, p: int) -> pd.DataFrame:
+    """(group_col, hll_est) from register rows, merged by (group,
+    bucket) max first."""
+    m = 1 << p
+    rmax = 52 - p + 1
+    merged = _max_registers(regs, group_col)
+    # integer harmonic sum per group: Z * 2^rmax, exact in int64
+    # (every group's sum <= m * 2^rmax = 2^53)
+    terms = np.int64(1) << (np.int64(rmax) - merged["rho"].to_numpy(dtype=np.int64))
+    byg = pd.DataFrame({group_col: merged[group_col].to_numpy(), "_t": terms}).groupby(
+        group_col, sort=False
+    )["_t"]
+    z_scaled = byg.sum().astype(np.int64)
+    n_regs = byg.size().to_numpy(dtype=np.int64)
+    v_empty = m - n_regs
+    z = z_scaled.to_numpy() + (v_empty << np.int64(rmax))
+    # float expression order matches the scalar original exactly
+    # (each group's doubles derive from exact ints, rounding once)
+    alpha = 0.7213 / (1.0 + 1.079 / float(m))
+    e_raw = alpha * float(m) * float(m) * float(2 ** rmax) / z.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        linear = float(m) * np.log(
+            float(m) / np.where(v_empty > 0, v_empty, 1).astype(np.float64)
+        )
+    est = np.where((e_raw <= 2.5 * m) & (v_empty > 0), linear, e_raw)
+    return pd.DataFrame({group_col: z_scaled.index.to_numpy(), "hll_est": est.astype(np.float64)})
+
+
+def _hll_exchange(ds, group_col, value_col, p, num_partitions, fn) -> ray.data.Dataset:
+    """Per-batch register partials, shuffled on hash(group) mod P so
+    `fn` sees every register row of its groups."""
+    partials = ds.map_batches(
+        lambda b: _hll_registers(b, group_col, value_col, p), batch_format="pandas"
+    )
+    # group values keep the caller's type: the schema is inferred
+    return hash_partition(partials, column_hash(group_col), num_partitions, fn, None)
 
 
 def hll_distinct(
@@ -410,65 +463,9 @@ def hll_distinct(
 
     Returns (group_col, hll_est float64) sorted by group.
     """
-    m = 1 << p
-    rmax = 52 - p + 1
-    shift = np.uint64(52 - p)
-    mask = np.uint64((1 << (52 - p)) - 1)
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        d = batch[[group_col, value_col]].drop_duplicates()
-        hv = md5_u52([str(v) for v in d[value_col]])
-        bucket = (hv >> shift).astype(np.int64)
-        rest = hv & mask
-        # rho = leading zeros of the (52-p)-bit field + 1
-        # bit_length via frexp (EXACT for integers < 2^52: the float64
-        # conversion is lossless and frexp returns the true exponent)
-        bl = np.frexp(rest.astype(np.float64))[1].astype(np.int64)
-        rho = (52 - p) - bl + 1
-        out = pd.DataFrame(
-            {group_col: d[group_col].to_numpy(), "_bucket": bucket, "_rho": rho}
-        )
-        out = (
-            out.groupby([group_col, "_bucket"], sort=False)["_rho"]
-            .max()
-            .reset_index()
-        )
-        out["_part"] = (
-            pd.util.hash_array(out[group_col].to_numpy()) % num_partitions
-        ).astype(np.int64)
-        return out
-
-    def estimate_part(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or group_col not in g.columns:
-            return pd.DataFrame({group_col: [], "hll_est": pd.Series([], dtype="float64")})
-        regs = g.groupby([group_col, "_bucket"], sort=False)["_rho"].max().reset_index()
-        # integer harmonic sum per group: Z * 2^rmax, exact in int64
-        # (every group's sum <= m * 2^rmax = 2^53)
-        terms = np.int64(1) << (np.int64(rmax) - regs["_rho"].to_numpy(dtype=np.int64))
-        byg = pd.DataFrame({group_col: regs[group_col].to_numpy(), "_t": terms}).groupby(
-            group_col, sort=False
-        )["_t"]
-        z_scaled = byg.sum().astype(np.int64)
-        n_regs = byg.size().to_numpy(dtype=np.int64)
-        v_empty = m - n_regs
-        z = z_scaled.to_numpy() + (v_empty << np.int64(rmax))
-        # float expression order matches the scalar original exactly
-        # (each group's doubles derive from exact ints, rounding once)
-        alpha = 0.7213 / (1.0 + 1.079 / float(m))
-        e_raw = alpha * float(m) * float(m) * float(2 ** rmax) / z.astype(np.float64)
-        with np.errstate(divide="ignore"):
-            linear = float(m) * np.log(
-                float(m) / np.where(v_empty > 0, v_empty, 1).astype(np.float64)
-            )
-        est = np.where((e_raw <= 2.5 * m) & (v_empty > 0), linear, e_raw)
-        return pd.DataFrame({group_col: z_scaled.index.to_numpy(), "hll_est": est})
-
-    rows = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(estimate_part, batch_format="pandas")
-        .take_all()
-    )
+    rows = _hll_exchange(
+        ds, group_col, value_col, p, num_partitions, lambda g: _hll_estimate(g, group_col, p)
+    ).take_all()
     out = pd.DataFrame(rows, columns=[group_col, "hll_est"])
     out["hll_est"] = out["hll_est"].astype("float64")
     return out.sort_values(group_col).reset_index(drop=True)
@@ -492,52 +489,11 @@ def hll_registers(
     Same partial/shuffle shape as hll_distinct (<= m rows per group
     per block, hash(group)-mod-P reduce); the returned table is
     bounded by n_groups * 2^p rows."""
-    shift = np.uint64(52 - p)
-    mask = np.uint64((1 << (52 - p)) - 1)
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        # identical hash/bucket/rho derivation as hll_distinct.partial
-        d = batch[[group_col, value_col]].drop_duplicates()
-        hv = md5_u52([str(v) for v in d[value_col]])
-        bucket = (hv >> shift).astype(np.int64)
-        rest = hv & mask
-        bl = np.frexp(rest.astype(np.float64))[1].astype(np.int64)
-        rho = (52 - p) - bl + 1
-        out = pd.DataFrame(
-            {group_col: d[group_col].to_numpy(), "_bucket": bucket, "_rho": rho}
-        )
-        out = (
-            out.groupby([group_col, "_bucket"], sort=False)["_rho"].max().reset_index()
-        )
-        out["_part"] = (
-            pd.util.hash_array(out[group_col].to_numpy()) % num_partitions
-        ).astype(np.int64)
-        return out
-
-    def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or group_col not in g.columns:
-            return pd.DataFrame(
-                {
-                    group_col: pd.Series(dtype="object"),
-                    "bucket": pd.Series(dtype="int64"),
-                    "rho": pd.Series(dtype="int64"),
-                }
-            )
-        regs = g.groupby([group_col, "_bucket"], sort=False)["_rho"].max().reset_index()
-        return pd.DataFrame(
-            {
-                group_col: regs[group_col].to_numpy(),
-                "bucket": regs["_bucket"].to_numpy(dtype=np.int64),
-                "rho": regs["_rho"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(reduce_part, batch_format="pandas")
-        .to_pandas()
-    )
+    rows = _hll_exchange(
+        ds, group_col, value_col, p, num_partitions, lambda g: _max_registers(g, group_col)
+    ).take_all()
+    out = pd.DataFrame(rows, columns=[group_col, "bucket", "rho"])
+    out = out.astype({"bucket": "int64", "rho": "int64"})
     return out.sort_values([group_col, "bucket"]).reset_index(drop=True)
 
 
@@ -547,34 +503,13 @@ def hll_estimate_registers(
     """Estimate per-group distinct counts from one or more
     CONCATENATED register tables (pd.concat the snapshots first):
     registers merge by (group, bucket) max, then the estimation
-    expression is hll_distinct's VERBATIM (integer harmonic sum,
+    expression is hll_distinct's own (integer harmonic sum,
     linear-counting correction) so a merged estimate reproduces the
     one-shot estimate bit for bit — pinned in pytest."""
-    m = 1 << p
-    rmax = 52 - p + 1
-    if regs.empty:
-        return pd.DataFrame(
-            {group_col: pd.Series(dtype="object"), "hll_est": pd.Series(dtype="float64")}
-        )
-    merged = regs.groupby([group_col, "bucket"], sort=False)["rho"].max().reset_index()
-    terms = np.int64(1) << (np.int64(rmax) - merged["rho"].to_numpy(dtype=np.int64))
-    byg = pd.DataFrame({group_col: merged[group_col].to_numpy(), "_t": terms}).groupby(
-        group_col, sort=False
-    )["_t"]
-    z_scaled = byg.sum().astype(np.int64)
-    n_regs = byg.size().to_numpy(dtype=np.int64)
-    v_empty = m - n_regs
-    z = z_scaled.to_numpy() + (v_empty << np.int64(rmax))
-    alpha = 0.7213 / (1.0 + 1.079 / float(m))
-    e_raw = alpha * float(m) * float(m) * float(2 ** rmax) / z.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        linear = float(m) * np.log(
-            float(m) / np.where(v_empty > 0, v_empty, 1).astype(np.float64)
-        )
-    est = np.where((e_raw <= 2.5 * m) & (v_empty > 0), linear, e_raw)
-    out = pd.DataFrame({group_col: z_scaled.index.to_numpy(), "hll_est": est})
-    out["hll_est"] = out["hll_est"].astype("float64")
-    return out.sort_values(group_col).reset_index(drop=True)
+    return _hll_estimate(regs, group_col, p).sort_values(group_col).reset_index(drop=True)
+
+
+_KMV_OVERLAP_SCHEMA = pa.schema([("_in_b", pa.int64()), ("_h", pa.uint64())])
 
 
 def kmv_overlap(
@@ -605,38 +540,27 @@ def kmv_overlap(
     block, lossless merge — a global bottom-k hash is bottom-k in its
     batch), one 2-group merge pass, ≤ 2k rows to the driver."""
 
+    def bottom_k(d: pd.DataFrame) -> pd.DataFrame:
+        d = d.drop_duplicates().sort_values("_h", kind="stable")
+        return d.groupby("_in_b", sort=False).head(k)
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         d = batch[[label_col, value_col]]
         d = d[d[label_col].isin([label_a, label_b])].drop_duplicates()
-        if d.empty:
-            return pd.DataFrame(
-                {"_side": pd.Series(dtype="int64"), "_h": pd.Series(dtype="uint64")}
+        return bottom_k(
+            pd.DataFrame(
+                {
+                    "_in_b": (d[label_col] == label_b).astype("int64").to_numpy(),
+                    "_h": md5_u52([str(v) for v in d[value_col]]),
+                }
             )
-        out = pd.DataFrame(
-            {
-                "_side": (d[label_col] == label_b).astype("int64").to_numpy(),
-                "_h": md5_u52([str(v) for v in d[value_col]]),
-            }
         )
-        out = out.drop_duplicates().sort_values("_h", kind="stable")
-        return out.groupby("_side", sort=False).head(k)
 
-    def merge_side(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {"_side": pd.Series(dtype="int64"), "_h": pd.Series(dtype="uint64")}
-            )
-        d = g.drop_duplicates().sort_values("_h", kind="stable")
-        return d.head(k)
-
-    rows = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_side")
-        .map_groups(merge_side, batch_format="pandas")
-        .to_pandas()
-    )  # <= 2k rows by construction
-    ka = set(int(h) for h in rows.loc[rows["_side"] == 0, "_h"])
-    kb = set(int(h) for h in rows.loc[rows["_side"] == 1, "_h"])
+    rows = hash_partition(
+        ds.map_batches(partial, batch_format="pandas"), "_in_b", 2, bottom_k, _KMV_OVERLAP_SCHEMA
+    ).to_pandas()  # <= 2k rows by construction
+    ka = set(int(h) for h in rows.loc[rows["_in_b"] == 0, "_h"])
+    kb = set(int(h) for h in rows.loc[rows["_in_b"] == 1, "_h"])
     union_sorted = sorted(ka | kb)[:k]
     n_union = len(union_sorted)
     n_common = sum(1 for h in union_sorted if h in ka and h in kb)

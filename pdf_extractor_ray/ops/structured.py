@@ -30,7 +30,7 @@ import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.functions.html_extract import _tokenize
-from pdf_extractor_ray.ops.dedup import _typed_table
+from pdf_extractor_ray.ops.shuffle import _typed_table
 
 _TABLE_SCHEMA = pa.schema(
     [

@@ -98,6 +98,14 @@ def top_terms(ds: ray.data.Dataset, k: int = 100, text_col: str = "text") -> pd.
     return out[["term", "n_term"]].reset_index(drop=True)
 
 
+def _collect(ds: ray.data.Dataset, cols: list[str]) -> pd.DataFrame:
+    """A broadcast tier's bounded table on the driver, with `cols` even
+    when no row survived: Ray's empty pandas blocks carry no column
+    names (a one-document corpus filters every hapax term away)."""
+    tbl = ds.to_pandas()
+    return tbl if len(tbl) else pd.DataFrame(columns=cols)
+
+
 def _doc_term_tf(batch: pd.DataFrame, text_col: str) -> pd.DataFrame:
     """One (doc_id, term, tf) row per distinct term per document — a
     document's text lives in ONE row, so its tf is complete here."""
@@ -174,7 +182,7 @@ def tfidf_topk(
     # table lives distributed in the object store, never on the driver.
     df_multi = df_multi.materialize()
     if df_multi.count() <= broadcast_max_terms:
-        df_tbl = df_multi.to_pandas()  # bounded by broadcast_max_terms
+        df_tbl = _collect(df_multi, ["term", "sum_df"])  # bounded by broadcast_max_terms
         idf = {
             t: math.log(n_docs / d)
             for t, d in zip(df_tbl["term"], df_tbl["sum_df"].astype("int64"))
@@ -289,7 +297,7 @@ def unigram_logprob(
 
     multi = counts.map_batches(drop_singletons, batch_format="pandas")
     if multi.count() <= broadcast_max_terms:
-        tbl = multi.to_pandas()  # bounded by broadcast_max_terms
+        tbl = _collect(multi, ["term", "sum_n"])  # bounded by broadcast_max_terms
         ln_c = {t: math.log(int(n)) for t, n in zip(tbl["term"], tbl["sum_n"])}
         ref = _ray.put(ln_c)
 
@@ -436,7 +444,7 @@ def bigram_logprob(
 
     multi = counts.map_batches(drop_singletons, batch_format="pandas")
     if multi.count() <= broadcast_max_terms:
-        tbl = multi.to_pandas()  # bounded by broadcast_max_terms
+        tbl = _collect(multi, ["key", "sum_n"])  # bounded by broadcast_max_terms
         ln_map = {k: math.log(int(n)) for k, n in zip(tbl["key"], tbl["sum_n"])}
         ref = _ray.put(ln_map)
 
@@ -793,7 +801,7 @@ def term_kl_by_slice(
         )
 
     if counts.count() <= broadcast_max_terms:
-        tbl = counts.to_pandas()  # bounded by broadcast_max_terms
+        tbl = _collect(counts, ["term", "sum_c"])  # bounded by broadcast_max_terms
         cmap = dict(zip(tbl["term"], tbl["sum_c"].astype("int64")))
         ref = ray.put(cmap)
 
@@ -1020,7 +1028,7 @@ def term_cooccurrence_pmi(
 
     if term_df.count() <= broadcast_max_terms:
         # broadcast tier: the vocab df map ships once
-        tbl = term_df.to_pandas()
+        tbl = _collect(term_df, ["term", "sum_one"])
         dfm = dict(zip(tbl["term"], tbl["sum_one"].astype("int64")))
         ref = ray.put(dfm)
 
@@ -1638,7 +1646,7 @@ def trigram_jm_logprob(
         return ev
 
     if multi.count() <= broadcast_max_terms:
-        tbl = multi.to_pandas()
+        tbl = _collect(multi, ["key", "sum_n"])
         cmap = dict(zip(tbl["key"], tbl["sum_n"].astype("int64")))
         ref = _ray.put(cmap)
 

@@ -580,9 +580,9 @@ def test_tfidf_topk_shuffle_tier_matches_broadcast(ray_session):
         texts.append(" ".join(toks))
     df = pd.DataFrame({"doc_id": range(40), "text": texts})
 
-    def run(cap):
+    def run(cap, frame=df):
         return (
-            tfidf_topk(ray.data.from_pandas(df).repartition(5), k=3, broadcast_max_terms=cap)
+            tfidf_topk(ray.data.from_pandas(frame).repartition(5), k=3, broadcast_max_terms=cap)
             .to_pandas()
             .sort_values(["doc_id", "term"])
             .reset_index(drop=True)
@@ -591,6 +591,13 @@ def test_tfidf_topk_shuffle_tier_matches_broadcast(ray_session):
     bcast, shuf = run(10**6), run(0)
     pd.testing.assert_frame_equal(bcast, shuf)  # exact, incl. float tfidf
     assert len(bcast) > 0
+    # one document: every term is a hapax, so the pruned table is
+    # empty (its collect once lost the column names)
+    one = pd.DataFrame({"doc_id": [1], "text": ["alpha beta gamma delta"]})
+    for cap in (10**6, 0):
+        got = run(cap, one)
+        assert got.term.tolist() == ["alpha", "beta", "delta"]
+        assert got.tfidf.tolist() == [0.0, 0.0, 0.0]  # ln(N / df) = ln 1
 
 
 def test_unigram_logprob_hand_computed(ray_session):
@@ -641,10 +648,10 @@ def test_unigram_logprob_shuffle_tier_matches_broadcast(ray_session):
         texts.append(" ".join(toks))
     df = pd.DataFrame({"doc_id": range(40), "text": texts})
 
-    def run(cap):
+    def run(cap, frame=df):
         return (
             unigram_logprob(
-                ray.data.from_pandas(df).repartition(5), broadcast_max_terms=cap
+                ray.data.from_pandas(frame).repartition(5), broadcast_max_terms=cap
             )
             .to_pandas()
             .sort_values("doc_id")
@@ -654,6 +661,13 @@ def test_unigram_logprob_shuffle_tier_matches_broadcast(ray_session):
     bcast, shuf = run(10**6), run(0)
     pd.testing.assert_frame_equal(bcast, shuf)  # exact, incl. float logprob
     assert len(bcast) == 40
+    # one document: every term is a hapax, so the pruned table is
+    # empty (its collect once lost the column names)
+    one = pd.DataFrame({"doc_id": [1], "text": ["alpha beta gamma delta"]})
+    for cap in (10**6, 0):
+        got = run(cap, one)
+        assert got.n_ws_tokens.tolist() == [4]
+        assert got.logprob.tolist() == pytest.approx([4 * np.log(1 / 4)])
 
 
 def test_bigram_logprob_hand_computed(ray_session):
@@ -710,10 +724,10 @@ def test_bigram_logprob_shuffle_tier_matches_broadcast(ray_session):
         texts.append(" ".join(toks))
     df = pd.DataFrame({"doc_id": range(40), "text": texts})
 
-    def run(cap):
+    def run(cap, frame=df):
         return (
             bigram_logprob(
-                ray.data.from_pandas(df).repartition(5), broadcast_max_terms=cap
+                ray.data.from_pandas(frame).repartition(5), broadcast_max_terms=cap
             )
             .to_pandas()
             .sort_values("doc_id")
@@ -723,6 +737,13 @@ def test_bigram_logprob_shuffle_tier_matches_broadcast(ray_session):
     bcast, shuf = run(10**6), run(0)
     pd.testing.assert_frame_equal(bcast, shuf)  # exact, incl. float logprob
     assert len(bcast) == 40
+    # one document: every term is a hapax, so the pruned table is
+    # empty (its collect once lost the column names)
+    one = pd.DataFrame({"doc_id": [1], "text": ["alpha beta gamma delta"]})
+    for cap in (10**6, 0):
+        got = run(cap, one)
+        assert got.n_bigrams.tolist() == [3]
+        assert got.logprob.tolist() == [0.0]  # each head is seen once
 
 
 def test_dup_span_scrub_hand_computed(ray_session):
@@ -796,18 +817,20 @@ def test_dup_span_scrub_positional_tier_matches_broadcast(ray_session):
         texts.append(" ".join(toks))
     df = pd.DataFrame({"doc_id": range(30), "text": texts})
 
-    def run(cap):
+    def run(cap, p=32):
         return (
             dup_span_scrub(
-                ray.data.from_pandas(df).repartition(4), n=4, broadcast_max_grams=cap
+                ray.data.from_pandas(df).repartition(4), n=4, broadcast_max_grams=cap,
+                num_partitions=p,
             )
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
 
-    bcast, shuf = run(10**6), run(0)
-    pd.testing.assert_frame_equal(bcast, shuf)
+    bcast = run(10**6)
+    for p in (1, 7, 32):  # the positional tier at any partition count
+        pd.testing.assert_frame_equal(bcast, run(0, p))
     assert len(bcast) == 30
     assert (bcast.n_removed_tokens > 0).any()  # boilerplate actually removed
 
@@ -869,6 +892,14 @@ def _empty_docs():
 
     return ray.data.from_arrow(
         pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    )
+
+
+def _empty_groups():
+    import ray.data
+
+    return ray.data.from_arrow(
+        pa.table({"g": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
     )
 
 
@@ -1501,6 +1532,10 @@ def test_kmv_distinct_estimate_and_exact_path(ray_session):
                 assert abs(e - n) / n < 0.25, (t, e, n)
             else:
                 assert e == float(n)
+    # zero-row input: zero rows, typed columns
+    empty = kmv_distinct(_empty_groups(), "g", "v")
+    assert len(empty) == 0 and list(empty.columns) == ["g", "kmv_est"]
+    assert empty.kmv_est.dtype == "float64"
 
 
 def test_c4_line_filter_rules(ray_session):
@@ -2455,6 +2490,12 @@ def test_tdigest_quantiles(ray_session):
             rank_err = abs((v < est).mean() - q)
             bound = 0.005 if q in (0.5, 0.9) else 0.002  # tails tighter
             assert rank_err < bound, (g, q, rank_err)
+    # zero-row input: zero rows, typed columns
+    empty = tdigest_quantiles(_empty_groups(), ["g"], "v", qs=(0.5,))
+    assert empty.count() == 0
+    assert empty.schema().base_schema == pa.schema(
+        [("g", pa.string()), ("n", pa.int64()), ("p50_v", pa.float64())]
+    )
 
 
 def test_paragraph_dedup_doc_scope(ray_session):
@@ -2899,6 +2940,10 @@ def test_hll_distinct_accuracy_and_partition_invariance(ray_session):
     out = hll_distinct(ray.data.from_pandas(big).repartition(8), "g", "v", p=12)
     for e in out.hll_est:
         assert abs(e - 20000) / 20000 < 0.05, e
+    # zero-row input: zero rows, typed columns
+    empty = hll_distinct(_empty_groups(), "g", "v")
+    assert len(empty) == 0 and list(empty.columns) == ["g", "hll_est"]
+    assert empty.hll_est.dtype == "float64"
 
 
 def test_sketches_high_cardinality_groups(ray_session):
@@ -4436,7 +4481,6 @@ def test_eval_span_scrub_tiers_agree(ray_session):
                 ray.data.from_pandas(train_docs).repartition(2),
                 ray.data.from_pandas(eval_docs),
                 n=3,
-                num_partitions=4,
                 **kw,
             )
             .to_pandas()
@@ -4444,9 +4488,9 @@ def test_eval_span_scrub_tiers_agree(ray_session):
             .reset_index(drop=True)
         )
 
-    bcast = run()
-    positional = run(broadcast_max_grams=0)
-    pd.testing.assert_frame_equal(bcast, positional)
+    bcast = run(num_partitions=4)
+    for p in (1, 7, 32):  # the positional tier at any partition count
+        pd.testing.assert_frame_equal(bcast, run(broadcast_max_grams=0, num_partitions=p))
 
     out = bcast.set_index("doc_id")
     # doc 1: positions 1..5 covered (grams starting at 1,2,3 of the
@@ -5334,6 +5378,10 @@ def test_hll_incremental_registers(ray_session):
     twice = hll_estimate_registers(pd.concat([ra, ra]), "g", p=10)
     once = hll_estimate_registers(ra, "g", p=10)
     pd.testing.assert_frame_equal(twice, once)
+    # zero-row input: zero rows, typed columns
+    empty = hll_registers(_empty_groups(), "g", "v", p=10)
+    assert len(empty) == 0 and list(empty.columns) == ["g", "bucket", "rho"]
+    assert (empty.bucket.dtype, empty.rho.dtype) == ("int64", "int64")
 
 
 def test_minhash_index_delta_dedup(ray_session):

@@ -323,29 +323,34 @@ def test_gopher_signals_duplicate_ids_score_independently():
 
 
 def test_md5_u52_tail_matches_hashlib():
-    """md5_u52_tail == int(hexdigest[16:29], 16) (the DuckDB
-    substr(md5,17,13) slice): fixed block-boundary cases plus
-    hypothesis-driven arbitrary text, mirrored against hashlib."""
+    """md5_u52_pair == (int(hexdigest[:13], 16), int(hexdigest[16:29],
+    16)) (the DuckDB substr(md5,1,13) and substr(md5,17,13) slices):
+    fixed block-boundary cases plus hypothesis-driven arbitrary text,
+    mirrored against hashlib."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from pdf_extractor_ray.ops.scrub import md5_u52_tail
+    from pdf_extractor_ray.ops.scrub import md5_u52_pair
+
+    def want(strs):
+        digests = [hashlib.md5(s.encode()).hexdigest() for s in strs]
+        return [int(h[:13], 16) for h in digests], [int(h[16:29], 16) for h in digests]
+
+    def got(strs):
+        head, tail = md5_u52_pair(strs)
+        return [int(v) for v in head], [int(v) for v in tail]
 
     fixed = (
         ["", "a", "abc", "0", "12345", "mirror-page-3"]
         + ["x" * n for n in (54, 55, 56, 57, 63, 64, 65, 119, 120, 121, 128, 300)]
         + ["日本語テキスト", "naïve café", "tab\tnew\nline"]
     )
-    got = md5_u52_tail(fixed)
-    want = [int(hashlib.md5(s.encode()).hexdigest()[16:29], 16) for s in fixed]
-    assert [int(v) for v in got] == want
+    assert got(fixed) == want(fixed)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.text(max_size=200), min_size=1, max_size=20))
     def prop(strs):
-        assert [int(v) for v in md5_u52_tail(strs)] == [
-            int(hashlib.md5(s.encode()).hexdigest()[16:29], 16) for s in strs
-        ]
+        assert got(strs) == want(strs)
 
     prop()
 

@@ -132,15 +132,22 @@ def test_hash_partition_inferred_schema_fewer_keys_than_ranges(ray_session):
 
 def test_migrated_modules_hand_roll_no_exchange():
     """Modules moved onto this primitive keep no hand-rolled
-    `groupby("_part")` exchange."""
+    `groupby("_part")` / `groupby("_kpart")` exchange."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1] / "pdf_extractor_ray"
     for rel in (
         "ops/dedup.py",
+        "ops/linkgraph.py",
         "ops/relational.py",
+        "ops/scrub.py",
+        "ops/selection.py",
+        "ops/similarity.py",
+        "ops/sketch.py",
         "ops/text_analysis.py",
         "ops/windows.py",
         "pipelines/extract.py",
     ):
-        assert 'groupby("_part")' not in (root / rel).read_text(), rel
+        text = (root / rel).read_text()
+        for exchange in ('groupby("_part")', 'groupby("_kpart")'):
+            assert exchange not in text, (rel, exchange)
