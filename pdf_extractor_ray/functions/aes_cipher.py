@@ -131,13 +131,44 @@ def encrypt_blocks(blocks: np.ndarray, rk: np.ndarray) -> np.ndarray:
     return _SBOX[b][:, _SHIFT] ^ rk[nr]
 
 
-def decrypt_blocks(blocks: np.ndarray, rk: np.ndarray) -> np.ndarray:
-    """InvCipher (§5.3) over a (n, 16) uint8 array of blocks."""
+def _build_td() -> np.ndarray:
+    """_TD[i][x]: the little-endian column word InvMixColumns makes of
+    InvSubBytes(x) standing in row i (rows of §5.3.3's matrix)."""
+    rows = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11), (11, 13, 9, 14))
+    mul = {9: _M9, 11: _M11, 13: _M13, 14: _M14}
+    td = np.zeros((4, 256), dtype="<u4")
+    for i in range(4):
+        for row in range(4):
+            td[i] |= mul[rows[row][i]][_INV_SBOX].astype("<u4") << (8 * row)
+    return td
+
+
+_TD = _build_td()
+_ROW_SHIFT = [_INV_SHIFT[i::4] for i in range(4)]  # InvShiftRows of row i, columns 0-3
+
+
+def _inner_keys(rk: np.ndarray) -> np.ndarray:
+    """InvMixColumns of the inner round keys, as little-endian column
+    words: (Nr-1, 4)."""
+    return _inv_mix_columns(rk[1:-1]).view("<u4")
+
+
+def decrypt_blocks(blocks: np.ndarray, rk: np.ndarray, dk: np.ndarray | None = None) -> np.ndarray:
+    """InvCipher (§5.3) over a (n, 16) uint8 array of blocks. ``rk`` is
+    (Nr+1, 16), or (Nr+1, n, 16) for a round key per block, and ``dk``
+    its ``_inner_keys`` (computed here if not given; (Nr-1, n, 4) for
+    per-block keys). Inner rounds run as the equivalent inverse cipher
+    (§5.3.5): InvMixColumns is linear, so InvMixColumns(InvSubBytes(x)
+    ^ k) is the _TD lookup of x xor InvMixColumns(k)."""
     nr = rk.shape[0] - 1
+    if dk is None:
+        dk = _inner_keys(rk)
     b = blocks ^ rk[nr]
+    s0, s1, s2, s3 = _ROW_SHIFT
     for r in range(nr - 1, 0, -1):
-        b = _INV_SBOX[b[:, _INV_SHIFT]] ^ rk[r]
-        b = _inv_mix_columns(b)
+        w = _TD[0][b[:, s0]] ^ _TD[1][b[:, s1]] ^ _TD[2][b[:, s2]] ^ _TD[3][b[:, s3]]  # [block, column]
+        w ^= dk[r - 1]
+        b = np.ascontiguousarray(w).view(np.uint8).reshape(-1, 16)
     return _INV_SBOX[b[:, _INV_SHIFT]] ^ rk[0]
 
 
@@ -237,18 +268,66 @@ def aes_cbc_encrypt(key: bytes, iv: bytes, data: bytes, pad: bool = True) -> byt
 
 
 def aes_cbc_decrypt(key: bytes, iv: bytes, data: bytes, unpad: bool = True) -> bytes:
-    """CBC decryption, data-parallel over blocks (the extraction hot
-    path): P = D(C) xor [iv | C[:-1]] in one vectorized pass."""
-    blocks = _as_blocks(data)
-    if blocks.shape[0] == 0:
-        return b""
-    rk = _key_schedule(key)
-    plain = decrypt_blocks(blocks.copy(), rk)
-    prev = np.vstack([np.frombuffer(iv, dtype=np.uint8).reshape(1, 16), blocks[:-1]])
-    out = (plain ^ prev).tobytes()
-    if unpad:
-        k = out[-1]
-        if not 1 <= k <= 16 or out[-k:] != bytes([k]) * k:
-            raise ValueError("bad AES-CBC padding")
-        out = out[:-k]
+    """CBC decryption of one message (see ``aes_cbc_decrypt_many``),
+    with the padding removed by default."""
+    _as_blocks(data)  # whole blocks or ValueError
+    out = aes_cbc_decrypt_many([key], [iv + data])[0]
+    return aes_unpad(out) if unpad and out else out
+
+
+def aes_unpad(out: bytes) -> bytes:
+    """Strip the 1..16-byte CBC padding (§7.6.2); ValueError if bad."""
+    k = out[-1]
+    if not 1 <= k <= 16 or out[-k:] != bytes([k]) * k:
+        raise ValueError("bad AES-CBC padding")
+    return out[:-k]
+
+
+_MANY_BLOCKS = 1 << 16  # blocks per pass: per-block round keys cost 11-15x the data
+
+
+def aes_cbc_decrypt_many(keys: list[bytes], messages: list[bytes]) -> list[bytes]:
+    """CBC decryption of IV-prefixed messages (IV + whole blocks each),
+    nothing unpadded: message i under keys[i]. Every block of a batch
+    runs in one vectorized pass, each block with its message's round
+    keys (one schedule per distinct key), so a document's streams cost
+    one pass however many objects and keys they have. Raises
+    ValueError for a bad key length or a message that is not IV +
+    whole blocks. Data-parallel over blocks: P = D(C) xor the block
+    before C (the IV for the first)."""
+    out: list[bytes] = []
+    batch: list[int] = []
+    n_blocks = 0
+    for i, m in enumerate(messages):
+        if len(m) < 16 or len(m) % 16:
+            raise ValueError(f"message length {len(m)} is not an IV plus whole AES blocks")
+        batch.append(i)
+        n_blocks += len(m) // 16 - 1
+        if n_blocks >= _MANY_BLOCKS or i == len(messages) - 1:
+            out += _decrypt_batch([keys[j] for j in batch], [messages[j] for j in batch])
+            batch, n_blocks = [], 0
+    return out
+
+
+def _decrypt_batch(keys: list[bytes], messages: list[bytes]) -> list[bytes]:
+    schedules: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    for key in keys:
+        if key not in schedules:
+            rk = _key_schedule(key)
+            schedules[key] = rk, _inner_keys(rk)
+    counts = [len(m) // 16 - 1 for m in messages]
+    if len(schedules) == 1:
+        rk, dk = schedules[keys[0]]
+    else:  # each block its message's round keys: (Nr+1, blocks, 16), (Nr-1, blocks, 4)
+        rk, dk = (
+            np.concatenate([np.repeat(schedules[k][i][:, None], c, axis=1) for k, c in zip(keys, counts)], axis=1)
+            for i in (0, 1)
+        )
+    blocks = np.frombuffer(b"".join(m[16:] for m in messages), dtype=np.uint8).reshape(-1, 16)
+    prev = np.frombuffer(b"".join(m[:-16] for m in messages), dtype=np.uint8).reshape(-1, 16)
+    plain = (decrypt_blocks(blocks, rk, dk) ^ prev).tobytes()
+    out, at = [], 0
+    for c in counts:
+        out.append(plain[at : at + 16 * c])
+        at += 16 * c
     return out

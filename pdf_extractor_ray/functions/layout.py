@@ -1,7 +1,8 @@
 """Geometry-based table and textbox DETECTION (no hints needed).
 
 Re-derives, from scratch, the reference's layout detection semantics
-over the word/line/rect-dict domain:
+over a page's word view (``pdf_words._Words``: columns in (top, x0,
+text) reading order, addressed by position) and its line/rect dicts:
 
 - line-based grids from ruling-line segments (reference
   layout_analyzer.py:269-304 delegates to pdfplumber's lines strategy;
@@ -27,11 +28,15 @@ reference's production setting (layout_analyzer.py:222-223
 
 All outputs use the pipeline's table dict shape
 {bbox: [x0, top, x1, bottom], rows, cols, cells, confidence, method}
-consumed by exclude_table_words / format_table (pdf_words.py).
+consumed by extract_page / format_table (pdf_words.py).
 Determinism: explicit total sort keys everywhere, no set iteration.
 """
 
 from __future__ import annotations
+
+from typing import Any
+
+import numpy as np
 
 from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 
@@ -57,29 +62,34 @@ def _cluster_1d(values: list[float], tol: float, min_members: int = 1) -> list[t
     return out
 
 
+def _columns(v: Any) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The view's x0, x1, top and bottom as Python float lists."""
+    return v.xy[:4].tolist()
+
+
 def _cell_grid_from_edges(
-    words: list[dict], xs: list[float], ys: list[float]
+    v: Any, pos: Any, xs: list[float], ys: list[float]
 ) -> tuple[list[list[str]], float]:
-    """Fill an (len(ys)-1) x (len(xs)-1) grid from words whose center
-    falls in each cell rect; returns (cells, fill_rate). Words joined
-    in reading order (top, x0, text)."""
+    """Fill an (len(ys)-1) x (len(xs)-1) grid from the words at ``pos``
+    whose center falls in each cell rect; returns (cells, fill_rate).
+    A center's column is the first whose right edge it does not pass
+    (edges ascend, so a binary search finds it), its row likewise.
+    Words joined in reading order (top, x0, text), i.e. by position."""
     nrows, ncols = len(ys) - 1, len(xs) - 1
-    buckets: list[list[list[dict]]] = [[[] for _ in range(ncols)] for _ in range(nrows)]
-    for w in words:
-        cx = (w["x0"] + w["x1"]) / 2.0
-        cy = (w["top"] + w["bottom"]) / 2.0
-        if not (xs[0] <= cx <= xs[-1] and ys[0] <= cy <= ys[-1]):
-            continue
-        c = next((i for i in range(ncols) if cx <= xs[i + 1]), ncols - 1)
-        r = next((i for i in range(nrows) if cy <= ys[i + 1]), nrows - 1)
-        buckets[r][c].append(w)
+    pos = np.asarray(pos, np.intp)
+    cx, cy = (v.x0[pos] + v.x1[pos]) / 2.0, (v.top[pos] + v.bottom[pos]) / 2.0
+    inside = (xs[0] <= cx) & (cx <= xs[-1]) & (ys[0] <= cy) & (cy <= ys[-1])
+    cols = np.minimum(np.searchsorted(xs[1:], cx[inside]), ncols - 1).tolist()
+    rows = np.minimum(np.searchsorted(ys[1:], cy[inside]), nrows - 1).tolist()
+    buckets: list[list[list[int]]] = [[[] for _ in range(ncols)] for _ in range(nrows)]
+    for p, r, c in zip(pos[inside].tolist(), rows, cols):
+        buckets[r][c].append(p)
     cells = []
     filled = 0
     for r in range(nrows):
         row = []
         for c in range(ncols):
-            ws = sorted(buckets[r][c], key=lambda w: (w["top"], w["x0"], w["text"]))
-            t = " ".join(w["text"] for w in ws)
+            t = " ".join(v.text[p] for p in sorted(buckets[r][c]))
             if t:
                 filled += 1
             row.append(t)
@@ -89,7 +99,7 @@ def _cell_grid_from_edges(
 
 
 def detect_tables_from_lines(
-    words: list[dict], lines: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG
+    v: Any, lines: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG
 ) -> list[dict]:
     """Bordered-table detection: cluster ruling-line segments into
     horizontal y-positions and vertical x-positions; >= min_rows+1
@@ -130,7 +140,7 @@ def detect_tables_from_lines(
         ]
         if len(xs) < cfg.table_min_cols + 1:
             continue
-        cells, fill = _cell_grid_from_edges(words, xs, ys)
+        cells, fill = _cell_grid_from_edges(v, range(len(v.text)), xs, ys)
         nrows, ncols = len(ys) - 1, len(xs) - 1
         if nrows * ncols < cfg.table_min_cells or fill < cfg.table_min_fill:
             continue
@@ -148,7 +158,7 @@ def detect_tables_from_lines(
 
 
 def detect_tables_from_alignment(
-    words: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG
+    v: Any, cfg: PipelineConfig = DEFAULT_CONFIG
 ) -> list[dict]:
     """Borderless-table detection by x/y alignment clustering
     (reference table_detector_enhanced.py:313-426):
@@ -159,19 +169,13 @@ def detect_tables_from_alignment(
     - confidence = 0.6 + fill_rate * 0.3
     - strict text-based validation (reference layout_analyzer.py:420-439)
     """
-    cols = [
-        c for c, n in _cluster_1d([w["x0"] for w in words], cfg.table_align_tol, min_members=3)
-    ]
+    X0, X1, TOP, BOT = _columns(v)
+    cols = [c for c, n in _cluster_1d(X0, cfg.table_align_tol, min_members=3)]
     if len(cols) < cfg.table_min_cols:
         return []
-    col_words = [
-        w for w in words if any(abs(w["x0"] - c) <= cfg.table_align_tol for c in cols)
-    ]
+    col_tops = [t for x, t in zip(X0, TOP) if any(abs(x - c) <= cfg.table_align_tol for c in cols)]
     need = max(1, int(len(cols) * 0.5))
-    rows = [
-        r
-        for r, n in _cluster_1d([w["top"] for w in col_words], cfg.table_row_tol, min_members=need)
-    ]
+    rows = [r for r, n in _cluster_1d(col_tops, cfg.table_row_tol, min_members=need)]
     if len(rows) < cfg.table_min_rows:
         return []
     # strict caps: oversized "tables" are just aligned prose
@@ -179,16 +183,16 @@ def detect_tables_from_alignment(
         return []
     # cell assignment by nearest alignment (2x column tol, row tol)
     cells: list[list[str]] = [["" for _ in cols] for _ in rows]
-    matched: list[dict] = []
-    for w in sorted(words, key=lambda w: (w["top"], w["x0"], w["text"])):
+    matched: list[int] = []
+    for p, text in enumerate(v.text):  # reading order
         ci = next(
-            (i for i, c in enumerate(cols) if abs(w["x0"] - c) <= cfg.table_align_tol * 2), None
+            (i for i, c in enumerate(cols) if abs(X0[p] - c) <= cfg.table_align_tol * 2), None
         )
-        ri = next((i for i, r in enumerate(rows) if abs(w["top"] - r) <= cfg.table_row_tol), None)
+        ri = next((i for i, r in enumerate(rows) if abs(TOP[p] - r) <= cfg.table_row_tol), None)
         if ci is None or ri is None:
             continue
-        cells[ri][ci] = (cells[ri][ci] + " " + w["text"]).strip()
-        matched.append(w)
+        cells[ri][ci] = (cells[ri][ci] + " " + text).strip()
+        matched.append(p)
     total = len(rows) * len(cols)
     non_empty = sum(1 for row in cells for c in row if c.strip())
     if total < cfg.table_min_cells or non_empty < total * cfg.table_min_fill:
@@ -198,10 +202,10 @@ def detect_tables_from_alignment(
         return []
     fill = non_empty / total
     bbox = [
-        min(w["x0"] for w in matched),
-        min(w["top"] for w in matched),
-        max(w["x1"] for w in matched),
-        max(w["bottom"] for w in matched),
+        min(X0[p] for p in matched),
+        min(TOP[p] for p in matched),
+        max(X1[p] for p in matched),
+        max(BOT[p] for p in matched),
     ]
     return [
         {
@@ -216,7 +220,7 @@ def detect_tables_from_alignment(
 
 
 def detect_tables_from_whitespace(
-    words: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG
+    v: Any, cfg: PipelineConfig = DEFAULT_CONFIG
 ) -> list[dict]:
     """Whitespace-channel (strategy-3) detection for column-aligned
     tables with NO rulings and IRREGULAR x0s (reference
@@ -239,29 +243,28 @@ def detect_tables_from_whitespace(
     interiors (right-aligned numbers, centered headers) because only
     the SHARED EMPTY vertical bands matter. Confidence 0.5 + fill*0.3
     ranks below lines (0.9) and alignment (0.6+) in the D2 dedup."""
-    if not words:
+    if not len(v.text):
         return []
-    row_centers = [
-        r for r, n in _cluster_1d([w["top"] for w in words], cfg.table_row_tol, min_members=1)
-    ]
-    rows: list[list[dict]] = [[] for _ in row_centers]
-    for w in sorted(words, key=lambda w: (w["top"], w["x0"], w["text"])):
-        ri = min(range(len(row_centers)), key=lambda i: abs(w["top"] - row_centers[i]))
-        if abs(w["top"] - row_centers[ri]) <= cfg.table_row_tol:
-            rows[ri].append(w)
+    X0, X1, TOP, BOT = _columns(v)
+    row_centers = [r for r, n in _cluster_1d(TOP, cfg.table_row_tol, min_members=1)]
+    rows: list[list[int]] = [[] for _ in row_centers]
+    for p, t in enumerate(TOP):  # reading order
+        ri = min(range(len(row_centers)), key=lambda i: abs(t - row_centers[i]))
+        if abs(t - row_centers[ri]) <= cfg.table_row_tol:
+            rows[ri].append(p)
     rows = [r for r in rows if r]
     if len(rows) < cfg.table_min_rows:
         return []
 
-    def channels_of_run(run: list[list[dict]]) -> list[tuple[float, float]]:
-        lo = max(min(w["x0"] for w in r) for r in run)  # shared span only
-        hi = min(max(w["x1"] for w in r) for r in run)
+    def channels_of_run(run: list[list[int]]) -> list[tuple[float, float]]:
+        lo = max(min(X0[p] for p in r) for r in run)  # shared span only
+        hi = min(max(X1[p] for p in r) for r in run)
         if hi - lo <= 0:
             return []
         # sweep: intersect each row's gaps with the running channels
         channels = [(lo, hi)]
         for r in run:
-            occupied = sorted((w["x0"], w["x1"]) for w in r)
+            occupied = sorted((X0[p], X1[p]) for p in r)
             nxt: list[tuple[float, float]] = []
             for c0, c1 in channels:
                 pos = c0
@@ -294,20 +297,14 @@ def detect_tables_from_whitespace(
             i += 1
             continue
         j, ch = best
-        run_words = [w for r in rows[i:j] for w in r]
-        xs = (
-            [min(w["x0"] for w in run_words)]
-            + [(a + b) / 2.0 for a, b in ch]
-            + [max(w["x1"] for w in run_words)]
-        )
-        ys_centers = [
-            r for r, n in _cluster_1d([w["top"] for w in run_words], cfg.table_row_tol)
-        ]
+        run = [p for r in rows[i:j] for p in r]
+        xs = [min(X0[p] for p in run)] + [(a + b) / 2.0 for a, b in ch] + [max(X1[p] for p in run)]
+        ys_centers = [r for r, n in _cluster_1d([TOP[p] for p in run], cfg.table_row_tol)]
         step = cfg.table_row_tol
         ys = [ys_centers[0] - step] + [
             (a + b) / 2.0 for a, b in zip(ys_centers, ys_centers[1:])
-        ] + [max(w["bottom"] for w in run_words)]
-        cells, fill = _cell_grid_from_edges(run_words, xs, ys)
+        ] + [max(BOT[p] for p in run)]
+        cells, fill = _cell_grid_from_edges(v, run, xs, ys)
         nrows, ncols = len(ys) - 1, len(xs) - 1
         texts = [c.strip() for row in cells for c in row if c.strip()]
         valid = (
@@ -321,10 +318,10 @@ def detect_tables_from_whitespace(
             tables.append(
                 {
                     "bbox": [
-                        min(w["x0"] for w in run_words),
-                        min(w["top"] for w in run_words),
-                        max(w["x1"] for w in run_words),
-                        max(w["bottom"] for w in run_words),
+                        min(X0[p] for p in run),
+                        min(TOP[p] for p in run),
+                        max(X1[p] for p in run),
+                        max(BOT[p] for p in run),
                     ],
                     "rows": nrows,
                     "cols": ncols,
@@ -362,7 +359,7 @@ def dedupe_tables(tables: list[dict]) -> list[dict]:
 
 
 def detect_tables(
-    words: list[dict], lines: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG
+    v: Any, lines: list[dict], cfg: PipelineConfig = DEFAULT_CONFIG
 ) -> list[dict]:
     """Full detection chain: line-based first; alignment-based only
     when no bordered table was found (reference
@@ -372,17 +369,17 @@ def detect_tables(
     nor x0-alignment do); confidence-dedup the union."""
     tables: list[dict] = []
     if cfg.detect_line_tables and lines:
-        tables = detect_tables_from_lines(words, lines, cfg)
+        tables = detect_tables_from_lines(v, lines, cfg)
     if cfg.detect_text_tables and not tables:
-        tables = detect_tables_from_alignment(words, cfg)
+        tables = detect_tables_from_alignment(v, cfg)
     if cfg.detect_ws_tables and not tables:
-        tables = detect_tables_from_whitespace(words, cfg)
+        tables = detect_tables_from_whitespace(v, cfg)
     return dedupe_tables(tables)
 
 
 def detect_textboxes(
     rects: list[dict],
-    words: list[dict],
+    v: Any,
     tables: list[dict],
     cfg: PipelineConfig = DEFAULT_CONFIG,
 ) -> list[list[float]]:
@@ -392,18 +389,16 @@ def detect_textboxes(
     (top, x0) order for the pipeline's `boxes` slot."""
     out: list[list[float]] = []
     tboxes = [t["bbox"] for t in tables]
+    cx, cy = None, None
     for r in sorted(rects, key=lambda r: (r["top"], r["x0"])):
         bbox = [r["x0"], r["top"], r["x1"], r["bottom"]]
         if bbox[2] - bbox[0] < cfg.textbox_min_w or bbox[3] - bbox[1] < cfg.textbox_min_h:
             continue
         if any(_bboxes_overlap(bbox, tb) for tb in tboxes):
             continue
-        n_inside = sum(
-            1
-            for w in words
-            if bbox[0] <= (w["x0"] + w["x1"]) / 2.0 <= bbox[2]
-            and bbox[1] <= (w["top"] + w["bottom"]) / 2.0 <= bbox[3]
-        )
+        if cx is None:
+            cx, cy = (v.x0 + v.x1) / 2.0, (v.top + v.bottom) / 2.0
+        n_inside = np.count_nonzero((bbox[0] <= cx) & (cx <= bbox[2]) & (bbox[1] <= cy) & (cy <= bbox[3]))
         if n_inside >= cfg.textbox_min_words:
             out.append(bbox)
     return out

@@ -11,11 +11,12 @@ knowledge only:
   Type0 / Identity-H / CIDFontType2 font pair (§9.7) with declared
   ``/DW``, ``/Ascent``, ``/Descent`` metrics, a real cross-reference
   table with exact byte offsets, and a trailer (§7.5).
-- ``parse_pdf_bytes(payload)`` tokenizes such a file back into the
-  same page dicts — the exact shape pdfplumber's
-  ``extract_words(extra_attrs=['fontname','size','height'])`` yields
-  (see functions/pdf_words.py module docstring) — so every downstream
-  geometry operator runs on genuine PDF bytes.
+- ``parse_pdf_bytes(payload)`` tokenizes such a file back into page
+  dicts whose ``words`` is one ``WordColumns`` (functions/pdf_words.py):
+  the fields pdfplumber's
+  ``extract_words(extra_attrs=['fontname','size','height'])`` yields,
+  as columns, with no per-word dict — so every downstream geometry
+  operator runs on genuine PDF bytes.
 
 Glyph-box math (both directions, straight from the spec):
 
@@ -84,6 +85,8 @@ from __future__ import annotations
 import binascii
 import codecs
 import re
+
+from pdf_extractor_ray.functions.pdf_words import WordColumns
 
 __all__ = ["UnsupportedPdfError", "pages_to_pdf_bytes", "parse_pdf_bytes"]
 
@@ -1328,7 +1331,8 @@ def _maybe_decrypt(payload: bytes, objs: dict[int, bytes]) -> None:
         raise UnsupportedPdfError(
             f"encryption V={v} R={r} unsupported (RC4 V1/V2, AESV2 V4, AESV3 V5 only)"
         )
-    gens = {int(m.group(1)): int(m.group(2)) for m in _OBJ_HDR_RE.finditer(payload)}
+    gens = {} if v == 5 else {int(m.group(1)): int(m.group(2)) for m in _OBJ_HDR_RE.finditer(payload)}
+    spans, okeys, data, failure = [], [], [], None
     for num, body in objs.items():
         if num == enc_num or re.search(rb"/Type\s*/XRef\b", body):
             continue
@@ -1339,18 +1343,27 @@ def _maybe_decrypt(payload: bytes, objs: dict[int, bytes]) -> None:
         if cipher == "rc4":
             okey = _object_key(key, num, gens.get(num, 0))
             objs[num] = body[:start] + _rc4(okey, body[start:end]) + body[end:]
-        else:
-            from pdf_extractor_ray.functions.aes_cipher import aes_cbc_decrypt
+            continue
+        if end - start < 16 or (end - start - 16) % 16:
+            # raised once the streams before it are decrypted, so the
+            # first failing stream names the error, as stream by stream
+            failure = UnsupportedPdfError("AES stream payload not IV + whole blocks")
+            break
+        spans.append((num, start, end))
+        okeys.append(key if v == 5 else _object_key(key, num, gens.get(num, 0), aes=True))
+        data.append(body[start:end])
+    if data:  # every AES stream of the document in one pass, each unpadded on its own
+        from pdf_extractor_ray.functions.aes_cipher import aes_cbc_decrypt_many, aes_unpad
 
-            data = body[start:end]
-            if len(data) < 16 or (len(data) - 16) % 16:
-                raise UnsupportedPdfError("AES stream payload not IV + whole blocks")
-            okey = key if v == 5 else _object_key(key, num, gens.get(num, 0), aes=True)
-            try:
-                dec = aes_cbc_decrypt(okey, data[:16], data[16:])
-            except ValueError as exc:
-                raise UnsupportedPdfError(f"AES stream decryption failed: {exc}") from None
+        try:
+            decs = [aes_unpad(d) if d else d for d in aes_cbc_decrypt_many(okeys, data)]
+        except ValueError as exc:
+            raise UnsupportedPdfError(f"AES stream decryption failed: {exc}") from None
+        for (num, start, end), dec in zip(spans, decs):
+            body = objs[num]
             objs[num] = _patch_length(body[:start] + dec + body[end:], len(dec))
+    if failure is not None:
+        raise failure
 
 
 def _png_unpredict(data: bytes, columns: int, colors: int = 1, bpc: int = 8) -> bytes:
@@ -1814,7 +1827,7 @@ _STD14_METRICS: dict[str, tuple[list[float], float, float]] = {
 }
 
 
-def _font_metrics(objs: dict[int, bytes], font_ref: int) -> dict:
+def _font_model(objs: dict[int, bytes], font_ref: int) -> dict:
     """Font model for the tokenizer. Two kinds:
 
     - "cid": Type0/Identity-H composite fonts — 2-byte codes, /DW
@@ -1900,6 +1913,25 @@ def _font_metrics(objs: dict[int, bytes], font_ref: int) -> dict:
         "font subset is Type0/Identity-H, simple Type1/TrueType with /Widths, "
         "and widthless standard-14 (Courier family, Helvetica, Times-Roman)"
     )
+
+
+def _font_metrics(objs: dict[int, bytes], font_ref: int) -> dict:
+    """``_font_model`` plus the per-font constants of the glyph-box
+    math, computed once per font: ``asc_k``/``desc_k`` (ascent and
+    descent per 1000), ``dw_k`` (/DW per 1000), a simple font's
+    ``code_w`` (the width of each 1-byte code, 0.0 outside /Widths),
+    and ``lane``: (dw_k, asc_k, desc_k) for the word-block lane when
+    every CID is UTF-16 text of width /DW, else None."""
+    fm = _font_model(objs, font_ref)
+    fm["asc_k"] = fm["ascent"] / 1000.0
+    fm["desc_k"] = -fm["descent"] / 1000.0
+    fm["dw_k"] = fm.get("dw", 1000.0) / 1000.0
+    if fm["kind"] == "simple":
+        first, widths = fm["first_char"], fm["widths"]
+        fm["code_w"] = [widths[b - first] if 0 <= b - first < len(widths) else 0.0 for b in range(256)]
+    identity = fm["kind"] == "cid" and fm["tounicode"] is None and not fm["w"]
+    fm["lane"] = (fm["dw_k"], fm["asc_k"], fm["desc_k"]) if identity else None
+    return fm
 
 
 # Adobe Glyph List subset: ASCII names, common western punctuation /
@@ -2010,20 +2042,22 @@ class _FontTable:
     """Lazy name -> metrics resolver: a page may declare fonts its
     content never uses, and an unsupported UNUSED font must not fail
     the page — resolution (and its UnsupportedPdfError) happens on
-    first use only."""
+    first use only. ``metrics`` (font object number -> metrics) is
+    shared by every table of one document, so a font is resolved once
+    per document, not once per page."""
 
-    def __init__(self, objs: dict[int, bytes], refs: dict[str, int]) -> None:
+    def __init__(self, objs: dict[int, bytes], refs: dict[str, int], metrics: dict[int, dict]) -> None:
         self._objs = objs
         self._refs = refs
-        self._cache: dict[str, dict] = {}
+        self.metrics = metrics
 
     def get(self, name: str) -> dict | None:
-        fm = self._cache.get(name)
+        ref = self._refs.get(name)
+        if ref is None:
+            return None
+        fm = self.metrics.get(ref)
         if fm is None:
-            ref = self._refs.get(name)
-            if ref is None:
-                return None
-            fm = self._cache[name] = _font_metrics(self._objs, ref)
+            fm = self.metrics[ref] = _font_metrics(self._objs, ref)
         return fm
 
 
@@ -2049,9 +2083,9 @@ def _named_refs(objs: dict[int, bytes], res: bytes, key: bytes) -> dict[str, int
     }
 
 
-def _page_fonts(objs: dict[int, bytes], page_body: bytes) -> _FontTable:
+def _page_fonts(objs: dict[int, bytes], page_body: bytes, metrics: dict[int, dict]) -> _FontTable:
     res = _resources_of(objs, page_body)
-    return _FontTable(objs, _named_refs(objs, res, b"Font"))
+    return _FontTable(objs, _named_refs(objs, res, b"Font"), metrics)
 
 
 def _page_xobjects(objs: dict[int, bytes], page_body: bytes) -> dict[str, int]:
@@ -2062,7 +2096,9 @@ def _page_xobjects(objs: dict[int, bytes], page_body: bytes) -> dict[str, int]:
 _UTF16BE = codecs.utf_16_be_decode  # bytes.decode adds a slow Python-level wrapper
 
 
-def _word_from_state(
+def _show_word(
+    cols: WordColumns,
+    rotated: list[int],
     fm: dict,
     size: float,
     tz: float,
@@ -2072,10 +2108,13 @@ def _word_from_state(
     page_h: float,
     tc: float = 0.0,
     tw: float = 0.0,
-) -> tuple[dict, float]:
-    """Glyph-box math of every show operator (see module docstring).
-    Returns (word dict, advance in text-space units) so the caller can
-    carry the text position across Tj/TJ runs.
+) -> float:
+    """Glyph-box math of every show operator (see module docstring):
+    appends the word to ``cols`` (its position to ``rotated`` when it
+    runs 90 degrees CCW) unless its text is empty, and returns its
+    advance in text-space units so the caller can carry the text
+    position across Tj/TJ runs. The word-block lane inlines the
+    axis-aligned identity-CID case of the same math.
     tc/tw are the Tc character- and Tw word-spacing registers (§9.3.2-3;
     Tw applies to 1-byte code 32 only, i.e. never to 2-byte CID text)."""
     if fm["kind"] == "cid":
@@ -2092,7 +2131,7 @@ def _word_from_state(
                 raise UnsupportedPdfError(
                     "CID string is not UTF-16 text (glyph-id CIDs need a /ToUnicode CMap)"
                 ) from exc
-            glyph_w = n * size * (dw / 1000.0)
+            glyph_w = n * size * fm["dw_k"]
         else:
             cids = [int.from_bytes(raw[i : i + 2], "big") for i in range(0, 2 * n, 2)]
             if tou is not None:
@@ -2109,7 +2148,7 @@ def _word_from_state(
                     raise UnsupportedPdfError(
                         "CID string is not UTF-16 text (glyph-id CIDs need a /ToUnicode CMap)"
                     ) from exc
-            glyph_w = sum(w_over.get(c, dw) for c in cids) / 1000.0 * size if w_over else n * size * (dw / 1000.0)
+            glyph_w = sum(w_over.get(c, dw) for c in cids) / 1000.0 * size if w_over else n * size * fm["dw_k"]
         adv = (glyph_w + n * tc) * (tz / 100.0)
     else:
         if fm.get("std14_ascii_only") and raw and (min(raw) < 32 or max(raw) > 126):
@@ -2128,17 +2167,14 @@ def _word_from_state(
             text = raw.decode("ascii")
         else:
             text = raw.decode(codec, errors="replace")
-        widths = fm["widths"]
-        first = fm["first_char"]
-        nw = len(widths)
+        code_w = fm["code_w"]
         glyph_w = 0.0
         for b in raw:
-            i = b - first
-            glyph_w += widths[i] if 0 <= i < nw else 0.0
+            glyph_w += code_w[b]
         glyph_w = glyph_w / 1000.0 * size
         adv = (glyph_w + len(raw) * tc + raw.count(b" ") * tw) * (tz / 100.0)
-    asc = fm["ascent"] / 1000.0 * size
-    desc = -fm["descent"] / 1000.0 * size
+    asc = fm["asc_k"] * size
+    desc = fm["desc_k"] * size
     a, b_, c, d, tx, ty = tm
     eps = 1e-9
     if abs(b_) < eps and abs(c) < eps and a > 0 and d > 0:
@@ -2146,43 +2182,42 @@ def _word_from_state(
         # vertical extents by d; reported size is the DEVICE height
         # scale (pdfplumber semantics) — a==d==1 reduces to the
         # writer-canonical math exactly
-        return {
-            "text": text,
-            "x0": tx,
-            "x1": tx + adv * a,
-            "top": page_h - ty - asc * d,
-            "bottom": page_h - ty + desc * d,
-            "size": size * d,
-            "fontname": font_name,
-        }, adv
-    if abs(a) < eps and abs(d) < eps and b_ > 0 and c < 0:
+        x0, x1, top, bottom, dev_size = tx, tx + adv * a, page_h - ty - asc * d, page_h - ty + desc * d, size * d
+    elif abs(a) < eps and abs(d) < eps and b_ > 0 and c < 0:
         # 90-degree-CCW text (possibly scaled): advance runs +y with
         # scale b, ascent runs -x with scale -c
         sx, sy = -c, b_
-        return {
-            "text": text,
-            "x0": tx - asc * sx,
-            "x1": tx + desc * sx,
-            "top": page_h - ty - adv * sy,
-            "bottom": page_h - ty,
-            "size": size * sx,
-            "fontname": font_name,
-            "upright": False,
-        }, adv
-    raise UnsupportedPdfError(f"unsupported text matrix {tm}")
+        x0, x1, top, bottom, dev_size = tx - asc * sx, tx + desc * sx, page_h - ty - adv * sy, page_h - ty, size * sx
+        if text:
+            rotated.append(len(cols.text))
+    else:
+        raise UnsupportedPdfError(f"unsupported text matrix {tm}")
+    if text:
+        cols.text.append(text)
+        cols.x0.append(x0)
+        cols.x1.append(x1)
+        cols.top.append(top)
+        cols.bottom.append(bottom)
+        cols.size.append(dev_size)
+        cols.fontname.append(font_name)
+    return adv
 
 
-# atomic: no backtracking that re-splits the digits of long numbers
-_N = rb"(-?(?>\d+\.?\d*|\.\d+))\s+"
+# possessive throughout: nothing in a block is ever re-split, so no
+# quantifier needs to give back (about a third of the engine time the
+# backtracking forms cost); the number is the token grammar's
+_NUM = rb"-?+(?:\d++\.?+\d*+|\.\d++)"
 # one word block, `[/F s Tf] [z Tz] a b c d e f Tm (<hex> | (literal)) Tj`,
 # the form this package's writers emit for every word: _parse_content
 # takes it in one regex step at an operator boundary instead of ~12
-# token dispatches
+# token dispatches; a b c d are one group (mostly the unit `1 0 0 1 `)
 _WORD_BLOCK_RE = re.compile(
-    rb"\s*(?:/(\w+)\s+" + _N + rb"Tf\s+)?(?:" + _N + rb"Tz\s+)?" + _N * 6
-    + rb"Tm\s*(?:<([0-9A-Fa-f]*)>|" + _LIT + rb")\s*Tj(?![A-Za-z'\"*])",
+    rb"\s*+(?:/(\w++)\s++(" + _NUM + rb")\s++Tf\s++)?(?:(" + _NUM + rb")\s++Tz\s++)?"
+    rb"((?:" + _NUM + rb"\s++){4})(" + _NUM + rb")\s++(" + _NUM + rb")\s++"
+    rb"Tm\s*+(?:<([0-9A-Fa-f]*+)>|" + _LIT + rb")\s*+Tj(?![A-Za-z'\"*])",
     re.S,
 )
+_UNIT_ABCD = {b"1 0 0 1 ": (1.0, 0.0, 0.0, 1.0)}  # the writers' Tm scale part
 
 _DELIMS = rb"\x00\t\n\f\r ()<>\[\]{}/%"  # PDF white space and delimiters
 _BI = rb"(?<![^" + _DELIMS + rb"])BI(?![^" + _DELIMS + rb"])"  # inline-image opener
@@ -2298,7 +2333,9 @@ def _parse_content(
     xobj_refs: dict[str, int] | None = None,
     ctm0: tuple[float, ...] = _IDM,
     depth: int = 0,
-) -> tuple[list[dict], list[dict], list[dict]]:
+    cols: WordColumns | None = None,
+    rotated: list[int] | None = None,
+) -> tuple[WordColumns, list[dict], list[dict]]:
     """The content-stream interpreter: one operator loop over the
     token grammar, for the writer's streams and foreign ones alike. It
     reads hex and literal strings (with escapes), TJ arrays with
@@ -2310,13 +2347,20 @@ def _parse_content(
     common no-op color/state operators. The text position carries
     across show operators, so `(A) Tj (B) Tj` lays out correctly.
 
+    Words append to ``cols`` (a form XObject's to its caller's), the
+    positions of rotated ones to ``rotated``; the outermost call sets
+    ``cols.upright`` from them.
+
     Block lane: at an operator boundary (no operand or array pending)
     of a stream that spells both Tm and Tj, one _WORD_BLOCK_RE match
     takes a whole ``[Tf] [Tz] Tm string Tj`` block and sets the same
-    text-state registers the token branches would, then shows the
-    string through the same ``show``. Anything else is read one token at
-    a time."""
-    words: list[dict] = []
+    text-state registers the token branches would. An identity-CID
+    string under an axis-aligned Tm and identity CTM (every word the
+    writers emit) goes straight to the columns with ``_show_word``'s
+    math inlined; any other string goes through the same ``show``.
+    Anything else is read one token at a time."""
+    if cols is None:
+        cols, rotated = WordColumns(), []
     lines: list[dict] = []
     rects: list[dict] = []
     operands: list = []  # numbers / names / strings in order
@@ -2370,41 +2414,38 @@ def _parse_content(
         rects.extend(pending)
         clear_path()
 
-    def show(raw: bytes) -> None:
-        nonlocal tm, fm_cur
-        if tm is None or font_name is None:
-            raise UnsupportedPdfError("show operator without Tm/Tf state")
+    def font() -> dict:
+        nonlocal fm_cur
         if fm_cur is None:
             fm_cur = fonts.get(font_name)
             if fm_cur is None:
                 raise UnsupportedPdfError(f"unknown font resource /{font_name}")
+        return fm_cur
+
+    def show(raw: bytes) -> None:
+        nonlocal tm
+        if tm is None or font_name is None:
+            raise UnsupportedPdfError("show operator without Tm/Tf state")
+        font()
         # the device matrix is the text matrix composed with the CTM
         if fm_cur["kind"] != "simple" or b" " not in raw:
-            word, adv = _word_from_state(
-                fm_cur, size, tz, tm if ctm is _IDM else _matmul(tm, ctm),
+            adv = _show_word(
+                cols, rotated, fm_cur, size, tz, tm if ctm is _IDM else _matmul(tm, ctm),
                 raw, font_name, page_h, tc, tw,
             )
-            if word["text"]:
-                words.append(word)
             tm = _advance_tm(tm, adv)
             return
         # split space-separated runs into WORDS with exact per-run
         # positions (pdfplumber extract_words semantics); the total
         # advance is identical to showing the string whole
-        first = fm_cur["first_char"]
-        widths = fm_cur["widths"]
-        si = 32 - first
-        sw = widths[si] if 0 <= si < len(widths) else 0.0
-        space_adv = (sw / 1000.0 * size + tc + tw) * (tz / 100.0)
+        space_adv = (fm_cur["code_w"][32] / 1000.0 * size + tc + tw) * (tz / 100.0)
         parts = raw.split(b" ")
         for pi, run in enumerate(parts):
             if run:
-                word, adv = _word_from_state(
-                    fm_cur, size, tz, tm if ctm is _IDM else _matmul(tm, ctm),
+                adv = _show_word(
+                    cols, rotated, fm_cur, size, tz, tm if ctm is _IDM else _matmul(tm, ctm),
                     run, font_name, page_h, tc, 0.0,
                 )
-                if word["text"]:
-                    words.append(word)
                 tm = _advance_tm(tm, adv)
             if pi < len(parts) - 1:
                 tm = _advance_tm(tm, space_adv)
@@ -2422,13 +2463,18 @@ def _parse_content(
     lane = b"Tm" in content and b"Tj" in content
     word_block = _WORD_BLOCK_RE.match
     next_token = _TOKEN_RE.search
+    unhexlify = binascii.unhexlify
+    texts, x0s, x1s, tops, bottoms, sizes, fontnames = (
+        cols.text.append, cols.x0.append, cols.x1.append, cols.top.append,
+        cols.bottom.append, cols.size.append, cols.fontname.append,
+    )
     pos = 0
     while True:
         if lane and arr is None and not operands:
             blk = word_block(content, pos)
             if blk is not None:
                 pos = blk.end()
-                fname, fsize, z, a, b, c, d, e, f, hex_s, lit_s = blk.groups()
+                fname, fsize, z, abcd, e, f, hex_s, lit_s = blk.groups()
                 if fname is not None:  # Tf
                     fname = fname.decode()
                     if fname != font_name:
@@ -2436,8 +2482,44 @@ def _parse_content(
                     size = float(fsize)
                 if z is not None:  # Tz
                     tz = float(z)
-                tm = tlm = (float(a), float(b), float(c), float(d), float(e), float(f))
-                show(_unhex(hex_s) if hex_s is not None else _decode_literal(lit_s))
+                unit = _UNIT_ABCD.get(abcd)
+                a, b, c, d = unit or map(float, abcd.split())
+                e, f = float(e), float(f)
+                tm = tlm = (a, b, c, d, e, f)
+                if hex_s is None:
+                    raw = _decode_literal(lit_s)
+                else:
+                    try:
+                        raw = unhexlify(hex_s)
+                    except binascii.Error:
+                        raw = _unhex(hex_s)
+                if fm_cur is None and font_name is not None:
+                    font()
+                k = None if fm_cur is None else fm_cur["lane"]
+                if k is None or ctm is not _IDM or (
+                    unit is None and not (abs(b) < 1e-9 and abs(c) < 1e-9 and a > 0 and d > 0)
+                ):
+                    show(raw)
+                    continue
+                # _show_word's identity-CID, axis-aligned case
+                n = len(raw) // 2
+                try:
+                    text = _UTF16BE(raw, "strict", True)[0]
+                except UnicodeDecodeError as exc:
+                    raise UnsupportedPdfError(
+                        "CID string is not UTF-16 text (glyph-id CIDs need a /ToUnicode CMap)"
+                    ) from exc
+                adv = (n * size * k[0] + n * tc) * (tz / 100.0)
+                ex = e + adv * a
+                if text:
+                    texts(text)
+                    x0s(e)
+                    x1s(ex)
+                    tops(page_h - f - k[1] * size * d)
+                    bottoms(page_h - f + k[2] * size * d)
+                    sizes(size * d)
+                    fontnames(font_name)
+                tm = (a, b, c, d, ex, f + adv * b)
                 continue
         tok = next_token(content, pos)
         if tok is None:
@@ -2582,15 +2664,14 @@ def _parse_content(
                     # a form with its own /Resources scopes them;
                     # otherwise it inherits the caller's tables (§8.10.1)
                     if re.search(rb"/Resources\b", xdict):
-                        sub_fonts = _page_fonts(objs, xdict)
+                        sub_fonts = _page_fonts(objs, xdict, fonts.metrics)
                         sub_xobjs = _page_xobjects(objs, xdict)
                     else:
                         sub_fonts, sub_xobjs = fonts, xobj_refs
-                    w2, l2, r2 = _parse_content(
+                    _, l2, r2 = _parse_content(
                         data, sub_fonts, page_h, objs, sub_xobjs,
-                        _matmul(fmx, ctm), depth + 1,
+                        _matmul(fmx, ctm), depth + 1, cols, rotated,
                     )
-                    words.extend(w2)
                     lines.extend(l2)
                     rects.extend(r2)
                 else:
@@ -2609,14 +2690,18 @@ def _parse_content(
         # operand token: route into the open array or the operand list
         (arr if arr is not None else operands).append(item)
     clear_path()  # trailing unpainted path is never materialized
-    return words, lines, rects
+    if depth == 0 and rotated:
+        cols.upright = [True] * len(cols.text)
+        for i in rotated:
+            cols.upright[i] = False
+    return cols, lines, rects
 
 
 def parse_pdf_bytes(payload: bytes) -> list[dict]:
     """Tokenize a %PDF file back into page dicts ({width, height,
-    words, lines, rects}). Raises UnsupportedPdfError for anything
-    outside the documented subset (see the module docstring's feature
-    boundary)."""
+    words, lines, rects}, ``words`` a WordColumns). Raises
+    UnsupportedPdfError for anything outside the documented subset (see
+    the module docstring's feature boundary)."""
     if not payload.startswith(b"%PDF-"):
         raise UnsupportedPdfError("not a %PDF payload")
     # /Encrypt is handled inside _object_map: supported standard-
@@ -2658,6 +2743,7 @@ def parse_pdf_bytes(payload: bytes) -> list[dict]:
     if not page_list:
         raise UnsupportedPdfError("pages tree without leaf pages")
     out: list[dict] = []
+    metrics: dict[int, dict] = {}
     for page_body, mbox, res_body in page_list:
         x0, y0, x1, y1 = mbox
         width, height = x1 - x0, y1 - y0
@@ -2679,7 +2765,7 @@ def parse_pdf_bytes(payload: bytes) -> list[dict]:
             parts.append(part)
         content = b"\n".join(parts)
         words, lines, rects = _parse_content(
-            content, _page_fonts(objs, res_body), height, objs, _page_xobjects(objs, res_body)
+            content, _page_fonts(objs, res_body, metrics), height, objs, _page_xobjects(objs, res_body)
         )
         out.append(
             {"width": width, "height": height, "words": words, "lines": lines, "rects": rects}

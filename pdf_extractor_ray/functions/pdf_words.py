@@ -2,11 +2,12 @@
 
 Re-implements, from scratch, the reference's per-document extraction
 semantics (reference extractor.py:91-994) as pure functions over the
-word-dict domain that pdfplumber's
+word domain that pdfplumber's
 ``page.extract_words(extra_attrs=['fontname','size','height'])``
-yields (reference extractor.py:163-169):
-
-    word = {text, x0, x1, top, bottom, size, fontname}
+yields (reference extractor.py:163-169), held as columns: a page's
+``words`` is one ``WordColumns`` (text, x0, x1, top, bottom, size,
+fontname, and upright where some word is rotated), which the codec
+emits and ``page_columns`` builds from hand-written word dicts.
 
 Per document (reference extract_pdf, extractor.py:91-121): M2 repeating
 headers/footers over the first min(5, n) pages; per page D1 dedupe, M15
@@ -16,22 +17,23 @@ then M17 cleanup (pages joined by a blank line), J1 footnotes, metrics.
 
 One sort, one pass: each page's words become one column view
 (``_Words``), a text list plus float64 arrays for x0, x1, top, bottom
-and size in one stable (top, x0, text) order, built by Python's
-``sorted`` over the word dicts so ties keep input order. D1, M2, J1,
-J4 and the line grouping share that order; every stage passes index
-arrays into the view, never new dict lists. Only header/footer-zone
-words meet the M4-M8 regexes (no other word can be dropped), M9 is a
-cumulative-max sweep and M13 finds bases through a grid. Float
-expressions stay the reference's: centers ``(a + b) / 2.0``, Python
-``(dx ** 2 + dy ** 2) ** 0.5`` for isolation, Python ``round`` values
-in the D1 key (numpy rounds 0.15 to 0.2). No set order or clock
-reaches output (reference extractor.py:3-9, SURVEY.md §7.4).
+and size in one stable (top, x0, text) order, from Python's ``sorted``
+over the columns' keys so ties keep input order. D1, M2, J1, J4, the
+line grouping and layout.py's detectors share that order; every stage
+passes index arrays into the view, never word dicts. Only
+header/footer-zone words meet the M4-M8 regexes (no other word can be
+dropped), M9 is a cumulative-max sweep and M13 finds bases through a
+grid. Float expressions stay the reference's: centers ``(a + b) /
+2.0``, Python ``(dx ** 2 + dy ** 2) ** 0.5`` for isolation, Python
+``round`` values in the D1 key (numpy rounds 0.15 to 0.2). No set order
+or clock reaches output (reference extractor.py:3-9, SURVEY.md §7.4).
 
 Payload encoding (FIXTURES.md F3): fixtures carry
 ``%PDF-FIXTURE\n`` + JSON {pages: [{width, height, words: [...],
-tables: [{bbox, rows, cols, cells}]}]}. Real ``%PDF-`` binaries go
-through the in-repo tokenizer (functions/pdf_codec.py) into the same
-dicts; a PDF outside its subset raises UnsupportedPdfError.
+tables: [{bbox, rows, cols, cells}]}]}, their word dicts read through
+``page_columns``. Real ``%PDF-`` binaries go through the in-repo
+tokenizer (functions/pdf_codec.py); a PDF outside its subset raises
+UnsupportedPdfError.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import math
 import re
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain, repeat
-from operator import contains, itemgetter
+from operator import itemgetter, methodcaller
 from typing import Any
 
 import numpy as np
@@ -129,10 +130,79 @@ def is_japanese_char(ch: str) -> bool:
 # (error_handler.py:542-574)
 # ---------------------------------------------------------------------------
 
-_READ_KEY = itemgetter("top", "x0", "text")
-_COORDS = tuple(map(itemgetter, ("x0", "x1", "top", "bottom")))
-_TEXT, _TOP, _SIZE = itemgetter("text"), itemgetter("top"), itemgetter("size")
+class WordColumns:
+    """One page's words as columns, in content-stream order: what
+    ``parse_pdf_bytes`` emits as a page's ``"words"`` and what every
+    reader of a page takes. ``text``, ``x0``, ``x1``, ``top``,
+    ``bottom``, ``size`` and ``fontname`` are lists of one length;
+    ``upright`` is None unless some word is rotated, then one flag per
+    word (False where rotated); ``unsized`` is None unless some word
+    had no size (read as 10.0), then True for those. ``page_columns``
+    builds one from word dicts."""
+
+    __slots__ = ("text", "x0", "x1", "top", "bottom", "size", "fontname", "upright", "unsized")
+
+    def __init__(self) -> None:
+        self.text, self.x0, self.x1, self.top, self.bottom, self.size, self.fontname = [], [], [], [], [], [], []
+        self.upright = self.unsized = None
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, WordColumns) and all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "WordColumns(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
+
+
+_WORD_KEYS = ("text", "x0", "x1", "top", "bottom")
+_GETTERS = tuple(map(itemgetter, _WORD_KEYS))
+_SIZE, _FONTNAME = itemgetter("size"), methodcaller("get", "fontname")
 _NO_SIZE = object()
+
+
+def _loose_word(w: Any) -> tuple:
+    """A word without all five keys (or no dict at all): its text, x0
+    and top (missing reads 0.0) stay readable for recovery and the
+    inventory; a None x1 makes its page's view fail."""
+    if not isinstance(w, dict):
+        return None, None, None, None, None
+    whole = all(map(w.__contains__, _WORD_KEYS))
+    return w.get("text"), w.get("x0", 0.0), w["x1"] if whole else None, w.get("top", 0.0), w.get("bottom")
+
+
+def page_columns(words: Any) -> WordColumns:
+    """The one way from word dicts (hand-written pages, the JSON
+    fixture payload) to ``WordColumns``; columns pass through. Values
+    stay as given; a missing size reads 10.0 and is marked in
+    ``unsized``, ``upright`` is kept where some word carries it."""
+    if isinstance(words, WordColumns):
+        return words
+    c = WordColumns()
+    try:
+        c.text, c.x0, c.x1, c.top, c.bottom = [list(map(g, words)) for g in _GETTERS]
+        c.fontname = list(map(_FONTNAME, words))
+    except (KeyError, TypeError):
+        c.text, c.x0, c.x1, c.top, c.bottom = map(list, zip(*map(_loose_word, words)))
+        c.fontname = [w.get("fontname") if isinstance(w, dict) else None for w in words]
+    try:
+        c.size = list(map(_SIZE, words))
+    except (KeyError, TypeError):
+        sizes = [w.get("size", _NO_SIZE) if isinstance(w, dict) else None for w in words]
+        c.unsized = [s is _NO_SIZE for s in sizes]
+        c.size = [10.0 if s is _NO_SIZE else s for s in sizes]
+    if all(isinstance(w, dict) for w in words) and any("upright" in w for w in words):
+        c.upright = [w.get("upright", True) for w in words]
+    return c
+
+
+def _columnar(page: Any) -> Any:
+    """``page`` with its words as ``WordColumns`` (a copy when they
+    were dicts)."""
+    if not isinstance(page, dict) or isinstance(page.get("words"), WordColumns):
+        return page
+    return {**page, "words": page_columns(page.get("words", []))}
 
 
 def _floats(values: Any, n: int = -1) -> np.ndarray:
@@ -143,24 +213,24 @@ def _floats(values: Any, n: int = -1) -> np.ndarray:
 
 
 class _Words:
-    """One page's words as columns in one stable (top, x0, text) reading
-    order, which positions 0..n-1 index everywhere: ``text`` a list, x0,
-    x1, top, bottom and size the rows of the float64 array ``xy`` (a
-    missing size reads 10.0 and is marked in ``unsized``), ``kept`` D1's
-    survivors. A missing or non-numeric coordinate raises."""
+    """One page's words (``WordColumns``, or dicts through
+    ``page_columns``) as a view in one stable (top, x0, text) reading
+    order, which positions 0..n-1 index everywhere: ``text`` a list,
+    x0, x1, top, bottom and size the rows of the float64 array ``xy``,
+    ``unsized`` the words without a size, ``kept`` D1's survivors. A
+    missing or non-numeric coordinate raises."""
 
-    def __init__(self, words: list[dict]) -> None:
-        ws = sorted(words, key=_READ_KEY)
-        self.text = list(map(_TEXT, ws))
-        self.unsized = None
-        try:
-            sizes = list(map(_SIZE, ws))
-        except KeyError:
-            sizes = [w.get("size", _NO_SIZE) for w in ws]
-            self.unsized = np.array([s is _NO_SIZE for s in sizes], bool)
-            sizes = [10.0 if s is _NO_SIZE else s for s in sizes]
-        self.xy = _floats(chain(*(list(map(g, ws)) for g in _COORDS), sizes), 5 * len(ws)).reshape(5, -1)
+    def __init__(self, words: Any) -> None:
+        c = page_columns(words)
+        xy = np.array((c.x0, c.x1, c.top, c.bottom, c.size), np.float64)
+        if np.isnan(xy).any():  # a None reads as NaN: poison
+            raise ValueError("non-numeric word geometry")
+        keys = list(zip(c.top, c.x0, c.text))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.text = list(map(c.text.__getitem__, order))
+        self.xy = xy[:, order]
         self.x0, self.x1, self.top, self.bottom, self.size = self.xy
+        self.unsized = None if c.unsized is None else np.array(c.unsized, bool)[order]
         self.kept = _dedupe(self)
 
 
@@ -193,8 +263,12 @@ def _dedupe(v: _Words) -> np.ndarray:
     542-574 deduplicate_overlapping), with the rounded values compared
     as integer tenths. Returns the kept positions."""
     n = len(v.text)
+    tx, tt = _tenths(v.xy[0:3:2])
+    o = np.lexsort((tt, tx))
+    if not ((tx[o[1:]] == tx[o[:-1]]) & (tt[o[1:]] == tt[o[:-1]])).any():
+        return np.arange(n)  # no two words share a rounded spot, so no key repeats
     first: dict = {}
-    firsts = list(map(first.setdefault, zip(*_tenths(v.xy[0:3:2]).tolist(), v.text), range(n)))
+    firsts = list(map(first.setdefault, zip(tx.tolist(), tt.tolist(), v.text), range(n)))
     if len(first) == n:
         return np.arange(n)
     return (np.array(firsts) == np.arange(n)).nonzero()[0]
@@ -698,16 +772,12 @@ def _inventory(pages: list[dict]) -> dict[str, int]:
     lims, counts = [], []
     for p in pages:
         h = p.get("height", 0.0) or 1.0
-        ws = p.get("words", [])
-        if ws:
-            try:
-                t, s = list(map(_TOP, ws)), list(map(_SIZE, ws))
-            except KeyError:
-                t, s = [w.get("top", 0.0) for w in ws], [w.get("size", 10.0) for w in ws]
-            tops += t
-            sizes += s
+        c = page_columns(p.get("words", []))
+        if len(c):
+            tops += c.top
+            sizes += c.size
             lims.append((0.15 * h, 0.85 * h))
-            counts.append(len(ws))
+            counts.append(len(c))
     top, size = _floats(tops), _floats(sizes)
     lo, hi = np.array(lims, np.float64).reshape(-1, 2).T.repeat(counts, axis=1)
     region = (top >= lo) * (1 + (top > hi))
@@ -716,53 +786,73 @@ def _inventory(pages: list[dict]) -> dict[str, int]:
     return {_INVENTORY_KEYS[k]: n_by_key[k] for k in dict.fromkeys(codes.tolist())}
 
 
+# J4 candidate pairs: tested in chunks of at most _PAIR_CHUNK, and a page
+# with more than _PAIR_BUDGET is refused (words stacked on one spot make
+# the pairs quadratic); real pages stay below a few thousand
+_PAIR_CHUNK = 1 << 16
+_PAIR_BUDGET = 1 << 21
+
+
 def _count_overlaps(views: list, overlap_frac: float) -> int:
     """J4: word pairs on one page whose bbox intersection exceeds
     overlap_frac of the smaller box, over a document's readable pages.
     In reading order a word's candidates end at the first later word on
-    its page whose top clears its bottom (searchsorted); one numpy pass
-    tests the candidate pairs."""
+    its page whose top clears its bottom (searchsorted); numpy tests the
+    candidate pairs chunk by chunk. A page with more than _PAIR_BUDGET
+    candidates raises UnsupportedPdfError("budget: ...")."""
     vs = [v for v in views if v is not None and len(v.text) > 1]
     if not vs:
         return 0
     x0, x1, top, bot = np.concatenate([v.xy[:4] for v in vs], axis=1)
-    n, start, ends = len(top), 0, []
+    n, start, starts, ends = len(top), 0, [], []
     for v in vs:
         ends.append(v.top.searchsorted(v.bottom, side="left") + start)  # first j with top_j >= bot_i
+        starts.append(start)
         start += len(v.text)
     c = np.maximum(np.concatenate(ends) - np.arange(1, n + 1), 0)
-    total = int(c.sum())
-    if total == 0:
-        return 0
-    ii = np.arange(n).repeat(c)
-    jj = np.arange(total) - (np.add.accumulate(c) - c).repeat(c) + ii + 1
-    x_ov = np.minimum(x1[ii], x1[jj]) - np.maximum(x0[ii], x0[jj])
-    crossing = (x_ov > 0).nonzero()[0]
-    ii, jj, x_ov = ii[crossing], jj[crossing], x_ov[crossing]
-    y_ov = np.minimum(bot[ii], bot[jj]) - np.maximum(top[ii], top[jj])
+    most = int(np.add.reduceat(c, starts).max())
+    if most > _PAIR_BUDGET:
+        from pdf_extractor_ray.functions.pdf_codec import UnsupportedPdfError
+
+        raise UnsupportedPdfError(f"budget: {most} candidate word pairs on one page (limit {_PAIR_BUDGET})")
     areas = (x1 - x0) * (bot - top)
-    m = np.minimum(areas[ii], areas[jj])
-    return int(((y_ov > 0) & (m > 0) & (x_ov * y_ov > m * overlap_frac)).sum())
+    cum = np.add.accumulate(c)
+    found = lo = 0
+    while lo < n:
+        base = int(cum[lo - 1]) if lo else 0
+        hi = max(int(cum.searchsorted(base + _PAIR_CHUNK, side="right")), lo + 1)
+        cc = c[lo:hi]
+        k = int(cum[hi - 1]) - base
+        if k:
+            ii = np.arange(lo, hi).repeat(cc)
+            jj = np.arange(k) - (cum[lo:hi] - cc - base).repeat(cc) + ii + 1
+            x_ov = np.minimum(x1[ii], x1[jj]) - np.maximum(x0[ii], x0[jj])
+            crossing = (x_ov > 0).nonzero()[0]
+            ii, jj, x_ov = ii[crossing], jj[crossing], x_ov[crossing]
+            y_ov = np.minimum(bot[ii], bot[jj]) - np.maximum(top[ii], top[jj])
+            m = np.minimum(areas[ii], areas[jj])
+            found += int(((y_ov > 0) & (m > 0) & (x_ov * y_ov > m * overlap_frac)).sum())
+        lo = hi
+    return found
 
 
-def _doc_counts(pages: list[dict], views: list, cfg: PipelineConfig) -> tuple[dict[str, int], int, int]:
-    """(inventory, rotated words, overlapping word pairs): METRICS only,
-    the text is never transformed. A page whose words cannot be read
-    adds no rotated or overlap count; an unreadable document has an
-    empty inventory."""
+def _doc_counts(pages: list[dict]) -> tuple[dict[str, int], int]:
+    """(inventory, rotated words): METRICS only, the text is never
+    transformed. A page whose words cannot be read adds no rotated
+    count; an unreadable document has an empty inventory."""
     n_rotated = 0
     for p in pages:
         try:
-            ws = p.get("words", [])
-            if any(map(contains, ws, repeat("upright"))):
-                n_rotated += sum(w.get("upright", True) is False for w in ws)
+            upright = page_columns(p.get("words", [])).upright
+            if upright is not None:
+                n_rotated += sum(u is False for u in upright)
         except Exception:
             pass
     try:
         inventory = _inventory(pages)
     except Exception:
         inventory = {}
-    return inventory, n_rotated, _count_overlaps(views, cfg.overlap_area_frac)
+    return inventory, n_rotated
 
 
 def coverage_report(pages: list[dict], extracted_text: str) -> tuple[float, str]:
@@ -782,21 +872,24 @@ def coverage_report(pages: list[dict], extracted_text: str) -> tuple[float, str]
 # ---------------------------------------------------------------------------
 
 
-def page_layout(page: dict, cfg: PipelineConfig = DEFAULT_CONFIG) -> tuple[list[dict], list[list[float]], int]:
+def page_layout(
+    page: dict, cfg: PipelineConfig = DEFAULT_CONFIG, view: _Words | None = None
+) -> tuple[list[dict], list[list[float]], int]:
     """Resolve (tables, boxes, n_detected) for a page: explicit hints
     win; otherwise DETECT tables from ruling lines / word alignment and
-    textboxes from border rects (functions/layout.py; reference
-    layout_analyzer.py:225-267 analyze_page)."""
+    textboxes from border rects over the page's view (functions/
+    layout.py; reference layout_analyzer.py:225-267 analyze_page)."""
     from pdf_extractor_ray.functions import layout as _layout
 
+    v = view if view is not None else _view(page)  # None for poison words: raises where detection reads them
     tables = page.get("tables", [])
     n_detected = 0
     if not tables and (cfg.detect_line_tables or cfg.detect_text_tables or cfg.detect_ws_tables):
-        tables = _layout.detect_tables(page.get("words", []), page.get("lines", []), cfg)
+        tables = _layout.detect_tables(v, page.get("lines", []), cfg)
         n_detected = len(tables)
     boxes = page.get("boxes", [])
     if not boxes and cfg.detect_boxes and page.get("rects"):
-        boxes = _layout.detect_textboxes(page.get("rects", []), page.get("words", []), tables, cfg)
+        boxes = _layout.detect_textboxes(page.get("rects", []), v, tables, cfg)
     return tables, boxes, n_detected
 
 
@@ -807,7 +900,7 @@ def extract_page(
     """One page's text: the whole chain over the page's column view
     (built here unless the caller passes it)."""
     v = view if view is not None else _Words(page.get("words", []))
-    tables, boxes, _ = layout if layout is not None else page_layout(page, cfg)
+    tables, boxes, _ = layout if layout is not None else page_layout(page, cfg, v)
     width, height = page["width"], page["height"]
     zones = (cfg.header_zone_frac * height, (1 - cfg.footer_zone_frac) * height)
     pos, box_pos = v.kept, []
@@ -843,19 +936,17 @@ def _recover_page_text(page: dict) -> str | None:
     error_handler.py:450-472): defensive reading-order word join, then
     raw text concatenation. Returns None when both fail."""
     try:
-        ws = [w for w in page.get("words", []) if isinstance(w, dict) and isinstance(w.get("text"), str)]
-        ws = sorted(ws, key=lambda w: (float(w.get("top", 0.0)), float(w.get("x0", 0.0)), w["text"]))
-        if ws:
-            return " ".join(w["text"] for w in ws)
+        c = page_columns(page.get("words", []))
     except Exception:
-        pass
+        return None
     try:
-        parts = [w.get("text") for w in page.get("words", []) if isinstance(w, dict) and isinstance(w.get("text"), str)]
-        if parts:
-            return "".join(parts)
+        ws = sorted((float(t), float(x), s) for s, t, x in zip(c.text, c.top, c.x0) if isinstance(s, str))
+        if ws:
+            return " ".join(s for _, _, s in ws)
     except Exception:
         pass
-    return None
+    parts = [s for s in c.text if isinstance(s, str)]
+    return "".join(parts) if parts else None
 
 
 def extract_pdf_pages(
@@ -882,8 +973,11 @@ def _extract_doc(
 ) -> dict[str, Any]:
     """Every page through the ladder (or from ``done``), each new page
     result written to ``journal`` if given, then the doc-level combine.
-    Each page's column view is built once and read by every phase."""
+    Each page's column view is built once and read by every phase; J4
+    runs first, so a page over its pair budget costs no other stage."""
+    pages = list(map(_columnar, pages))
     views = [_view(p) for p in pages]
+    n_overlapping = _count_overlaps(views, cfg.overlap_area_frac)
     try:
         headers, footers = detect_repeating_elements(pages, cfg, views)
     except Exception:  # poison sample page: fall back to no repeats
@@ -901,7 +995,7 @@ def _extract_doc(
         page_texts.append(ptext)
         n_tables_detected += n_tbl
         n_recovered += rec
-    return _finalize_doc(pages, views, page_texts, n_tables_detected, n_recovered, pats, cfg)
+    return _finalize_doc(pages, views, page_texts, n_tables_detected, n_recovered, n_overlapping, pats, cfg)
 
 
 def _extract_page_ladder(
@@ -912,7 +1006,7 @@ def _extract_page_ladder(
     (page, headers, footers, cfg) — the unit the page checkpoint
     journals."""
     try:
-        lay = page_layout(p, cfg)
+        lay = page_layout(p, cfg, v)
         return extract_page(p, headers, footers, pats, cfg, layout=lay, view=v), lay[2], 0
     except Exception:
         pass
@@ -931,8 +1025,8 @@ def _extract_page_ladder(
 
 
 def _finalize_doc(
-    pages: list[dict], views: list, page_texts: list[str], n_tables_detected: int, n_recovered: int, pats: Patterns,
-    cfg: PipelineConfig,
+    pages: list[dict], views: list, page_texts: list[str], n_tables_detected: int, n_recovered: int,
+    n_overlapping: int, pats: Patterns, cfg: PipelineConfig,
 ) -> dict[str, Any]:
     """Doc-level combine shared by the plain and page-checkpointed
     paths: cleanup, footnote matching, coverage, inventory, metrics."""
@@ -942,7 +1036,7 @@ def _finalize_doc(
     except Exception:
         footnotes, fn_report = [], footnote_report([], [], [])
     coverage_pct, coverage_status = coverage_report(pages, text)
-    inventory, n_rotated, n_overlapping = _doc_counts(pages, views, cfg)
+    inventory, n_rotated = _doc_counts(pages)
     return {
         "text": text,
         "n_pages": len(pages),
@@ -960,9 +1054,10 @@ def _finalize_doc(
 
 
 def parse_fixture_payload(payload: bytes) -> list[dict]:
-    """Decode the %PDF-FIXTURE word-geometry payload (FIXTURES.md F3)."""
+    """Decode the %PDF-FIXTURE word-geometry payload (FIXTURES.md F3),
+    its word dicts as ``WordColumns``."""
     doc = json.loads(payload[len(FIXTURE_MAGIC) :].decode("utf-8"))
-    return doc["pages"]
+    return list(map(_columnar, doc["pages"]))
 
 
 def pdf_payload_to_pages(payload: bytes) -> list[dict]:

@@ -12,6 +12,7 @@ from pdf_extractor_ray.functions.layout import (
     detect_tables_from_lines,
     detect_textboxes,
 )
+from pdf_extractor_ray.functions.pdf_words import _Words as _v  # the page view the detectors read
 
 CFG = DEFAULT_CONFIG
 
@@ -43,7 +44,7 @@ def test_cluster_1d():
 def test_line_based_grid_detection():
     xs = [100.0, 180.0, 260.0, 340.0]
     ys = [200.0, 230.0, 260.0, 290.0]
-    tables = detect_tables_from_lines(_grid_words(xs, ys), _grid_lines(xs, ys), CFG)
+    tables = detect_tables_from_lines(_v(_grid_words(xs, ys)), _grid_lines(xs, ys), CFG)
     assert len(tables) == 1
     t = tables[0]
     assert (t["rows"], t["cols"]) == (3, 3)
@@ -56,11 +57,11 @@ def test_line_based_grid_detection():
 def test_line_detection_rejects_undersized_and_sparse():
     # 2x2 grid: below min 3x3
     xs, ys = [100.0, 180.0, 260.0], [200.0, 230.0, 260.0]
-    assert detect_tables_from_lines(_grid_words(xs, ys), _grid_lines(xs, ys), CFG) == []
+    assert detect_tables_from_lines(_v(_grid_words(xs, ys)), _grid_lines(xs, ys), CFG) == []
     # 3x3 grid but only 3 of 9 cells filled -> fill < 0.5
     xs, ys = [100.0, 180.0, 260.0, 340.0], [200.0, 230.0, 260.0, 290.0]
     words = _grid_words(xs, ys)[:3]
-    assert detect_tables_from_lines(words, _grid_lines(xs, ys), CFG) == []
+    assert detect_tables_from_lines(_v(words), _grid_lines(xs, ys), CFG) == []
 
 
 def test_line_detection_separates_two_tables():
@@ -69,7 +70,7 @@ def test_line_detection_separates_two_tables():
     ys2 = [400.0, 430.0, 460.0, 490.0]  # > table_group_gap below
     words = _grid_words(xs, ys1, "a") + _grid_words(xs, ys2, "b")
     lines = _grid_lines(xs, ys1) + _grid_lines(xs, ys2)
-    tables = detect_tables_from_lines(words, lines, CFG)
+    tables = detect_tables_from_lines(_v(words), lines, CFG)
     assert len(tables) == 2
     assert tables[0]["cells"][0][0] == "a00"
     assert tables[1]["cells"][0][0] == "b00"
@@ -81,7 +82,7 @@ def test_alignment_detection_finds_borderless_grid():
     words = _grid_words(xs[:4], ys[:4])[:9]  # 3x3 words, no lines
     words = [w for w in words if w["x0"] < 900 and w["top"] < 900]
     cfg = CFG.with_overrides(detect_text_tables=True)
-    tables = detect_tables_from_alignment(words, cfg)
+    tables = detect_tables_from_alignment(_v(words), cfg)
     assert len(tables) == 1
     t = tables[0]
     assert (t["rows"], t["cols"]) == (3, 3)
@@ -97,7 +98,7 @@ def test_alignment_detection_ignores_prose():
         for tok in line.split():
             words.append(_word(tok, x, 100.0 + i * 20.0, w=len(tok) * 6.0))
             x += len(tok) * 6.0 + 7.0
-    assert detect_tables_from_alignment(words, CFG) == []
+    assert detect_tables_from_alignment(_v(words), CFG) == []
 
 
 def test_alignment_detection_rejects_duplicate_pattern():
@@ -109,7 +110,7 @@ def test_alignment_detection_rejects_duplicate_pattern():
         for r in range(3)
         for c in range(3)
     ]
-    assert detect_tables_from_alignment(words, CFG) == []
+    assert detect_tables_from_alignment(_v(words), CFG) == []
 
 
 def test_dedupe_tables_confidence_desc():
@@ -125,11 +126,11 @@ def test_detect_tables_prefers_lines_over_alignment():
     ys = [200.0, 230.0, 260.0, 290.0]
     words = _grid_words(xs, ys)
     cfg = CFG.with_overrides(detect_text_tables=True)
-    tables = detect_tables(words, _grid_lines(xs, ys), cfg)
+    tables = detect_tables(_v(words), _grid_lines(xs, ys), cfg)
     assert len(tables) == 1
     assert tables[0]["method"] == "lines"
     # without lines the alignment fallback fires
-    tables = detect_tables(words, [], cfg)
+    tables = detect_tables(_v(words), [], cfg)
     assert len(tables) == 1
     assert tables[0]["method"] == "alignment"
 
@@ -138,16 +139,16 @@ def test_detect_textboxes():
     rect = {"x0": 100.0, "top": 100.0, "x1": 300.0, "bottom": 200.0}
     words_in = [_word(f"w{i}", 110.0 + i * 25.0, 120.0) for i in range(6)]
     outside = [_word("out", 500.0, 500.0)]
-    boxes = detect_textboxes([rect], words_in + outside, [], CFG)
+    boxes = detect_textboxes([rect], _v(words_in + outside), [], CFG)
     assert boxes == [[100.0, 100.0, 300.0, 200.0]]
     # too few words
-    assert detect_textboxes([rect], words_in[:3], [], CFG) == []
+    assert detect_textboxes([rect], _v(words_in[:3]), [], CFG) == []
     # overlapping a table -> skipped
     table = {"bbox": [90.0, 90.0, 310.0, 210.0], "rows": 3, "cols": 3, "cells": [], "confidence": 0.9}
-    assert detect_textboxes([rect], words_in, [table], CFG) == []
+    assert detect_textboxes([rect], _v(words_in), [table], CFG) == []
     # too small
     small = {"x0": 100.0, "top": 100.0, "x1": 130.0, "bottom": 110.0}
-    assert detect_textboxes([small], words_in, [], CFG) == []
+    assert detect_textboxes([small], _v(words_in), [], CFG) == []
 
 
 def test_extract_page_uses_detection_end_to_end():
@@ -190,7 +191,7 @@ def _ws_table_words():
 def test_whitespace_detection_finds_channel_table():
     from pdf_extractor_ray.functions.layout import detect_tables_from_whitespace
 
-    tables = detect_tables_from_whitespace(_ws_table_words(), WS_CFG)
+    tables = detect_tables_from_whitespace(_v(_ws_table_words()), WS_CFG)
     assert len(tables) == 1
     t = tables[0]
     assert t["method"] == "whitespace"
@@ -209,19 +210,19 @@ def test_whitespace_detection_needs_consistent_channels():
         for r in range(4)
         for c in range(8)
     ]
-    assert detect_tables_from_whitespace(words, WS_CFG) == []
+    assert detect_tables_from_whitespace(_v(words), WS_CFG) == []
 
 
 def test_whitespace_detection_off_by_default_and_ranked_below_lines():
     from pdf_extractor_ray.functions.layout import detect_tables
 
     words = _ws_table_words()
-    assert detect_tables(words, [], CFG) == []  # default: off
-    got = detect_tables(words, [], WS_CFG)
+    assert detect_tables(_v(words), [], CFG) == []  # default: off
+    got = detect_tables(_v(words), [], WS_CFG)
     assert len(got) == 1 and got[0]["method"] == "whitespace"
     # with ruling lines present, the lines strategy wins (fires first)
     xs = [100.0, 180.0, 260.0, 340.0]
     ys = [300.0, 330.0, 360.0, 390.0]
     grid = _grid_words(xs, ys) 
-    both = detect_tables(grid, _grid_lines(xs, ys), WS_CFG)
+    both = detect_tables(_v(grid), _grid_lines(xs, ys), WS_CFG)
     assert len(both) == 1 and both[0]["method"] == "lines"

@@ -12,7 +12,23 @@ from pdf_extractor_ray.functions.pdf_codec import (
     pages_to_pdf_bytes,
     parse_pdf_bytes,
 )
-from pdf_extractor_ray.functions.pdf_words import extract_pdf_bytes, extract_pdf_pages
+from pdf_extractor_ray.functions.pdf_words import WordColumns, extract_pdf_bytes, extract_pdf_pages
+
+_WORD_KEYS = ("text", "x0", "x1", "top", "bottom", "size", "fontname")
+
+
+def words_as_dicts(page: dict) -> list[dict]:
+    """A page's words as dicts: a parsed page's ``WordColumns`` rows
+    (``upright: False`` on rotated words only); a hand-written page's
+    dict list as it is."""
+    c = page["words"]
+    if isinstance(c, list):
+        return c
+    ws = [dict(zip(_WORD_KEYS, row)) for row in zip(*(getattr(c, k) for k in _WORD_KEYS))]
+    for w, up in zip(ws, c.upright or ()):
+        if up is False:
+            w["upright"] = False
+    return ws
 
 
 def _page(words=(), lines=(), rects=(), w=612.0, h=792.0):
@@ -52,7 +68,7 @@ def test_word_roundtrip_exact_geometry():
     ]
     back = parse_pdf_bytes(pages_to_pdf_bytes([_page(words)]))
     assert len(back) == 1 and back[0]["width"] == 612.0 and back[0]["height"] == 792.0
-    got = back[0]["words"]
+    got = words_as_dicts(back[0])
     assert [w["text"] for w in got] == [w["text"] for w in words]
     for o, g in zip(words, got):
         for k in ("x0", "x1", "top", "bottom", "size"):
@@ -64,10 +80,73 @@ def test_rotated_word_roundtrip():
     rot = {"text": "g11", "x0": 405.0, "x1": 417.0, "top": 335.0, "bottom": 353.0,
            "size": 10.0, "fontname": "F0", "upright": False}
     back = parse_pdf_bytes(pages_to_pdf_bytes([_page([rot])]))
-    g = back[0]["words"][0]
+    g = words_as_dicts(back[0])[0]
     assert g["upright"] is False and g["text"] == "g11"
     for k in ("x0", "x1", "top", "bottom", "size"):
         assert abs(g[k] - rot[k]) < 1e-3, (k, g)
+
+
+def test_parsed_words_are_columns_not_dicts():
+    """parse_pdf_bytes builds no word dict: a page's "words" is one
+    WordColumns of plain values; ``upright`` exists only on a page with
+    a rotated word, False at its position (form XObject words
+    included, in content order)."""
+    rot = {"text": "up", "x0": 405.0, "x1": 417.0, "top": 335.0, "bottom": 353.0,
+           "size": 10.0, "fontname": "F0", "upright": False}
+    flat, turned = parse_pdf_bytes(pages_to_pdf_bytes([_page([_word("a", 72.0, 100.0)]),
+                                                       _page([_word("b", 72.0, 100.0), rot, _word("c", 90.0, 100.0)])]))
+    for page in (flat, turned):
+        c = page["words"]
+        assert type(c) is WordColumns and len(c) == len(c.text)
+        assert all(type(t) is str for t in c.text) and c.fontname == ["F0"] * len(c)
+        for k in ("x0", "x1", "top", "bottom", "size"):
+            col = getattr(c, k)
+            assert len(col) == len(c) and all(type(v) is float for v in col)
+        assert c.unsized is None
+    assert flat["words"].upright is None
+    assert turned["words"].text == ["b", "up", "c"] and turned["words"].upright == [True, False, True]
+    content = b"BT /F1 12 Tf 1 0 0 1 72 600 Tm (one) Tj ET /X1 Do BT /F1 12 Tf 0 1 -1 0 300 300 Tm (two) Tj ET"
+    form = b"BT /F1 12 Tf 0 1 -1 0 200 200 Tm (three) Tj 1 0 0 1 72 500 Tm (four) Tj ET"
+    pdf = _simple_font_pdf(content).replace(b"/Resources << /Font", b"/Resources << /XObject << /X1 99 0 R >> /Font", 1)
+    form_obj = _obj(99, b"<< /Type /XObject /Subtype /Form /Length %d >>\nstream\n" % len(form) + form + b"\nendstream")
+    pdf = pdf.replace(b"%%EOF", form_obj + b"%%EOF", 1)
+    c = parse_pdf_bytes(pdf)[0]["words"]
+    assert c.text == ["one", "three", "four", "two"] and c.upright == [True, False, True, False]
+
+
+def test_word_block_regex_matches_the_backtracking_form():
+    """The possessive word-block regex takes exactly the blocks (and
+    the same operands) the atomic-group form took, on token soup
+    around the block grammar."""
+    from hypothesis import given, settings, strategies as st
+
+    from pdf_extractor_ray.functions import pdf_codec as pc
+
+    n = rb"(-?(?>\d+\.?\d*|\.\d+))\s+"
+    old = re.compile(
+        rb"\s*(?:/(\w+)\s+" + n + rb"Tf\s+)?(?:" + n + rb"Tz\s+)?" + n * 6
+        + rb"Tm\s*(?:<([0-9A-Fa-f]*)>|" + pc._LIT + rb")\s*Tj(?![A-Za-z'\"*])",
+        re.S,
+    )
+    tokens = [b"1", b"0", b"-0", b".5", b"12.", b"1.5", b"-3.25", b"-", b".", b"1.2.3", b"/F0", b"/F1x", b"Tf", b"Tz",
+              b"Tm", b"Tj", b"TJ", b"Tj*", b"Td", b"<0041>", b"<>", b"<4G>", b"(ab)", b"(a\\)b)", b"(", b"q",
+              b"1 0 0 1 72 762 Tm", b"0 1 -1 0 .5 7. Tm", b"1 0 0 1 72 Tm", b"/F0 10 Tf", b"60 Tz", b"<0041> Tj"]
+    seps = [b" ", b"\n", b"  ", b"\t", b"", b"\r\n"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(tokens), st.sampled_from(seps)), max_size=16))
+    def prop(parts):
+        text = b"".join(t + sp for t, sp in parts)
+        for pos in range(0, len(text) + 1, 3):
+            a, b = old.match(text, pos), pc._WORD_BLOCK_RE.match(text, pos)
+            assert (a is None) == (b is None), text
+            if a is not None:
+                fname, fsize, z, abcd, e, f, hex_s, lit_s = b.groups()
+                assert a.span() == b.span() and a.groups() == (fname, fsize, z, *abcd.split(), e, f, hex_s, lit_s)
+
+    prop()
+    block = b"/F0 10 Tf 60 Tz 1 0 0 1 72 762 Tm <0041> Tj"
+    assert pc._WORD_BLOCK_RE.match(block).groups() == (b"F0", b"10", b"60", b"1 0 0 1 ", b"72", b"762", b"0041", None)
 
 
 def test_lines_and_rects_roundtrip():
@@ -88,7 +167,7 @@ def test_lines_and_rects_roundtrip():
 def test_multi_page_order_preserved():
     pages = [_page([_word(f"p{i}", 72.0, 20.0)]) for i in range(4)]
     back = parse_pdf_bytes(pages_to_pdf_bytes(pages))
-    assert [p["words"][0]["text"] for p in back] == ["p0", "p1", "p2", "p3"]
+    assert [words_as_dicts(p)[0]["text"] for p in back] == ["p0", "p1", "p2", "p3"]
 
 
 def test_writer_refuses_hints_and_alien_geometry():
@@ -218,7 +297,7 @@ def test_roundtrip_property_random_pages():
                 }
             )
         back = parse_pdf_bytes(pages_to_pdf_bytes([_page(words)]))
-        got = back[0]["words"]
+        got = words_as_dicts(back[0])
         assert [w["text"] for w in got] == [w["text"] for w in words]
         for o, g in zip(words, got):
             for k in ("x0", "x1", "top", "bottom", "size"):
@@ -249,7 +328,7 @@ def test_flatedecode_content_stream_parses():
     content = _CONTENT_RE.search(plain).group(1)
     replaced = _with_flate_content(plain, zlib.compress(content))
     back = parse_pdf_bytes(replaced)
-    assert [w["text"] for w in back[0]["words"]] == ["Hello", "World"]
+    assert [w["text"] for w in words_as_dicts(back[0])] == ["Hello", "World"]
     # but a DIFFERENT filter still falls outside the subset
     with pytest.raises(UnsupportedPdfError):
         parse_pdf_bytes(replaced.replace(b"/FlateDecode", b"/LZWDecode"))
@@ -281,7 +360,7 @@ def test_flate_bomb_is_a_budget_error_row():
 
     content = _CONTENT_RE.search(plain).group(1)
     comp = zlib.compress(content)
-    assert [w["text"] for w in parse_pdf_bytes(_with_flate_content(plain, comp))[0]["words"]] == ["Hello"]
+    assert [w["text"] for w in words_as_dicts(parse_pdf_bytes(_with_flate_content(plain, comp))[0])] == ["Hello"]
     for bad in (comp[:-5], comp[:-1] + bytes([comp[-1] ^ 1]), b"xx" + comp):
         with pytest.raises(zlib.error) as want:
             zlib.decompress(bad)
@@ -369,7 +448,7 @@ def test_roundtrip_property_hypothesis():
     def prop(words, pdf15, pred):
         pdf = pages_to_pdf_bytes([_page(words)], pdf15=pdf15, xref_predictor=pdf15 and pred)
         back = parse_pdf_bytes(pdf)
-        got = back[0]["words"]
+        got = words_as_dicts(back[0])
         assert [w["text"] for w in got] == [w["text"] for w in words]
         for o, g in zip(words, got):
             for k in ("x0", "x1", "top", "bottom", "size"):
@@ -402,7 +481,7 @@ def test_indirect_length_falls_back_to_endstream_scan():
     m = re.search(rb"<< /Length (\d+) >>\nstream\n(.*?)\nendstream", plain, re.S)
     spliced = _splice_content(plain, m.group(2), b"<< /Length 10 0 R >>")
     back = parse_pdf_bytes(spliced)
-    assert [w["text"] for w in back[0]["words"]] == ["Hello", "World"]
+    assert [w["text"] for w in words_as_dicts(back[0])] == ["Hello", "World"]
 
 
 def test_unpainted_paths_emit_no_lines():
@@ -419,7 +498,7 @@ def test_unpainted_paths_emit_no_lines():
     clip = b"72 700 m 200 700 l 200 600 l W n\n" + word_ops
     page = parse_pdf_bytes(_splice_content(base, clip))[0]
     assert page["lines"] == [] and page["rects"] == []
-    assert [w["text"] for w in page["words"]] == ["Hi"]
+    assert [w["text"] for w in words_as_dicts(page)] == ["Hi"]
 
     # trailing unpainted path -> discarded
     tail = word_ops + b"\n72 700 m 200 700 l"
@@ -457,14 +536,14 @@ def test_pdf15_objstm_xrefstream_roundtrip():
     back = parse_pdf_bytes(pdf)
     assert len(back) == 3
     for p in back:
-        assert [w["text"] for w in p["words"]] == ["Hello", "縦書き"]
-        assert p["words"][1].get("upright") is False
+        assert [w["text"] for w in words_as_dicts(p)] == ["Hello", "縦書き"]
+        assert words_as_dicts(p)[1].get("upright") is False
         assert len(p["lines"]) == 1 and len(p["rects"]) == 1
     # cross-encoding: identical parse as the classic layout
     classic = parse_pdf_bytes(pages_to_pdf_bytes([pg, pg, pg]))
     for a, b in zip(back, classic):
-        assert len(a["words"]) == len(b["words"])
-        for wa, wb in zip(a["words"], b["words"]):
+        assert len(words_as_dicts(a)) == len(words_as_dicts(b))
+        for wa, wb in zip(words_as_dicts(a), words_as_dicts(b)):
             for k in ("x0", "x1", "top", "bottom", "size", "text"):
                 assert wa[k] == pytest.approx(wb[k]) if isinstance(wa[k], float) else wa[k] == wb[k]
 
@@ -536,7 +615,7 @@ def test_xref_prev_chain_incremental_update():
         + b"\nendstream\nendobj\nstartxref\n%d\n%%%%EOF\n" % at
     )
     back = parse_pdf_bytes(body + upd)
-    assert [w["text"] for w in back[0]["words"]] == ["Hello"]
+    assert [w["text"] for w in words_as_dicts(back[0])] == ["Hello"]
 
 
 def test_endobj_inside_stream_bytes_no_longer_truncates():
@@ -593,7 +672,7 @@ def test_simple_font_tj_literals_positioning():
                b"[(Hel) -20 (lo,) ] TJ ( world! \\(esc\\)) Tj T* "
                b"(next line) Tj 0.5 Tc (spaced) ' ET")
     pages = parse_pdf_bytes(_simple_font_pdf(content))
-    words = pages[0]["words"]
+    words = words_as_dicts(pages[0])
     texts = [w["text"] for w in words]
     assert texts == ["Hel", "lo,", "world!", "(esc)", "next", "line", "spaced"]
     by = {w["text"]: w for w in words}
@@ -613,7 +692,7 @@ def test_simple_font_space_split_positions_exact():
     """A space-separated literal splits into words whose summed
     advances equal showing the string whole."""
     content = b"BT /F1 10 Tf 1 0 0 1 100 400 Tm (one two  three) Tj (X) Tj ET"
-    words = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+    words = words_as_dicts(parse_pdf_bytes(_simple_font_pdf(content))[0])
     assert [w["text"] for w in words] == ["one", "two", "three", "X"]
     # every char is 500/1000*10 = 5pt: 'one'=[100,115], space, 'two'=[120,135],
     # two spaces, 'three'=[145,170], X continues at 170
@@ -647,7 +726,7 @@ def test_foreign_unsupported_constructs_raise():
             parse_pdf_bytes(_simple_font_pdf(bad))
     # zero rise is fine
     ok = parse_pdf_bytes(_simple_font_pdf(b"BT /F1 12 Tf 0 Ts 1 0 0 1 72 600 Tm (x) Tj ET"))
-    assert ok[0]["words"][0]["text"] == "x"
+    assert words_as_dicts(ok[0])[0]["text"] == "x"
 
 
 def test_widthless_non_std14_font_raises():
@@ -673,7 +752,7 @@ def test_unused_unsupported_font_is_ignored():
         b"%%EOF",
         _obj(7, b"<< /Type /Font /Subtype /Type1 /BaseFont /Symbol >>") + b"%%EOF",
     )
-    assert parse_pdf_bytes(pdf)[0]["words"][0]["text"] == "fine"
+    assert words_as_dicts(parse_pdf_bytes(pdf)[0])[0]["text"] == "fine"
     # ...but USING it raises
     bad = pdf.replace(b"/F1 12 Tf", b"/F9 12 Tf")
     with pytest.raises(UnsupportedPdfError):
@@ -749,9 +828,9 @@ def test_cid_tounicode_glyph_ids_decode():
     destination."""
     content = b"BT /F1 10 Tf 1 0 0 1 72 600 Tm <00030004> Tj <001000110012> Tj <00200021> Tj ET"
     pages = parse_pdf_bytes(_cid_tounicode_pdf(content, _CMAP))
-    assert [w["text"] for w in pages[0]["words"]] == ["Hi", "abc", "Xff"]
+    assert [w["text"] for w in words_as_dicts(pages[0])] == ["Hi", "abc", "Xff"]
     # identity advance (/DW 1000 at size 10 -> 10pt per cid)
-    w0 = pages[0]["words"][0]
+    w0 = words_as_dicts(pages[0])[0]
     assert w0["x1"] - w0["x0"] == pytest.approx(20.0)
 
     # an unmapped CID raises (never silently mis-parses)
@@ -766,7 +845,7 @@ def test_cid_tounicode_glyph_ids_decode():
     pages2 = parse_pdf_bytes(
         _cid_tounicode_pdf(b"BT /F1 10 Tf 1 0 0 1 72 600 Tm <00480069> Tj ET", _CMAP, to_unicode=False)
     )
-    assert pages2[0]["words"][0]["text"] == "Hi"  # identity mapping
+    assert words_as_dicts(pages2[0])[0]["text"] == "Hi"  # identity mapping
 
 
 def test_cid_w_array_per_glyph_widths():
@@ -775,7 +854,7 @@ def test_cid_w_array_per_glyph_widths():
     w = b"[ 3 [500 600] 16 18 250 ]"
     content = b"BT /F1 10 Tf 1 0 0 1 72 600 Tm <00030004> Tj <001000110012> Tj <0020> Tj ET"
     pages = parse_pdf_bytes(_cid_tounicode_pdf(content, _CMAP, w_array=w))
-    words = pages[0]["words"]
+    words = words_as_dicts(pages[0])
     # cid3=500, cid4=600 -> (0.5+0.6)*10 = 11pt
     assert words[0]["x1"] - words[0]["x0"] == pytest.approx(11.0)
     # cids 16,17,18 at 250 -> 7.5pt
@@ -795,7 +874,7 @@ def test_translation_ctm_q_cm_Q():
                b"10 20 m 60 20 l S Q "
                b"BT /F1 10 Tf 1 0 0 1 72 600 Tm (home) Tj ET")
     page = parse_pdf_bytes(_simple_font_pdf(content))[0]
-    by = {w["text"]: w for w in page["words"]}
+    by = {w["text"]: w for w in words_as_dicts(page)}
     assert by["moved"]["x0"] == pytest.approx(172.0)       # 72 + 100
     assert by["moved"]["top"] == pytest.approx(by["home"]["top"] + 50)
     assert by["home"]["x0"] == pytest.approx(72.0)         # Q restored
@@ -806,7 +885,7 @@ def test_translation_ctm_q_cm_Q():
               b"BT /F1 10 Tf 1 0 0 1 0 500 Tm (deep) Tj ET Q "
               b"BT /F1 10 Tf 1 0 0 1 0 500 Tm (mid) Tj ET Q")
     page2 = parse_pdf_bytes(_simple_font_pdf(nested))[0]
-    by2 = {w["text"]: w for w in page2["words"]}
+    by2 = {w["text"]: w for w in words_as_dicts(page2)}
     assert by2["deep"]["x0"] == pytest.approx(10.0)
     assert by2["deep"]["top"] == pytest.approx(by2["mid"]["top"] - 20)
     assert by2["mid"]["x0"] == pytest.approx(10.0)
@@ -825,7 +904,7 @@ def test_simple_font_encoding_differences():
     )
     # 0x80 -> emdash, 0x81 would be eacute BUT the string uses 0x81 and
     # 0x82: 129 -> eacute, 130 -> uni00E9; 'a' passes through WinAnsi
-    words = parse_pdf_bytes(pdf)[0]["words"]
+    words = words_as_dicts(parse_pdf_bytes(pdf)[0])
     assert words[0]["text"] == "—aéé"
 
     bad = _simple_font_pdf(content).replace(
@@ -845,7 +924,7 @@ def test_simple_font_encoding_differences():
         b"/FontDescriptor 6 0 R /Encoding /MacRomanEncoding >>",
         1,
     )
-    assert parse_pdf_bytes(mac)[0]["words"][0]["text"] == "ä"
+    assert words_as_dicts(parse_pdf_bytes(mac)[0])[0]["text"] == "ä"
 
 
 def test_form_xobject_do_recurses_and_image_do_is_noop():
@@ -872,7 +951,7 @@ def test_form_xobject_do_recurses_and_image_do_is_noop():
         1,
     ).replace(b"%%EOF", _obj(7, form) + _obj(9, img) + b"%%EOF")
     page = parse_pdf_bytes(pdf)[0]
-    by = {w["text"]: w for w in page["words"]}
+    by = {w["text"]: w for w in words_as_dicts(page)}
     assert set(by) == {"stamp", "body"}
     # stamp at form Matrix (5,7) + cm translation (200,0)
     assert by["stamp"]["x0"] == pytest.approx(205.0)
@@ -910,8 +989,8 @@ def test_nested_pages_tree_with_inherited_attributes():
     pages = parse_pdf_bytes(pdf)
     assert len(pages) == 2
     assert pages[0]["width"] == 612.0 and pages[0]["height"] == 792.0
-    assert [w_["text"] for w_ in pages[0]["words"]] == ["page", "one"]
-    assert [w_["text"] for w_ in pages[1]["words"]] == ["page", "two"]
+    assert [w_["text"] for w_ in words_as_dicts(pages[0])] == ["page", "one"]
+    assert [w_["text"] for w_ in words_as_dicts(pages[1])] == ["page", "two"]
 
 
 def test_axis_aligned_scaling_ctm_and_tm():
@@ -923,7 +1002,7 @@ def test_axis_aligned_scaling_ctm_and_tm():
                b"0 0 m 100 0 l S Q "
                b"BT /F1 10 Tf 2 0 0 2 72 100 Tm (twice) Tj ET")
     page = parse_pdf_bytes(_simple_font_pdf(content))[0]
-    by = {w["text"]: w for w in page["words"]}
+    by = {w["text"]: w for w in words_as_dicts(page)}
     # 'half': device pos = (72,600)*0.5 + (36,300) = (72, 600); width
     # 4 chars * 500/1000*20 = 40 text units * 0.5 = 20; size 20*0.5=10
     assert by["half"]["x0"] == pytest.approx(72.0)
@@ -950,7 +1029,7 @@ def test_marked_content_and_inline_images():
                b" EI q BI /W 1 /H 1 ID \x41\x42\x43 EI Q "
                b"BT /F1 10 Tf 1 0 0 1 72 560 Tm (after) Tj ET")
     page = parse_pdf_bytes(_simple_font_pdf(content))[0]
-    texts = [w["text"] for w in page["words"]]
+    texts = [w["text"] for w in words_as_dicts(page)]
     assert texts == ["tagged", "(BI)", "text", "after"]
 
     # malformed inline image still raises
@@ -962,7 +1041,7 @@ def test_balanced_nested_literal_parses():
     """§7.3.4.2: balanced unescaped parens inside a literal are legal;
     the preclean pass normalizes them for the token grammar."""
     content = b"BT /F1 10 Tf 1 0 0 1 72 600 Tm (a(b)c) Tj ET"
-    words = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+    words = words_as_dicts(parse_pdf_bytes(_simple_font_pdf(content))[0])
     assert words[0]["text"] == "a(b)c"
 
 
@@ -1011,7 +1090,7 @@ def test_lzw_content_stream_parses():
         b"<< /Filter /LZWDecode /Length %d >>\nstream\n%s\nendstream" % (len(comp), comp),
     )
     back = parse_pdf_bytes(replaced)
-    assert [w["text"] for w in back[0]["words"]] == ["Hello", "World"]
+    assert [w["text"] for w in words_as_dicts(back[0])] == ["Hello", "World"]
     # long repetitive data exercises multi-width growth + KwKwK-free path
     from pdf_extractor_ray.functions.pdf_codec import _lzw_decode_pdf
 
@@ -1042,7 +1121,7 @@ def test_std14_courier_exact_geometry():
     """A widthless /Courier font resolves from the carried AFM table:
     every glyph 600/1000 em, Ascender 629 / Descender -157."""
     content = b"BT /F1 10 Tf 1 0 0 1 100 400 Tm (one two) Tj ET"
-    words = parse_pdf_bytes(_std14_pdf(content))[0]["words"]
+    words = words_as_dicts(parse_pdf_bytes(_std14_pdf(content))[0])
     assert [w["text"] for w in words] == ["one", "two"]
     # 6pt per char at size 10: one=[100,118], space to 124, two=[124,142]
     assert words[0]["x0"] == pytest.approx(100) and words[0]["x1"] == pytest.approx(118)
@@ -1051,11 +1130,11 @@ def test_std14_courier_exact_geometry():
     assert words[0]["bottom"] == pytest.approx(792 - 400 + 1.57)
     # the bold/oblique Courier faces share the monospace table
     for face in (b"/Courier-Bold", b"/Courier-Oblique", b"/Courier-BoldOblique"):
-        w2 = parse_pdf_bytes(_std14_pdf(content, basefont=face))[0]["words"]
+        w2 = words_as_dicts(parse_pdf_bytes(_std14_pdf(content, basefont=face))[0])
         assert [w["text"] for w in w2] == ["one", "two"]
         assert w2[1]["x1"] == pytest.approx(142)
     # subset-prefixed name resolves to the same face
-    w3 = parse_pdf_bytes(_std14_pdf(content, basefont=b"/ABCDEF+Courier"))[0]["words"]
+    w3 = words_as_dicts(parse_pdf_bytes(_std14_pdf(content, basefont=b"/ABCDEF+Courier"))[0])
     assert w3[0]["x1"] == pytest.approx(118)
 
 
@@ -1063,13 +1142,13 @@ def test_std14_helvetica_times_afm_widths():
     """Helvetica/Times-Roman widthless faces use the published AFM
     widths (digits 556/500, space 278/250, caps per table)."""
     content = b"BT /F1 10 Tf 1 0 0 1 100 400 Tm (01 AW) Tj ET"
-    hw = parse_pdf_bytes(_std14_pdf(content, basefont=b"/Helvetica"))[0]["words"]
+    hw = words_as_dicts(parse_pdf_bytes(_std14_pdf(content, basefont=b"/Helvetica"))[0])
     assert [w["text"] for w in hw] == ["01", "AW"]
     assert hw[0]["x1"] - hw[0]["x0"] == pytest.approx(2 * 5.56)  # digits 556
     assert hw[1]["x0"] == pytest.approx(100 + 2 * 5.56 + 2.78)  # space 278
     assert hw[1]["x1"] - hw[1]["x0"] == pytest.approx((667 + 944) / 100.0)
     assert hw[0]["top"] == pytest.approx(792 - 400 - 7.18)  # Ascender 718
-    tw = parse_pdf_bytes(_std14_pdf(content, basefont=b"/Times-Roman"))[0]["words"]
+    tw = words_as_dicts(parse_pdf_bytes(_std14_pdf(content, basefont=b"/Times-Roman"))[0])
     assert tw[0]["x1"] - tw[0]["x0"] == pytest.approx(2 * 5.0)  # digits 500
     assert tw[1]["x0"] == pytest.approx(100 + 2 * 5.0 + 2.5)  # space 250
     assert tw[1]["x1"] - tw[1]["x0"] == pytest.approx((722 + 944) / 100.0)
@@ -1086,17 +1165,17 @@ def test_std14_boundaries_raise_not_guess():
     hi_content = b"BT /F1 10 Tf 72 400 Td (caf\xe9) Tj ET"
     with pytest.raises(UnsupportedPdfError, match="printable ASCII"):
         parse_pdf_bytes(_std14_pdf(hi_content, basefont=b"/Helvetica"))
-    got = parse_pdf_bytes(
+    got = words_as_dicts(parse_pdf_bytes(
         _std14_pdf(hi_content, basefont=b"/Helvetica", extra=b"/Encoding /WinAnsiEncoding ")
-    )[0]["words"]
+    )[0])
     assert [w["text"] for w in got] == ["café"]
     # lazy resolution: an unused /Symbol in resources is never touched
-    lazy = parse_pdf_bytes(
+    lazy = words_as_dicts(parse_pdf_bytes(
         _std14_pdf(
             ascii_content,
             second_font=b"<< /Type /Font /Subtype /Type1 /BaseFont /Symbol >>",
         )
-    )[0]["words"]
+    )[0])
     assert [w["text"] for w in lazy] == ["plain"]
 
 
@@ -1142,8 +1221,8 @@ def test_encrypted_pdf_roundtrip():
         # operators of the plain twin must not appear
         assert b"Tj" not in _extract_stream_probe(pdf)
         got = parse_pdf_bytes(pdf)[0]
-        assert [w["text"] for w in got["words"]] == [w["text"] for w in ref["words"]]
-        for wa, wb in zip(ref["words"], got["words"]):
+        assert [w["text"] for w in words_as_dicts(got)] == [w["text"] for w in words_as_dicts(ref)]
+        for wa, wb in zip(words_as_dicts(ref), words_as_dicts(got)):
             for k in ("x0", "x1", "top", "bottom", "size"):
                 assert abs(wa[k] - wb[k]) < 5e-3, (mode, k)
     # deterministic: same pages -> byte-identical encrypted file
@@ -1224,6 +1303,43 @@ def test_aes_fips197_vectors():
         assert aes_cbc_decrypt(k256, iv, aes_cbc_encrypt(k256, iv, data)) == data
 
 
+def test_aes_cbc_decrypt_many_matches_one_by_one():
+    """One pass over many IV-prefixed messages, under one or many keys
+    (per-block round keys), equals decrypting each on its own."""
+    import os
+    import random
+
+    from pdf_extractor_ray.functions.aes_cipher import (
+        aes_cbc_decrypt,
+        aes_cbc_decrypt_many,
+        aes_cbc_encrypt,
+    )
+    from pdf_extractor_ray.functions import aes_cipher
+
+    rng = random.Random(3)
+    for key_len in (16, 32):
+        keys = [os.urandom(key_len) for _ in range(4)]
+        msgs, ks = [], []
+        for _ in range(25):
+            k, iv = rng.choice(keys), os.urandom(16)
+            ks.append(k)
+            msgs.append(iv + (aes_cbc_encrypt(k, iv, os.urandom(rng.randint(0, 100))) if rng.random() < 0.9 else b""))
+        want = [aes_cbc_decrypt(k, m[:16], m[16:], unpad=False) for k, m in zip(ks, msgs)]
+        assert aes_cbc_decrypt_many(ks, msgs) == want
+        assert aes_cbc_decrypt_many([keys[0]] * 3, msgs[:3]) == [
+            aes_cbc_decrypt(keys[0], m[:16], m[16:], unpad=False) for m in msgs[:3]]
+        saved = aes_cipher._MANY_BLOCKS
+        aes_cipher._MANY_BLOCKS = 3  # batches split between messages
+        try:
+            assert aes_cbc_decrypt_many(ks, msgs) == want
+        finally:
+            aes_cipher._MANY_BLOCKS = saved
+    with pytest.raises(ValueError):
+        aes_cbc_decrypt_many([bytes(16)], [bytes(20)])
+    with pytest.raises(ValueError):
+        aes_cbc_decrypt_many([bytes(10)], [bytes(32)])
+
+
 def test_aes_encrypted_pdf_roundtrip():
     """AESV2 (V4/R4 crypt filter) and AESV3 (V5/R6) documents decrypt
     and parse identically to their plaintext twins; the on-disk
@@ -1247,8 +1363,8 @@ def test_aes_encrypted_pdf_roundtrip():
         probe = _extract_stream_probe(pdf)
         assert b"Tj" not in probe and len(probe) % 16 == 0
         got = parse_pdf_bytes(pdf)[0]
-        assert [w["text"] for w in got["words"]] == [w["text"] for w in ref["words"]]
-        for wa, wb in zip(ref["words"], got["words"]):
+        assert [w["text"] for w in words_as_dicts(got)] == [w["text"] for w in words_as_dicts(ref)]
+        for wa, wb in zip(words_as_dicts(ref), words_as_dicts(got)):
             for k in ("x0", "x1", "top", "bottom", "size"):
                 assert abs(wa[k] - wb[k]) < 5e-3, (mode, k)
         # deterministic: same pages -> byte-identical encrypted file
@@ -1291,13 +1407,13 @@ def test_incremental_update_takes_latest_object():
     object; the sequential scan must surface the LATEST definition."""
     content = b"BT /F1 10 Tf 72 400 Td (original words) Tj ET"
     pdf = _std14_pdf(content)
-    assert [w["text"] for w in parse_pdf_bytes(pdf)[0]["words"]] == ["original", "words"]
+    assert [w["text"] for w in words_as_dicts(parse_pdf_bytes(pdf)[0])] == ["original", "words"]
     new = b"BT /F1 10 Tf 72 400 Td (updated body) Tj ET"
     update = (
         _obj(4, b"<< /Length %d >>\nstream\n" % len(new) + new + b"\nendstream")
         + b"%%EOF\n"
     )
-    got = parse_pdf_bytes(pdf + update)[0]["words"]
+    got = words_as_dicts(parse_pdf_bytes(pdf + update)[0])
     assert [w["text"] for w in got] == ["updated", "body"]
 
 
@@ -1317,10 +1433,10 @@ def test_stream_keys_read_from_dictionary_not_data():
     pdf = _simple_font_pdf(body).replace(
         b"<< /Length %d >>" % len(body), b"<< /Length %d /Filter /ASCII85Decode >>" % len(body)
     )
-    assert [w["text"] for w in parse_pdf_bytes(pdf)[0]["words"]] == ["Hello"]
+    assert [w["text"] for w in words_as_dicts(parse_pdf_bytes(pdf)[0])] == ["Hello"]
 
     plain = _simple_font_pdf(b"BT /F1 12 Tf 72 720 Td (Hello) Tj ET\n% /Filter /FlateDecode\n")
-    assert [w["text"] for w in parse_pdf_bytes(plain)[0]["words"]] == ["Hello"]
+    assert [w["text"] for w in words_as_dicts(parse_pdf_bytes(plain)[0])] == ["Hello"]
 
 
 def test_transport_filters_roundtrip():
@@ -1413,8 +1529,8 @@ def test_wild_stream_filter_chains_parse_identically():
                       "ahx": b"/ASCIIHexDecode", "rl": b"/RunLengthDecode"}[tag]
             assert marker in pdf
         got = parse_pdf_bytes(pdf)[0]
-        assert [w["text"] for w in got["words"]] == [w["text"] for w in ref["words"]], filt
-        for wa, wb in zip(ref["words"], got["words"]):
+        assert [w["text"] for w in words_as_dicts(got)] == [w["text"] for w in words_as_dicts(ref)], filt
+        for wa, wb in zip(words_as_dicts(ref), words_as_dicts(got)):
             for k in ("x0", "x1", "top", "bottom", "size"):
                 assert abs(wa[k] - wb[k]) < 5e-3, (filt, k)
 
@@ -1458,8 +1574,8 @@ def test_wild_encoding_parity_hypothesis():
         page = _page(words)
         a = parse_pdf_bytes(pages_to_pdf_bytes([page]))[0]
         b = parse_pdf_bytes(pages_to_pdf_bytes_wild([page]))[0]
-        assert [w["text"] for w in a["words"]] == [w["text"] for w in b["words"]]
-        for wa, wb in zip(a["words"], b["words"]):
+        assert [w["text"] for w in words_as_dicts(a)] == [w["text"] for w in words_as_dicts(b)]
+        for wa, wb in zip(words_as_dicts(a), words_as_dicts(b)):
             for k in ("x0", "x1", "top", "bottom", "size"):
                 assert abs(wa[k] - wb[k]) < 5e-3, (k, wa, wb)
 
@@ -1484,9 +1600,9 @@ def test_wild_encoding_parity_space_words():
     page = _page(words)
     a = parse_pdf_bytes(pages_to_pdf_bytes([page]))[0]
     b = parse_pdf_bytes(pages_to_pdf_bytes_wild([page]))[0]
-    assert [w["text"] for w in a["words"]] == [" ", "a b", "plain"]
-    assert [w["text"] for w in b["words"]] == [" ", "a b", "plain"]
-    for wa, wb in zip(a["words"], b["words"]):
+    assert [w["text"] for w in words_as_dicts(a)] == [" ", "a b", "plain"]
+    assert [w["text"] for w in words_as_dicts(b)] == [" ", "a b", "plain"]
+    for wa, wb in zip(words_as_dicts(a), words_as_dicts(b)):
         for k in ("x0", "x1", "top", "bottom", "size"):
             assert abs(wa[k] - wb[k]) < 5e-3, (k, wa, wb)
 
@@ -1498,7 +1614,7 @@ def test_simple_font_hex_space_split_does_not_depend_on_rest_of_page():
     the space-split words either way."""
     content = b"BT\n/F1 12 Tf\n1 0 0 1 72 600 Tm\n<612062> Tj\nET"
     for stream in (content, content + b"\n0 g"):
-        words = parse_pdf_bytes(_simple_font_pdf(stream))[0]["words"]
+        words = words_as_dicts(parse_pdf_bytes(_simple_font_pdf(stream))[0])
         assert [(w["text"], w["x0"], w["x1"]) for w in words] == [
             ("a", 72.0, 78.0), ("b", 84.0, 90.0)
         ], stream
@@ -1510,7 +1626,7 @@ def test_literal_line_continuation():
     in the token-by-token form."""
     for content in (b"BT /F1 12 Tf 1 0 0 1 72 600 Tm (ab\\\ncd) Tj ET",
                     b"BT /F1 12 Tf 72 600 Td (ab\\\r\ncd) Tj ET"):
-        words = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+        words = words_as_dicts(parse_pdf_bytes(_simple_font_pdf(content))[0])
         assert [(w["text"], w["x0"], w["x1"]) for w in words] == [("abcd", 72.0, 96.0)]
 
 
@@ -1521,7 +1637,7 @@ def test_odd_length_hex_string_pads_final_digit():
     for content in (b"BT /F1 12 Tf 1 0 0 1 72 600 Tm <616> Tj ET",
                     b"BT /F1 12 Tf 72 600 Td <616> Tj ET",
                     b"BT /F1 12 Tf 72 600 Td <6 16> Tj ET"):
-        words = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+        words = words_as_dicts(parse_pdf_bytes(_simple_font_pdf(content))[0])
         assert [(w["text"], w["x0"], w["x1"]) for w in words] == [("a`", 72.0, 84.0)], content
 
 
@@ -1576,7 +1692,7 @@ def test_word_block_lane_matches_token_loop_hypothesis():
         content = re.search(rb"<< /Length \d+ >>\nstream\n(.*?)\nendstream", pdf, re.S).group(1)
         assert b"] TJ" not in content
         bare = parse(pdf, content)
-        assert len(bare["words"]) == len(words)
+        assert len(words_as_dicts(bare)) == len(words)
         for variant in (wrap(content), as_tj(content), wrap(as_tj(content))):
             got = parse(pdf, variant)
             for key in ("words", "lines", "rects"):
@@ -1587,7 +1703,7 @@ def test_word_block_lane_matches_token_loop_hypothesis():
         assert parse(pdf, follow) == parse(pdf, as_tj(follow))
         lane2 = parse(pdf, wrap(content, b"2 0 0 2 0 0"))
         assert parse(pdf, wrap(as_tj(content), b"2 0 0 2 0 0")) == lane2
-        for w, w2 in zip(bare["words"], lane2["words"]):
+        for w, w2 in zip(words_as_dicts(bare), words_as_dicts(lane2)):
             assert w2["text"] == w["text"]
             assert w2["size"] == pytest.approx(2 * w["size"])
             if w.get("upright", True):
@@ -1607,7 +1723,7 @@ def test_word_block_regex_does_not_backtrack_on_long_numbers():
 
     content = b"BT /F1 12 Tf " + b"1234567890123456 " * 7 + b"Tz ET"
     t0 = time.process_time()
-    assert parse_pdf_bytes(_simple_font_pdf(content))[0]["words"] == []
+    assert words_as_dicts(parse_pdf_bytes(_simple_font_pdf(content))[0]) == []
     assert time.process_time() - t0 < 1.0
 
 
@@ -1623,5 +1739,5 @@ def test_negative_zero_tm_translation_keeps_its_sign():
         content = block if cm is None else (
             b"q " + cm + b" cm /P <</MCID 0>> BDC " + block + b" EMC Q"
         )
-        (word,) = parse_pdf_bytes(_simple_font_pdf(content))[0]["words"]
+        (word,) = words_as_dicts(parse_pdf_bytes(_simple_font_pdf(content))[0])
         assert word["x0"] == 0.0 and math.copysign(1.0, word["x0"]) == -1.0, content

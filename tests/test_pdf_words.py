@@ -1,6 +1,8 @@
 """Unit tests for the PDF word-geometry operators (reference semantics
 from extractor.py — see SURVEY.md §2.2 M2-M17, §2.4 J1)."""
 
+import pytest
+
 from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 from pdf_extractor_ray.functions.pdf_words import (
     Patterns,
@@ -493,3 +495,139 @@ def test_script_attachment_is_subquadratic():
     cpu = time.process_time() - t0
     assert set(res["text"].split()) == {"x²"}  # every glyph attached
     assert cpu < 1.0
+
+
+# ---- the column contract: word dicts through page_columns ------------
+
+_TEXTS = ("a", "b", "1", "2", "*1", "※", "Page 2", "(1)", "x", "日本", "Hello", "2", "9")
+
+
+def _random_dict_doc(rng) -> list[dict]:
+    """Hand-written dict pages for the column-contract differential:
+    coordinates from a small grid (ties in (top, x0), -0.0 next to
+    0.0, spots D1 rounds together), some words without a size, some
+    rotated, and ruling lines or a rect on some pages."""
+    pages = []
+    for _ in range(rng.randint(1, 3)):
+        words = []
+        for _ in range(rng.randint(0, 30)):
+            top = rng.choice([0.0, -0.0, 40.0, 100.0, 100.04, 100.06, 400.0, 700.0, 740.0, round(rng.uniform(0, 780), 2)])
+            x0 = rng.choice([0.0, -0.0, 72.0, 72.04, 90.0, 300.0, round(rng.uniform(0, 560), 2)])
+            size = rng.choice([4.0, 8.0, 10.0, 12.0, 20.0])
+            word = {
+                "text": rng.choice(_TEXTS), "x0": x0, "x1": x0 + rng.choice([6.0, 20.0, 40.0]),
+                "top": top, "bottom": top + 1.2 * size, "size": size, "fontname": "F0",
+            }
+            if rng.random() < 0.15:
+                del word["size"]
+            if rng.random() < 0.1:
+                word["upright"] = False
+            words.append(word)
+        p = {"width": 612.0, "height": 792.0, "words": words}
+        if rng.random() < 0.3:  # a ruled 3x3 grid with a word in most cells
+            xs, ys = [60.0, 200.0, 340.0, 480.0], [80.0, 120.0, 160.0, 200.0]
+            p["lines"] = [{"x0": xs[0], "x1": xs[-1], "top": y, "bottom": y} for y in ys] + [
+                {"x0": x, "x1": x, "top": ys[0], "bottom": ys[-1]} for x in xs
+            ]
+            words += [
+                {"text": rng.choice(_TEXTS), "x0": x + 10.0, "x1": x + 40.0, "top": y + 10.0, "bottom": y + 22.0, "size": 10.0}
+                for x in xs[:-1] for y in ys[:-1] if rng.random() < 0.8
+            ]
+        if rng.random() < 0.3:  # a box with a few words
+            p["rects"] = [{"x0": 50.0, "x1": 350.0, "top": 450.0, "bottom": 700.0}]
+            words += [
+                {"text": rng.choice(_TEXTS), "x0": 60.0 + 30 * i, "x1": 80.0 + 30 * i, "top": 500.0, "bottom": 512.0, "size": 10.0}
+                for i in range(rng.randint(2, 6))
+            ]
+        rng.shuffle(words)
+        pages.append(p)
+    return pages
+
+
+def test_dict_pages_match_the_dict_path_outputs():
+    """Every result of extract_pdf_pages over random hand-written dict
+    pages (so through page_columns) equals, by repr, what the chain
+    gave when it read the word dicts themselves: sha1s recorded with
+    that chain over the same seeded documents, with the default
+    detectors and with every table detector on."""
+    import hashlib
+    import json
+    import os
+    import random
+
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "pdf_dict_path.json"), encoding="utf-8") as f:
+        want = json.load(f)
+    rng = random.Random(want["seed"])
+    docs = [_random_dict_doc(rng) for _ in range(want["n"])]
+    every = DEFAULT_CONFIG.with_overrides(detect_text_tables=True, detect_ws_tables=True)
+    for cfg, key in ((DEFAULT_CONFIG, "sha1"), (every, "sha1_every_detector")):
+        got = [hashlib.sha1(repr(extract_pdf_pages(d, PATS, cfg)).encode()).hexdigest() for d in docs]
+        assert got == want[key]
+
+
+def _dict_view(words: list[dict]):
+    """What the chain read from word dicts before the column contract:
+    its stable (top, x0, text) order, float64 rows, unsized mask."""
+    import numpy as np
+
+    ws = sorted(words, key=lambda d: (d["top"], d["x0"], d["text"]))
+    unsized = [("size" not in d) for d in ws]
+    rows = [[d[k] for d in ws] for k in ("x0", "x1", "top", "bottom")] + [[d.get("size", 10.0) for d in ws]]
+    return [d["text"] for d in ws], np.array(rows, np.float64).reshape(5, -1), np.array(unsized, bool)
+
+
+def _dict_inventory(pages: list[dict]) -> dict:
+    counts: dict = {}
+    for p in pages:
+        h = p["height"]
+        for d in p["words"]:
+            t, s = d.get("top", 0.0), d.get("size", 10.0)
+            region = ("top", "middle", "bottom")[(t >= 0.15 * h) * (1 + (t > 0.85 * h))]
+            cls = "large" if s > 18 else "normal" if s >= 10 else "small" if s >= 6 else "tiny"
+            counts[f"{region}_{cls}"] = counts.get(f"{region}_{cls}", 0) + 1
+    return counts
+
+
+def test_page_columns_keep_the_dict_semantics_hypothesis():
+    """The view, inventory and rotated count built through page_columns
+    equal the dict path's: ties keep input order, -0.0 keeps its sign
+    and ranks with 0.0, a missing size reads 10.0 and is marked, and
+    words with upright False are counted."""
+    import random
+
+    import numpy as np
+    from hypothesis import given, settings, strategies as st
+
+    from pdf_extractor_ray.functions import pdf_words as pw
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def prop(seed):
+        doc = _random_dict_doc(random.Random(seed))
+        for p in doc:
+            v = pw._Words(pw.page_columns(p["words"]))
+            text, xy, unsized = _dict_view(p["words"])
+            assert v.text == text
+            assert np.array_equal(v.xy, xy) and np.array_equal(np.signbit(v.xy), np.signbit(xy))
+            assert np.array_equal(v.unsized if v.unsized is not None else np.zeros(len(text), bool), unsized)
+        assert pw._inventory(doc) == _dict_inventory(doc)
+        assert list(pw._inventory(doc)) == list(_dict_inventory(doc))  # first-seen key order
+        assert pw._doc_counts(doc)[1] == sum(d.get("upright", True) is False for p in doc for d in p["words"])
+
+    prop()
+
+
+def test_page_columns_of_unreadable_words():
+    """A word without coordinates (or no dict at all) fails its page's
+    view; recovery still reads the texts in (top, x0) order, and the
+    inventory reads a missing top as 0.0."""
+    from pdf_extractor_ray.functions import pdf_words as pw
+
+    loose = [{"text": "b", "top": 5.0, "x0": 1.0}, {"text": "a", "top": 5.0}, {"text": "z"}]
+    c = pw.page_columns(loose)
+    assert pw._view({"words": c}) is None
+    assert pw._recover_page_text({"words": c}) == "z a b"
+    assert pw._inventory([{"height": 100.0, "words": loose}]) == {"top_normal": 3}
+    assert pw._view({"words": [12345, None]}) is None and pw._recover_page_text({"words": [12345, None]}) is None
+    with pytest.raises(ValueError):  # a None top poisons the document's inventory
+        pw._inventory([{"height": 100.0, "words": [{"text": "a", "top": None, "size": 10.0}]}])

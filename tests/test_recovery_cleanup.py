@@ -133,6 +133,74 @@ def test_count_overlapping_words():
     assert count_overlapping_words([]) == 0
 
 
+def test_overlap_pairs_chunked_count_matches_all_pairs(monkeypatch):
+    """J4 tests its candidate pairs chunk by chunk; with tiny chunks the
+    count still equals the all-pairs definition."""
+    import random
+
+    from pdf_extractor_ray.functions import pdf_words as pw
+
+    rng = random.Random(7)
+    pages = [
+        _page([_word(str(i), rng.choice([100.0, 104.0, 130.0, rng.uniform(90, 200)]), rng.choice([100.0, 103.0, rng.uniform(90, 200)]),
+                     w=rng.choice([5.0, 30.0, 60.0]), h=rng.choice([4.0, 10.0, 20.0])) for i in range(rng.randint(0, 60))])
+        for _ in range(6)
+    ]
+
+    def all_pairs(ws):
+        n = 0
+        for i, a in enumerate(ws):
+            for b in ws[i + 1 :]:
+                xo = min(a["x1"], b["x1"]) - max(a["x0"], b["x0"])
+                yo = min(a["bottom"], b["bottom"]) - max(a["top"], b["top"])
+                m = min((a["x1"] - a["x0"]) * (a["bottom"] - a["top"]), (b["x1"] - b["x0"]) * (b["bottom"] - b["top"]))
+                n += xo > 0 and yo > 0 and m > 0 and xo * yo > m * DEFAULT_CONFIG.overlap_area_frac
+        return n
+
+    want = sum(all_pairs(p["words"]) for p in pages)
+    assert want > 0
+    for chunk in (1, 7, 1 << 16):
+        monkeypatch.setattr(pw, "_PAIR_CHUNK", chunk)
+        assert extract_pdf_pages(pages)["n_overlapping_words"] == want
+
+
+def test_stacked_word_pdf_is_a_budget_row_within_a_second():
+    """Words stacked on two spots make J4's candidate pairs quadratic
+    (9.5k words: 45M pairs; 74k: 2.7G, 22 GB of index arrays if built
+    at once). Over the per-page pair budget the document is an error
+    row, in under 1 s of CPU and without a large allocation."""
+    import time
+    import tracemalloc
+    from datetime import datetime
+
+    import pyarrow as pa
+
+    from pdf_extractor_ray.functions.pdf_codec import pages_to_pdf_bytes
+    from pdf_extractor_ray.stages.extractor import Extractor
+
+    two = [_word("Hello", 72.0, 700.0), _word("World", 108.0, 700.0)]
+    ex = Extractor()
+    for n_words in (9_500, 74_000):
+        payload = pages_to_pdf_bytes([_page(two * (n_words // 2))], pdf15=True)
+        assert len(payload) < 16_000  # FlateDecode content: a small payload
+        batch = pa.table({
+            "url": ["https://x.example/stacked"], "warc_ts": pa.array([datetime(2024, 1, 1)], pa.timestamp("us")),
+            "html": pa.array([payload], pa.binary()), "lang": ["en"],
+        })
+        t0 = time.process_time()
+        (row,) = ex(batch).to_pylist()
+        cpu = time.process_time() - t0
+        assert row["error"].startswith("UnsupportedPdfError: budget: ") and "candidate word pairs" in row["error"]
+        assert cpu < 1.0, (n_words, cpu)
+        tracemalloc.start()
+        try:
+            ex(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 20, (n_words, peak)
+
+
 # ---------------------------------------------------------------------------
 # A6 footnote completeness + A10 confidence
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ checkouts, per PDF encoding family, on a benchmark workload's inputs.
 
     python tools/codec_ab.py --base /path/to/parent/checkout \
         --workload pdf_parquet --seeds 1,2,5,7 --alternations 10 \
-        [--layer parse|chain|segment] [--json out.json]
+        [--layer parse|chain|pdf|segment] [--json out.json]
 
 ``functions/pdf_codec.py`` of the base checkout (A) and of this one (B)
 load side by side in one process. Each alternation parses every genuine
@@ -11,8 +11,9 @@ PDF of the workload's rows once with each codec, doc by doc, the codec
 that goes first on a doc flipping every alternation (so drift in the
 host's speed hits both sides alike), and records the CPU time
 (``process_time``) per doc and family. Before timing, every doc is
-parsed by both and the page dicts (or error messages) compared by
-``repr``; a mismatch is reported and fails the run. The inputs come
+parsed by both and the pages (or error messages) compared by
+``repr``, words as dicts (``dict_pages``) whichever form a codec
+emits; a mismatch is reported and fails the run. The inputs come
 from ``extract_bench/workloads.prepare`` of this checkout.
 
 ``--form`` rewrites every decoded stream before either codec reads it
@@ -25,13 +26,19 @@ show operators (Tj, TJ, ', ") that B's word-block lane took.
 
 ``--layer chain`` times the word-geometry chain (``extract_pdf_pages``)
 instead of the parse, the same way. Each genuine PDF is parsed once by
-this checkout's codec; each side gets its own deep copy of the pages
-per call (copied outside the timed region). The base side runs its
-whole ``pdf_extractor_ray`` package, so its own ``layout.py`` and
-``config.py`` too: both packages are imported side by side and
-``sys.modules`` points at the timed side's modules while it runs. The
-parity check compares the two results (or error messages) by
-``repr``, so dict key order and the sign of a zero count.
+each side's own codec, so each side gets the page form its codec
+emits (``WordColumns`` here, word dicts in a checkout from before the
+column contract), as a deep copy per call made outside the timed
+region. Each side runs its whole ``pdf_extractor_ray`` package, so its
+own ``layout.py`` and ``config.py`` too: both packages are imported
+side by side and ``sys.modules`` points at the timed side's modules
+while it runs. The parity check compares the two results (or error
+messages) by ``repr``, so dict key order and the sign of a zero count.
+
+``--layer pdf`` times parse plus chain (``extract_pdf_bytes``) per
+genuine PDF, the contract between the two being internal to each
+side, with the same package handling and the same ``repr`` parity of
+the results.
 
 ``--layer segment`` times the HTML segmenter (``segment_html`` of
 ``functions/html_extract.py``) of both checkouts, loaded side by side,
@@ -83,7 +90,7 @@ def load_package(checkout: str) -> dict:
         del sys.modules[k]
     sys.path.insert(0, checkout)
     try:
-        for name in ("functions.pdf_words", "functions.layout", "functions.pdf_codec"):
+        for name in ("functions.pdf_words", "functions.layout", "functions.pdf_codec", "functions.aes_cipher"):
             importlib.import_module(f"{PKG}.{name}")
         mods = _pkg_modules()
     finally:
@@ -94,14 +101,15 @@ def load_package(checkout: str) -> dict:
     return mods
 
 
-class Chain:
-    """One checkout's ``extract_pdf_pages``, run with its own modules
+class Package:
+    """One checkout's PDF path (codec, chain), run with its own modules
     installed in ``sys.modules`` (function-level imports resolve there)."""
 
     def __init__(self, checkout: str) -> None:
         self.mods = load_package(checkout)
         pw = self.mods[f"{PKG}.functions.pdf_words"]
-        self.extract, self.pats = pw.extract_pdf_pages, pw.Patterns()
+        self.extract, self.extract_bytes, self.pats = pw.extract_pdf_pages, pw.extract_pdf_bytes, pw.Patterns()
+        self.parse = self.mods[f"{PKG}.functions.pdf_codec"].parse_pdf_bytes
 
     def activate(self) -> None:
         sys.modules.update(self.mods)
@@ -184,9 +192,29 @@ def lane_share(codec, payloads: list[bytes]) -> tuple[int, int]:
     return taken, shows
 
 
+_WORD_KEYS = ("text", "x0", "x1", "top", "bottom", "size", "fontname")
+
+
+def dict_pages(pages: list[dict]) -> list[dict]:
+    """``pages`` with ``WordColumns`` words as the word dicts codecs
+    emitted before the column contract (``upright`` only on rotated
+    words, as False)."""
+    out = []
+    for p in pages:
+        c = p["words"]
+        if not isinstance(c, list):
+            ws = [dict(zip(_WORD_KEYS, row)) for row in zip(*(getattr(c, k) for k in _WORD_KEYS))]
+            for w, up in zip(ws, c.upright or ()):
+                if up is False:
+                    w["upright"] = False
+            p = {**p, "words": ws}
+        out.append(p)
+    return out
+
+
 def outcome(codec, payload: bytes) -> str:
     try:
-        return repr(codec.parse_pdf_bytes(payload))
+        return repr(dict_pages(codec.parse_pdf_bytes(payload)))
     except Exception as exc:  # the error row's message is part of the contract
         return f"{type(exc).__name__}: {exc}"
 
@@ -268,28 +296,36 @@ def genuine_pdfs(workload: str, seed: int) -> list[tuple[str, bytes]]:
     ]
 
 
-def chain_outcome(side: Chain, pages: list) -> str:
+def side_outcome(side: Package, fn, arg) -> str:
     side.activate()
     try:
-        return repr(side.extract(copy.deepcopy(pages), side.pats))
+        return repr(fn(copy.deepcopy(arg), side.pats))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def run_chain_seed(a: Chain, b: Chain, codec, workload: str, seed: int, alternations: int) -> dict:
-    """A/B of ``extract_pdf_pages`` over the pages of every genuine PDF
-    this checkout's codec reads."""
+def run_chain_seed(a: Package, b: Package, workload: str, seed: int, alternations: int, layer: str) -> dict:
+    """A/B of ``extract_pdf_pages`` (layer "chain": each side on its own
+    codec's pages) or ``extract_pdf_bytes`` (layer "pdf") over every
+    genuine PDF of the workload that both codecs read."""
     docs = []
-    for fam, p in genuine_pdfs(workload, seed):
-        try:
-            docs.append((fam, codec.parse_pdf_bytes(p)))
-        except Exception:
-            continue  # an error row: the chain never sees it
     home = _pkg_modules()  # what workloads.prepare imports from
     try:
-        mismatches = [i for i, (_, pages) in enumerate(docs) if chain_outcome(a, pages) != chain_outcome(b, pages)]
-        sides = (("A", lambda x: a.extract(x, a.pats), a.activate), ("B", lambda x: b.extract(x, b.pats), b.activate))
-        runs, n_docs = alternate(sides, docs, alternations, prepare=copy.deepcopy)
+        for fam, p in genuine_pdfs(workload, seed):
+            if layer == "pdf":
+                docs.append((fam, (p, p)))
+                continue
+            try:
+                a.activate()
+                pages_a = a.parse(p)
+                b.activate()
+                docs.append((fam, (pages_a, b.parse(p))))
+            except Exception:
+                continue  # an error row: the chain never sees it
+        fa, fb = (a.extract, b.extract) if layer == "chain" else (a.extract_bytes, b.extract_bytes)
+        mismatches = [i for i, (_, (x, y)) in enumerate(docs) if side_outcome(a, fa, x) != side_outcome(b, fb, y)]
+        sides = (("A", lambda x: fa(x[0], a.pats), a.activate), ("B", lambda x: fb(x[1], b.pats), b.activate))
+        runs, n_docs = alternate(sides, docs, alternations, prepare=copy.deepcopy if layer == "chain" else None)
     finally:
         sys.modules.update(home)
     return {"mismatches": len(mismatches), "summary": summarize(runs, n_docs), "alternations": runs}
@@ -336,7 +372,7 @@ def main() -> int:
     ap.add_argument("--workload", default="pdf_parquet")
     ap.add_argument("--seeds", default="1")
     ap.add_argument("--alternations", type=int, default=10)
-    ap.add_argument("--layer", choices=["parse", "chain", "segment"], default="parse")
+    ap.add_argument("--layer", choices=["parse", "chain", "pdf", "segment"], default="parse")
     ap.add_argument("--form", choices=["as-written", *FORMS], default="as-written")
     ap.add_argument("--json", help="write the full result here")
     args = ap.parse_args()
@@ -345,21 +381,21 @@ def main() -> int:
     if args.layer == "segment":
         a = load_module(args.base, "html_extract_a", HTML_EXTRACT)
         b = load_module(ROOT, "html_extract_b", HTML_EXTRACT)
+    elif args.layer in ("chain", "pdf"):
+        pkg_a, pkg_b = Package(args.base), Package(ROOT)
     else:
         b = load_module(ROOT, "pdf_codec_b")
-    if args.layer == "chain":
-        chain_a, chain_b = Chain(args.base), Chain(ROOT)
-    elif args.layer == "parse":
         a = load_module(args.base, "pdf_codec_a")
         if args.form != "as-written":
             rewrite_streams(a, args.form)
             rewrite_streams(b, args.form)
     result = {}
     for seed in (int(s) for s in args.seeds.split(",")):
-        if args.layer == "chain":
-            res = run_chain_seed(chain_a, chain_b, b, args.workload, seed, args.alternations)
-            result[f"{args.workload}/chain/s{seed}"] = res
-            print(f"{args.workload} (extract_pdf_pages) seed {seed}: {res['mismatches']} mismatching docs")
+        if args.layer in ("chain", "pdf"):
+            res = run_chain_seed(pkg_a, pkg_b, args.workload, seed, args.alternations, args.layer)
+            result[f"{args.workload}/{args.layer}/s{seed}"] = res
+            fn = "extract_pdf_pages" if args.layer == "chain" else "extract_pdf_bytes"
+            print(f"{args.workload} ({fn}) seed {seed}: {res['mismatches']} mismatching docs")
         elif args.layer == "segment":
             res = run_segment_seed(a, b, args.workload, seed, args.alternations)
             result[f"{args.workload}/segment/s{seed}"] = res
