@@ -40,24 +40,25 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_tables() -> dict[str, np.ndarray]:
-    # multiplicative inverse via brute force (the field is 256 elements)
-    inv = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inv[x] = y
-                break
-    sbox = np.zeros(256, dtype=np.uint8)
-    for x in range(256):
-        b = inv[x]
-        s = 0x63
-        for r in range(5):  # b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4)
-            s ^= ((b << r) | (b >> (8 - r))) & 0xFF
-        sbox[x] = s
+    # the powers of the generator 3 (x + 1) run through all 255 nonzero
+    # elements, so with exp[i] = 3^i and log its inverse, a * b is
+    # exp[log a + log b] and the inverse of a is exp[255 - log a]
+    exp = np.zeros(510, dtype=np.intp)
+    log = np.zeros(256, dtype=np.intp)
+    a = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = a
+        log[a] = i
+        a ^= ((a << 1) ^ (0x1B if a & 0x80 else 0)) & 0xFF  # a * 3 = a ^ xtime(a)
+    x = np.arange(256)
+    b = np.where(x > 0, exp[255 - log], 0)  # multiplicative inverse, 0 for 0
+    s = 0x63 ^ b
+    for r in range(1, 5):  # b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4)
+        s ^= ((b << r) | (b >> (8 - r))) & 0xFF
+    sbox = s.astype(np.uint8)
     inv_sbox = np.zeros(256, dtype=np.uint8)
     inv_sbox[sbox] = np.arange(256, dtype=np.uint8)
-    muls = {k: np.array([_gf_mul(k, x) for x in range(256)], dtype=np.uint8)
-            for k in (2, 3, 9, 11, 13, 14)}
+    muls = {k: np.where(x > 0, exp[log[k] + log], 0).astype(np.uint8) for k in (2, 3, 9, 11, 13, 14)}
     return {"sbox": sbox, "inv_sbox": inv_sbox, **{f"mul{k}": v for k, v in muls.items()}}
 
 

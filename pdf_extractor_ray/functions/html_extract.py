@@ -9,16 +9,18 @@ length). Shares the reference's determinism contract
 (reference extractor.py:3-9): pure function of the input bytes,
 no normalization beyond whitespace collapsing, no wall clock.
 
-Tokenizer: ``_tokenize``, the package's one HTML tokenizer (the
-structured visitors in ops/structured.py use it too), calls a
-handler's handle_starttag / handle_startendtag (tag, attrs),
-handle_endtag(tag) and handle_data(text); names are lowercased,
-character references decoded. Its grammar is CPython 3.11's HTML
-parser's: tags with attributes, comments, doctype, bogus comments,
-``<?``, raw-text script/style. Its regexes (_locatestart, _tagfind,
-_attrfind, _endtagfind, _commentclose) are owned copies of CPython
-3.11.7's, so the output does not depend on the interpreter. Input
-outside that grammar or cut off at EOF follows the WHATWG tokenizer
+Tokenizer: one master regex (``_TOKEN``) reads a text run and the tag
+after it; every other '<' goes to ``_markup``. ``segment_html`` folds
+those tokens into blocks in one loop, and ``_tokenize`` turns them into
+calls on a handler (the structured visitors in ops/structured.py):
+handle_starttag / handle_startendtag (tag, attrs), handle_endtag(tag)
+and handle_data(text); names are lowercased, character references
+decoded. The grammar is CPython 3.11's HTML parser's: tags with
+attributes, comments, doctype, bogus comments, ``<?``, raw-text
+script/style. Its regexes (_locatestart, _tagfind, _attrfind,
+_endtagfind, _commentclose) are owned copies of CPython 3.11.7's, so
+the output does not depend on the interpreter. Input outside that
+grammar or cut off at EOF follows the WHATWG tokenizer
 (https://html.spec.whatwg.org/multipage/parsing.html#tokenization):
 
   start or end tag still open at EOF    dropped with everything after it
@@ -76,13 +78,12 @@ _SKIP_TAGS = frozenset(
 )
 _BOILER_TAGS = frozenset("nav header footer aside".split())
 _BOILER_ROLES = frozenset("navigation banner contentinfo complementary".split())
-# Tags whose open/close delimits a text block.
-_BLOCK_TAGS = frozenset(
-    "p div article section main li h1 h2 h3 h4 h5 h6 blockquote pre figure "
-    "figcaption ul ol dl dt dd tr td th thead tbody table body html "
-    "nav header footer aside address".split()
-)
-_HEADINGS = frozenset("h1 h2 h3 h4 h5 h6".split())
+# Tags whose open/close delimits a text block -> the kind of block they
+# open ("" for a transparent container).
+_BLOCK_KIND = {t: kind for kind, tags in (
+    ("", "div article section main figure ul ol dl tr td th thead tbody table body html nav header footer aside"),
+    ("p", "p blockquote pre figcaption dd dt address"), ("heading", "h1 h2 h3 h4 h5 h6"), ("li", "li"),
+) for t in tags.split()}
 
 
 @dataclass
@@ -94,196 +95,190 @@ class _Block:
     boiler: bool
 
 
-def _nonws_len(s: str) -> int:
-    # equivalent to len(\S findall) but ~5x faster; str.split() and \s
-    # agree on unicode whitespace for all text that reaches this path
-    return sum(map(len, s.split()))
-
-
-class _BlockParser:
-    """``_tokenize`` handler: one-pass segmentation into text blocks."""
-
-    def __init__(self) -> None:
-        self.blocks: list[_Block] = []
-        self._stack: list[str] = []
-        self._skip_depth = 0
-        self._boiler_depth = 0
-        self._link_depth = 0
-        self._kind_stack: list[str] = []
-        self._buf: list[str] = []
-        self._buf_link_chars = 0
-        # table capture state
-        self._table_depth = 0
-        self._table_rows: list[list[str]] = []
-        self._cell_buf: list[str] | None = None
-        self._table_boiler = False
-
-    # -- block buffer ------------------------------------------------
-    def _flush(self) -> None:
-        if not self._buf:
-            self._buf_link_chars = 0
-            return
-        raw = "".join(self._buf)
-        self._buf = []
-        link_chars = self._buf_link_chars
-        self._buf_link_chars = 0
-        # one split pass gives the ws-collapsed text AND the non-ws
-        # char count (len minus the single-space separators) — same
-        # result as re.sub(r"\s+", " ", raw).strip() + _nonws_len(raw)
-        parts = raw.split()
-        if not parts:
-            return
-        text = " ".join(parts)
-        kind = self._kind_stack[-1] if self._kind_stack else "p"
-        total_chars = len(text) - (len(parts) - 1)
-        self.blocks.append(_Block(kind, text, link_chars, total_chars, self._boiler_depth > 0))
-
-    # -- tag events --------------------------------------------------
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-            return
-        if tag in ("br", "hr"):  # void elements: br = soft space, hr = block break
-            if not self._skip_depth and not self._table_depth:
-                if tag == "br":
-                    self._buf.append(" ")
-                else:
-                    self._flush()
-            return
-        boiler = tag in _BOILER_TAGS
-        if not boiler and attrs:
-            role = next((v for k, v in attrs if k == "role" and v), "")
-            boiler = bool(role) and role.lower() in _BOILER_ROLES
-        if tag == "table" and self._table_depth == 0:
-            self._flush()
-            self._table_depth = 1
-            self._table_rows = []
-            self._cell_buf = None
-            self._table_boiler = self._boiler_depth > 0 or boiler
-            self._stack.append("table")
-            if boiler:
-                self._boiler_depth += 1
-                self._stack.append("\x00boiler")
-            return
-        if self._table_depth:
-            if tag == "table":
-                self._table_depth += 1
-            elif tag not in ("tr", "td", "th"):
-                return
-            elif self._table_depth == 1:
-                self._close_cell()
-                if tag == "tr":
-                    self._table_rows.append([])
-                else:
-                    self._cell_buf = []
-                return
-            if self._cell_buf is not None:
-                # a nested table's parts open nothing: they only
-                # separate words of the enclosing outer cell
-                self._cell_buf.append(" ")
-            return
-        if tag == "a":
-            self._link_depth += 1
-            self._stack.append(tag)
-            return
-        if tag in _BLOCK_TAGS:
-            self._flush()
-            if tag in _HEADINGS:
-                self._kind_stack.append("heading")
-            elif tag == "li":
-                self._kind_stack.append("li")
-            elif tag in ("p", "blockquote", "pre", "figcaption", "dd", "dt", "address"):
-                self._kind_stack.append("p")
-            else:
-                self._kind_stack.append("")  # transparent container
-        if boiler:
-            self._boiler_depth += 1
-            self._stack.append("\x00boiler:" + tag)
-        else:
-            self._stack.append(tag)
-
-    def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        if tag == "br" and not self._skip_depth and not self._table_depth:
-            self._buf.append(" ")
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag in _SKIP_TAGS:
-            self._skip_depth = max(0, self._skip_depth - 1)
-            return
-        if self._table_depth:
-            if tag not in ("body", "html"):
-                if tag not in ("table", "tr", "td", "th"):
-                    return
-                if self._table_depth > 1:
-                    if self._cell_buf is not None:
-                        self._cell_buf.append(" ")
-                elif tag != "table":
-                    self._close_cell()
-                if tag == "table":
-                    self._table_depth -= 1
-                    if self._table_depth == 0:
-                        self._end_table()
-                return
-            self._end_table()  # an open table ends with the document
-        if tag == "a":
-            if self._link_depth:
-                self._link_depth -= 1
-            if self._stack and self._stack[-1] == "a":
-                self._stack.pop()
-            return
-        if tag in _BLOCK_TAGS:
-            self._flush()
-            if self._kind_stack:
-                self._kind_stack.pop()
-        # unwind stack entry (tolerate malformed nesting)
-        for i in range(len(self._stack) - 1, -1, -1):
-            s = self._stack[i]
-            if s == tag or s == "\x00boiler:" + tag:
-                if s.startswith("\x00boiler"):
-                    self._boiler_depth = max(0, self._boiler_depth - 1)
-                del self._stack[i]
-                break
-
-    def _close_cell(self) -> None:
-        if self._cell_buf is not None:
-            if not self._table_rows:
-                self._table_rows.append([])
-            self._table_rows[-1].append(" ".join("".join(self._cell_buf).split()))
-            self._cell_buf = None
-
-    def _end_table(self) -> None:
-        self._close_cell()
-        self._table_depth = 0
-        # pop table stack entries
-        for i in range(len(self._stack) - 1, -1, -1):
-            s = self._stack[i]
-            if s == "\x00boiler":
-                self._boiler_depth = max(0, self._boiler_depth - 1)
-                del self._stack[i]
-            elif s == "table":
-                del self._stack[i]
-                break
-        rows = [r for r in self._table_rows if any(c for c in r)]
+def _close_cell(rows: list[list[str]], cell: list[str] | None) -> None:
+    """Close the open cell (if any) into the last row; None is the cell open after it."""
+    if cell is not None:
         if not rows:
-            return
+            rows.append([])
+        rows[-1].append(" ".join("".join(cell).split()))
+
+
+def _flush(blocks: list[_Block], kinds: list[str], buf: list[str], link_chars: int, boiler: bool) -> int:
+    """Append the block ``buf`` holds, ws-collapsed, if any text, and empty ``buf``; 0 is its link chars after."""
+    text = "".join(buf)
+    buf.clear()
+    # every whitespace char but ' ' is unprintable: text with single inner spaces is collapsed
+    if text and text.isprintable() and "  " not in text and text[0] != " " != text[-1]:
+        gaps = text.count(" ")
+    else:
+        parts = text.split()
+        if not parts:
+            return 0
+        text, gaps = " ".join(parts), len(parts) - 1
+    blocks.append(_Block(kinds[-1] if kinds else "p", text, link_chars, len(text) - gaps, boiler))
+    return 0
+
+
+def _end_table(blocks: list[_Block], rows: list[list[str]], cell: list[str] | None, boiler: bool) -> None:
+    _close_cell(rows, cell)
+    rows = [r for r in rows if any(c for c in r)]
+    if rows:
         ncols = max(len(r) for r in rows)
         lines = [f"[TABLE: {len(rows)}x{ncols}]"]
         lines += ["| " + " | ".join(r + [""] * (ncols - len(r))) + " |" for r in rows]
         lines.append("[TABLE END]")
-        total_chars = sum(_nonws_len(c) for r in rows for c in r) or 1
-        self.blocks.append(_Block("table", "\n".join(lines), 0, total_chars, self._table_boiler))
+        total_chars = sum(len(w) for r in rows for c in r for w in c.split()) or 1
+        blocks.append(_Block("table", "\n".join(lines), 0, total_chars, boiler))
 
-    # -- text --------------------------------------------------------
-    def handle_data(self, data: str) -> None:
-        if self._skip_depth:
-            return
-        if self._table_depth:
-            if self._cell_buf is not None:
-                self._cell_buf.append(data)
-            return
-        self._buf.append(data)
-        if self._link_depth:
-            self._buf_link_chars += _nonws_len(data)
+
+def segment_html(html: str) -> list[_Block]:
+    """Parse HTML into classified text blocks (document order), in one
+    loop over the master tokens with its state in locals. R-skip tags
+    nest by count. A boilerplate element's mark lasts until the next end
+    tag of its name: ``open_boiler`` keeps, per tag name with a marked
+    element open, whether each open element of that name is marked.
+    Inside the outermost table only its own rows and cells open anything."""
+    blocks: list[_Block] = []
+    buf: list[str] = []  # text of the block being read
+    buf_links = skip = boiler = links = 0
+    kinds: list[str] = []
+    open_boiler: dict[str, list[bool]] = {}
+    tdepth, rows, cell, table_boiler, table_marked = 0, [], None, False, False  # the outermost table
+    match = _TOKEN.scanner(html).match
+    while True:
+        m = match()
+        text, k = m[1], m.lastindex
+        if k == 7:  # a '<' the master token does not read
+            pos, k, val, attrs = _markup(html, m.end())
+            if k == 1:  # '<' or '</' as text: it follows the token's text
+                text, k = text + val, None
+            if pos < 0:
+                k = 1
+            else:
+                match = _TOKEN.scanner(html, pos).match
+        else:
+            val = m[k]
+        if text and not skip:
+            if "&" in text:
+                text = _unescape(text)
+            if tdepth:
+                if cell is not None:
+                    cell.append(text)
+            else:
+                buf.append(text)
+                if links:
+                    buf_links += sum(map(len, text.split()))
+        if k == 1:
+            break
+        if k is None:
+            continue
+        tag = val.lower()
+        if k == 2:  # end tag
+            if tdepth:
+                if tag == "td" or tag == "tr" or tag == "th" or tag == "table":
+                    if tdepth > 1:
+                        if cell is not None:
+                            cell.append(" ")
+                    elif tag != "table":
+                        cell = _close_cell(rows, cell)
+                    if tag == "table":
+                        tdepth -= 1
+                    if tdepth:
+                        continue
+                elif tag != "body" and tag != "html":
+                    if skip and tag in _SKIP_TAGS:
+                        skip -= 1
+                    continue
+                _end_table(blocks, rows, cell, table_boiler)  # at its </table>, or with the document
+                tdepth, cell, boiler = 0, None, boiler - table_marked
+                if tag == "table":
+                    continue
+            if tag == "a":
+                links -= links > 0
+                continue
+            kind = _BLOCK_KIND.get(tag)
+            if kind is not None:
+                if buf:
+                    buf_links = _flush(blocks, kinds, buf, buf_links, boiler > 0)
+                if kinds:
+                    kinds.pop()
+            elif tag in _SKIP_TAGS:
+                skip -= skip > 0
+                continue
+            if open_boiler and (opened := open_boiler.get(tag)):
+                boiler -= opened.pop()
+                if not opened:
+                    del open_boiler[tag]
+            continue
+        if not k & 1:  # <x/> (4, 6, 10) opens nothing; only a br acts
+            if tag == "br" and not skip and not tdepth:
+                buf.append(" ")
+            continue
+        if tdepth:
+            if tag == "td" or tag == "tr" or tag == "th":
+                if tdepth == 1:
+                    cell = _close_cell(rows, cell)
+                    if tag == "tr":
+                        rows.append([])
+                    else:
+                        cell = []
+                elif cell is not None:
+                    # a nested table's parts open nothing: they only
+                    # separate words of the enclosing outer cell
+                    cell.append(" ")
+                continue
+            if tag == "table":
+                tdepth += 1
+                if cell is not None:
+                    cell.append(" ")
+                continue
+        elif tag == "a":
+            links += 1
+            continue
+        kind = _BLOCK_KIND.get(tag)
+        if kind is None and tag in _SKIP_TAGS:
+            close = _RAWTEXT_CLOSE.get(tag)
+            if close is None:
+                skip += 1
+                continue
+            # script/style: its raw text and end tag leave skip as it was
+            cm = close.search(html, pos if k == 9 else m.end())
+            if cm is None:
+                break  # raw text runs to EOF
+            match = _TOKEN.scanner(html, cm.end()).match
+            continue
+        if tdepth:
+            continue
+        if kind is None:
+            if tag == "br" or tag == "hr":  # void elements: br = soft space, hr = block break
+                if not skip and tag == "br":
+                    buf.append(" ")
+                elif not skip and buf:
+                    buf_links = _flush(blocks, kinds, buf, buf_links, boiler > 0)
+                continue
+        elif buf:
+            buf_links = _flush(blocks, kinds, buf, buf_links, boiler > 0)
+        marked = tag in _BOILER_TAGS
+        if not marked and (k == 9 or k == 5 and _ROLE.search(html, m.start(5), m.end())):
+            if k == 5:
+                attrs = _start_tag(html, m.start(5) - 1)[2]
+            marked = next((v for n, v in attrs if n == "role" and v), "").lower() in _BOILER_ROLES
+        if tag == "table":
+            tdepth, rows, cell, table_boiler, table_marked = 1, [], None, boiler > 0 or marked, marked
+            boiler += marked
+            continue
+        if kind is not None:
+            kinds.append(kind)
+        if marked:
+            boiler += 1
+            open_boiler.setdefault(tag, []).append(True)
+        elif open_boiler and (opened := open_boiler.get(tag)):
+            opened.append(False)
+    if tdepth:  # a table still open at EOF
+        _end_table(blocks, rows, cell, table_boiler)
+    if buf:
+        _flush(blocks, kinds, buf, buf_links, boiler > 0)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +317,22 @@ _TAG_TAIL = re.compile(
     rf"[^\t\n\f\r />=]*+{_WHATWG_VALUE}(?:[\t\n\f\r /]++|[^\t\n\f\r />][^\t\n\f\r />=]*+{_WHATWG_VALUE})*+"
 )
 
+# The master token: the text up to the next tag, then the tag, numbered
+# as the match's lastindex reads it: 2 end tag, 3 start tag, 4
+# self-closing tag, 5 and 6 the same with attributes, 7 a '<' it does
+# not read (_markup does), 1 the end of the input. Tags with attributes
+# take it only where the CPython grammar above reads the same name,
+# attributes, end and '/>': the name ends at ASCII whitespace, quotes
+# only open a value right after '=', which joins a name to the value
+# after it. Names run in one character class, so a flood is one scan.
+_NAME = r"([a-zA-Z][-.a-zA-Z0-9:_]*+)"
+_ATTRS = r"""[\t\n\r\f ](?:[^"'/<=>]++|/(?!>)|(?<=[^\s"'/<=>])=(?:"[^"]*+"|'[^']*+'|[^\s"'<=>][^\s>]*+))*+"""
+_ROLE = re.compile("role", re.I)  # no match in a tag: no attribute value is needed
+_TOKEN = re.compile(
+    rf"([^<]*+)(?:{_endtagfind.pattern}|<{_NAME}\s*+>|<{_NAME}\s*+/>|<{_NAME}{_ATTRS}>|<{_NAME}{_ATTRS}/>|(?=<)()|\Z)"
+)
+
 _ASCII_LETTERS = frozenset(string.ascii_letters)
-# bare start tags and clean end tags, the overwhelmingly common case:
-# one anchored match, no locatestart/attrfind machinery
-_SIMPLE_TAG = re.compile(r"<([a-zA-Z][-.a-zA-Z0-9:_]*)\s*(/?)>|" + _endtagfind.pattern)
 _RAWTEXT_CLOSE = {t: re.compile(rf"</\s*{t}\s*>", re.I) for t in ("script", "style")}
 _EMPTY_COMMENT_END = re.compile("-?>")
 
@@ -363,61 +370,60 @@ def _start_tag(html: str, i: int):
     return endpos, tm.group(1).lower(), attrs, html[k:endpos].strip() == "/>"
 
 
-def _skip_markup(html: str, i: int, data, end) -> int:
-    """Index past the other markup (or '<') at ``i``, or -1 if it runs to EOF."""
+def _markup(html: str, i: int):
+    """(end, kind, value, attrs) of the markup at a '<' that matched the
+    master token alone. Kind is 1 text, 2 end tag, 9 or 10 for a start
+    or self-closing tag whose attributes are read, or None for markup
+    that makes no token; end is -1 where it runs to EOF."""
     c = html[i + 1 : i + 2]
+    if c in _ASCII_LETTERS:  # a start tag outside the master's grammar
+        end, tag, attrs, self_closing = _start_tag(html, i) or (-1, None, None, None)
+        return end, 10 if self_closing else 9, tag, attrs
     if c == "/":
         if html[i + 2 : i + 3] in _ASCII_LETTERS:  # end tag with attributes or junk
             tm = _tagfind.match(html, i + 2)
-            j = _tag_end(html, tm.end(1))
-            if j >= 0:
-                end(tm.group(1).lower())
-            return j
+            return _tag_end(html, tm.end(1)), 2, tm.group(1), None
         if i + 2 == len(html):
-            data("</")
-            return i + 2
-        return html.find(">", i + 2) + 1 or -1  # '</>' and bogus comments
+            return i + 2, 1, "</", None
+        return html.find(">", i + 2) + 1 or -1, None, None, None  # '</>' and bogus comments
     if html.startswith("<!--", i):  # WHATWG also closes '<!-->' and '<!--->'
         cm = _commentclose.search(html, i + 4) or _EMPTY_COMMENT_END.match(html, i + 4)
-        return cm.end() if cm else -1
+        return cm.end() if cm else -1, None, None, None
     if c == "!" or c == "?":  # doctype, bogus comment, marked section, <?...>
-        return html.find(">", i + 2) + 1 or -1
-    data("<")  # a '<' that opens no markup
-    return i + 1
+        return html.find(">", i + 2) + 1 or -1, None, None, None
+    return i + 1, 1, "<", None  # a '<' that opens no markup
 
 
 def _tokenize(html: str, h) -> None:
     """Tokenize ``html`` into calls on handler ``h`` (see the module docstring)."""
-    i, n = 0, len(html)
-    find = html.find
     data, start, startend, end = h.handle_data, h.handle_starttag, h.handle_startendtag, h.handle_endtag
-    while i < n:
-        j = find("<", i)
-        if j < 0:
-            j = n
-        if i < j:
-            chunk = html[i:j]
-            data(_unescape(chunk) if "&" in chunk else chunk)
-        if j == n:
+    match = _TOKEN.scanner(html).match
+    while True:
+        m = match()
+        text, k, i = m[1], m.lastindex, m.end()
+        if text:
+            data(_unescape(text) if "&" in text else text)
+        if k == 1:
             return
-        m = _SIMPLE_TAG.match(html, j)
-        if m is not None:
-            i = m.end()
-            if m[3]:
-                end(m[3].lower())
-                continue
-            tag, attrs, self_closing = m[1].lower(), [], m[2]
-        elif html[j + 1 : j + 2] in _ASCII_LETTERS:
-            st = _start_tag(html, j)
-            if st is None:
-                return
-            i, tag, attrs, self_closing = st
-        else:
-            i = _skip_markup(html, j, data, end)
+        if k == 7:
+            i, k, val, attrs = _markup(html, i)
             if i < 0:
                 return
+            match = _TOKEN.scanner(html, i).match
+            if k is None:
+                continue
+        else:
+            val = m[k]
+        if k == 1:
+            data(val)
             continue
-        if self_closing:
+        tag = val.lower()
+        if k == 2:
+            end(tag)
+            continue
+        if k < 9:
+            attrs = [] if k < 5 else _start_tag(html, m.start(k) - 1)[2]
+        if not k & 1:  # 4, 6, 10
             startend(tag, attrs)
             continue
         start(tag, attrs)
@@ -429,17 +435,7 @@ def _tokenize(html: str, h) -> None:
             if cm.start() > i:
                 data(html[i : cm.start()])  # no unescape
             end(tag)
-            i = cm.end()
-
-
-def segment_html(html: str) -> list[_Block]:
-    """Parse HTML into classified text blocks (document order)."""
-    p = _BlockParser()
-    _tokenize(html, p)
-    if p._table_depth:  # a table still open at EOF
-        p._end_table()
-    p._flush()
-    return p.blocks
+            match = _TOKEN.scanner(html, cm.end()).match
 
 
 def classify_block(b: _Block, cfg: PipelineConfig) -> bool:

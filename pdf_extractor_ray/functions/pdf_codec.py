@@ -86,6 +86,8 @@ import binascii
 import codecs
 import re
 
+import numpy as np
+
 from pdf_extractor_ray.functions.pdf_words import WordColumns
 
 __all__ = ["UnsupportedPdfError", "pages_to_pdf_bytes", "parse_pdf_bytes"]
@@ -843,8 +845,9 @@ def _object_end(payload: bytes, body_start: int) -> int:
     return e
 
 
-def _scan_objects(payload: bytes) -> dict[int, bytes]:
-    """Sequential whole-file object scan (works without any xref)."""
+def _scan_objects(payload: bytes, gens: dict[int, int] | None = None) -> dict[int, bytes]:
+    """Sequential whole-file object scan (works without any xref); each
+    object's generation number goes into ``gens`` if given."""
     objs: dict[int, bytes] = {}
     pos = 0
     while True:
@@ -853,13 +856,15 @@ def _scan_objects(payload: bytes) -> dict[int, bytes]:
             break
         end = _object_end(payload, m.end())
         objs[int(m.group(1))] = payload[m.end() : end]
+        if gens is not None:
+            gens[int(m.group(1))] = int(m.group(2))
         pos = end + len(b"endobj")
     return objs
 
 
-def _object_at(payload: bytes, offset: int) -> tuple[int, bytes]:
-    """(number, body) of the indirect object at a byte offset (from an
-    xref-stream type-1 entry)."""
+def _object_at(payload: bytes, offset: int) -> tuple[int, int, bytes]:
+    """(number, generation, body) of the indirect object at a byte
+    offset (from an xref-stream type-1 entry)."""
     m = _OBJ_HDR_RE.match(payload, offset)
     if m is None:
         # tolerate leading whitespace before the header
@@ -867,7 +872,7 @@ def _object_at(payload: bytes, offset: int) -> tuple[int, bytes]:
         if m is None:
             raise UnsupportedPdfError(f"no object at xref offset {offset}")
     end = _object_end(payload, m.end())
-    return int(m.group(1)), payload[m.end() : end]
+    return int(m.group(1)), int(m.group(2)), payload[m.end() : end]
 
 
 def _expand_objstm(objs: dict[int, bytes]) -> None:
@@ -896,12 +901,15 @@ def _expand_objstm(objs: dict[int, bytes]) -> None:
             objs.setdefault(onum, data[first + ooff : first + oend])
 
 
-def _parse_xref_stream(payload: bytes, objs: dict[int, bytes], at: int, seen: set[int]) -> bool:
+def _parse_xref_stream(
+    payload: bytes, objs: dict[int, bytes], at: int, seen: set[int], gens: dict[int, int]
+) -> bool:
     """Decode the /Type /XRef cross-reference stream (§7.5.7) at byte
     offset ``at`` and load every live object it indexes into ``objs``
-    (type 1 = direct offset, type 2 = inside an ObjStm). Follows /Prev
-    chains. Returns False if the offset does not hold an xref stream
-    (classic ``xref`` table files return False and use the scanner)."""
+    and its generation number into ``gens`` (type 1 = direct offset,
+    type 2 = inside an ObjStm). Follows /Prev chains. Returns False if
+    the offset does not hold an xref stream (classic ``xref`` table
+    files return False and use the scanner)."""
     if at in seen or at < 0 or at >= len(payload):
         return False
     seen.add(at)
@@ -940,15 +948,15 @@ def _parse_xref_stream(payload: bytes, objs: dict[int, bytes], at: int, seen: se
             ri += 1
             typ = field(row, 0)
             if typ == 1 and onum not in objs:
-                got, obody = _object_at(payload, field(row, 1))
-                objs[got] = obody
+                got, gen, obody = _object_at(payload, field(row, 1))
+                objs[got], gens[got] = obody, gen
             # type 0 (free) ignored. type 2 (member of an ObjStm) needs
             # no action here: its container is a type-1 entry in this or
             # a /Prev section, and _expand_objstm opens every loaded
             # container — a genuinely dangling member raises downstream
     pm = re.search(rb"/Prev\s+(\d+)", dict_part)
     if pm:
-        _parse_xref_stream(payload, objs, int(pm.group(1)), seen)
+        _parse_xref_stream(payload, objs, int(pm.group(1)), seen, gens)
     return True
 
 
@@ -959,22 +967,24 @@ def _object_map(payload: bytes) -> dict[int, bytes]:
     files, or broken/absent xref). Either way, /Type /ObjStm
     containers are expanded afterwards."""
     objs: dict[int, bytes] = {}
+    gens: dict[int, int] = {}  # generation numbers, which per-object keys hash
     sm = re.search(rb"startxref\s+(\d+)", payload[-256:])
     used_xref = False
     if sm:
         try:
-            used_xref = _parse_xref_stream(payload, objs, int(sm.group(1)), set())
+            used_xref = _parse_xref_stream(payload, objs, int(sm.group(1)), set(), gens)
         except UnsupportedPdfError:
             raise
         except Exception:
             used_xref = False  # malformed xref: degrade to the scan
     if not used_xref:
-        objs = _scan_objects(payload)
+        gens = {}
+        objs = _scan_objects(payload, gens)
     if not objs:
         raise UnsupportedPdfError("no indirect objects found")
     # decrypt BEFORE ObjStm expansion: members live inside the
     # (encrypted) container stream and are not re-encrypted (§7.5.8)
-    _maybe_decrypt(payload, objs)
+    _maybe_decrypt(payload, objs, gens)
     _expand_objstm(objs)
     return objs
 
@@ -1222,7 +1232,7 @@ def _find_encrypt(payload: bytes, objs: dict[int, bytes]) -> tuple[int, bytes] |
     sm = re.search(rb"startxref\s+(\d+)", payload[-256:])
     if sm:
         try:
-            _, xbody = _object_at(payload, int(sm.group(1)))
+            _, _, xbody = _object_at(payload, int(sm.group(1)))
             candidates.append(xbody)
         except UnsupportedPdfError:
             pass
@@ -1237,7 +1247,7 @@ def _find_encrypt(payload: bytes, objs: dict[int, bytes]) -> tuple[int, bytes] |
     return None
 
 
-def _maybe_decrypt(payload: bytes, objs: dict[int, bytes]) -> None:
+def _maybe_decrypt(payload: bytes, objs: dict[int, bytes], gens: dict[int, int]) -> None:
     """If the document carries a supported /Encrypt dictionary
     (Standard handler, empty user password: /V 1-2 R 2-3 RC4, /V 4
     R 4 crypt filters with /CFM /V2 or /AESV2, or /V 5 R 5-6 /AESV3),
@@ -1331,7 +1341,6 @@ def _maybe_decrypt(payload: bytes, objs: dict[int, bytes]) -> None:
         raise UnsupportedPdfError(
             f"encryption V={v} R={r} unsupported (RC4 V1/V2, AESV2 V4, AESV3 V5 only)"
         )
-    gens = {} if v == 5 else {int(m.group(1)): int(m.group(2)) for m in _OBJ_HDR_RE.finditer(payload)}
     spans, okeys, data, failure = [], [], [], None
     for num, body in objs.items():
         if num == enc_num or re.search(rb"/Type\s*/XRef\b", body):
@@ -1470,13 +1479,32 @@ def _asciihex_decode(data: bytes) -> bytes:
     return _unhex(hexdigits)
 
 
+_A85_SPACE = b"\0\t\n\f\r "
+_A85_DIGITS = bytes(range(0x21, 0x76))  # '!'..'u'
+
+
 def _ascii85_decode(data: bytes) -> bytes:
     """/ASCII85Decode (§7.4.3): base-85 groups of 5 chars ('!'..'u')
     per 4 bytes, 'z' shorthand for a zero group, '~>' EOD; a final
-    partial group of n chars yields n-1 bytes. Whitespace is ignored."""
+    partial group of n chars yields n-1 bytes. Whitespace is ignored.
+    Whole groups of digits decode in one numpy pass and _ascii85_groups
+    the tail; it takes the whole stream if that holds 'z', any other
+    character or a group past 2^32, so every error message is its own."""
     end = data.find(b"~>")
     if end != -1:
         data = data[:end]
+    s = data.translate(None, _A85_SPACE)
+    full = len(s) - len(s) % 5
+    if full and not s[:full].translate(None, _A85_DIGITS):
+        d = np.frombuffer(s, np.uint8, full).reshape(-1, 5).astype(np.uint64) - 33
+        acc = (((d[:, 0] * 85 + d[:, 1]) * 85 + d[:, 2]) * 85 + d[:, 3]) * 85 + d[:, 4]
+        if acc.max() <= 0xFFFFFFFF:
+            return acc.astype(">u4").tobytes() + _ascii85_groups(s[full:])
+    return _ascii85_groups(data)
+
+
+def _ascii85_groups(data: bytes) -> bytes:
+    """/ASCII85Decode of ``data`` (no EOD) one character at a time."""
     out = bytearray()
     group: list[int] = []
     for byte in data:

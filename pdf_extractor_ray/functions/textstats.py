@@ -91,9 +91,9 @@ def quality_dimensions_nw(
         footnotes = 100.0 * n_footnote_matches / n_footnote_markers
     else:
         footnotes = 100.0
-    sents = len(_SENT_END.findall(text))
+    has_sentence = _SENT_END.search(text) is not None  # only whether one sentence ends counts
     avg_word = (sum(map(len, words)) / nw) if nw else 0.0
-    readability = 100.0 if (sents > 0 and 2.0 <= avg_word <= 12.0) else (50.0 if nw else 0.0)
+    readability = 100.0 if (has_sentence and 2.0 <= avg_word <= 12.0) else (50.0 if nw else 0.0)
     return {
         "completeness": completeness,
         "structure": structure,
@@ -230,12 +230,13 @@ _HALLU_ANY = re.compile(
 
 
 # literal gates in front of _HALLU_ANY: the first five patterns each
-# need one of these characters, and ai_phrase needs one of its phrases
+# need one of these substrings (a rendered table's "[TABLE: …]" markers
+# hold none, so they skip the regex), and ai_phrase needs one of its phrases
 # in text.lower() — unless the text holds a character that
 # re.IGNORECASE folds onto an ASCII letter the phrases use (U+017F ~ s,
 # U+0130/U+0131 ~ i) but str.lower() does not, in which case the regex
 # decides alone
-_HALLU_CHARS = ("`", "#", "*", "[", "<", "\u017f", "\u0130", "\u0131")
+_HALLU_LITERALS = ("```", "#", "**", "](", "<", "\u017f", "\u0130", "\u0131")
 _AI_PHRASES = ("as an ai", "i cannot", "here is a summary", "in summary,")
 
 
@@ -243,7 +244,7 @@ def hallucination_flags(text: str) -> list[str]:
     """Names of generated-markup patterns found in extracted text — an
     extractor must only EXTRACT, so markdown/HTML artifacts or
     assistant phrasing in the output indicate a transform leak."""
-    if not any(c in text for c in _HALLU_CHARS):
+    if not any(c in text for c in _HALLU_LITERALS):
         low = text.lower()
         if not any(p in low for p in _AI_PHRASES):
             return []

@@ -97,8 +97,10 @@ def test_determinism():
 # same handler calls with the same arguments, in the same order.
 # ---------------------------------------------------------------------------
 
+import os
 import re
 import string
+import sys
 import time
 from html import unescape as _unescape
 from html.parser import HTMLParser
@@ -110,10 +112,12 @@ from html.parser import (  # type: ignore[attr-defined]
     tagfind_tolerant as _tagfind,
 )
 
+import html_oracle
 import hypothesis.strategies as st
+import pyarrow.parquet as pq
 from hypothesis import given, settings
 
-from pdf_extractor_ray.functions.html_extract import _tokenize, segment_html
+from pdf_extractor_ray.functions.html_extract import _tokenize, segment_html, sniff_decode
 from pdf_extractor_ray.ops.structured import extract_metadata_from_html, extract_tables_from_html
 
 
@@ -333,6 +337,87 @@ def test_tokenize_never_raises(html):
     segment_html(html)
 
 
+# ---------------------------------------------------------------------------
+# Differential: the master-token tokenizer and segmentation loop against
+# html_oracle, the tokenizer and _BlockParser they replaced, kept verbatim.
+# Every input must give the same handler calls and the same blocks.
+# ---------------------------------------------------------------------------
+
+# role attributes in any case, tags whose name or first separator is
+# Unicode whitespace, unquoted values ending in '/', quoted '<' and '>'
+_ROLE_ATOMS = st.sampled_from(
+    [
+        "<div role=navigation>", "<div ROLE='Banner'>", "<p Role=\"contentinfo\" class=x>",
+        "<div role=\"\" role=complementary>", "<section class=a role=main>", "<table role=banner>",
+        "<aside role=x>", "<div role=navigation/>", "<div rolex=navigation>", "<div data-role=banner>",
+        "<p\xa0>", "<p\x0b>", "<p \u3000>", "<div\xa0role=banner>", "<div class=x\xa0role=banner>",
+        "<a href=x/>", "<img src=a.png />", "<a href=\"/home\">", "<a title=\"a>b\">", "<a title='<p>'>",
+        "<a b==c>", "<a b = 'c'>", "<a b= >", "<a b='c'd>", "<a b=c\"d>", "<a /b=c>", "<a b/>", "<a b//>",
+    ]
+)
+_SOUP = st.lists(st.one_of(_HTML_ATOMS, _ATTR_ATOMS, _ROLE_ATOMS), min_size=0, max_size=40).map("".join)
+
+
+def _oracle_calls(html: str) -> list[tuple]:
+    r = _Recorder()
+    html_oracle._tokenize(html, r)
+    return r.log
+
+
+def _blocks(segment, html: str) -> list[tuple]:
+    return [(b.kind, b.text, b.link_chars, b.total_chars, b.boiler) for b in segment(html)]
+
+
+def _check_against_html_oracle(html: str) -> None:
+    assert _calls(html) == _oracle_calls(html)
+    assert _blocks(segment_html, html) == _blocks(html_oracle.segment_html, html)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_SOUP, st.integers(min_value=0))
+def test_tokenize_and_segment_match_html_oracle(html, cut):
+    _check_against_html_oracle(html)
+    _check_against_html_oracle(html[: cut % (len(html) + 1)])  # cut off anywhere: the EOF rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="<>/!?&;abrolep= \"'-.\n\xa0\x0b\u3000", max_size=80))
+def test_tokenize_and_segment_match_html_oracle_on_noise(html):
+    _check_against_html_oracle(html)
+
+
+def test_fixture_pages_match_html_oracle():
+    pages = pq.read_table(os.path.join(os.path.dirname(__file__), "fixtures", "pages.parquet"))
+    html_docs = [sniff_decode(p)[0] for p in pages["html"].to_pylist() if p and not p.startswith(b"%PDF")]
+    assert len(html_docs) > 100
+    for html in html_docs:
+        _check_against_html_oracle(html)
+
+
+def test_rare_tag_forms_match_html_oracle():
+    for html in (
+        f"<div ROLE=Navigation><p>{LONG}</p></div><p>{LONG}</p>",
+        f"<div class=a Role='banner' id=b><p>{LONG}</p></div>",
+        f"<p\xa0class=x>{LONG}</p>",
+        f"<div><a href=x/>{LONG}</a></div>",
+        f"<p title='<b>' data-x=\"a>b\">{LONG}</p>",
+        f"<nav><div><nav role=navigation></nav><p>{LONG}</p></div></nav><p>{LONG}</p>",
+    ):
+        _check_against_html_oracle(html)
+    assert extract_html(f"<div ROLE=Navigation><p>{LONG}</p></div><p>{LONG}</p>") == (LONG, 1)
+    # an end tag closes the latest open element of its name, marked or not
+    assert extract_html(f"<div role=banner><div>x</div><p>{LONG}</p></div><p>{LONG}</p>") == (LONG, 1)
+    # CPython reads the value 'x/', so this <a> is not self-closing and its text is link text
+    assert segment_html(f"<p><a href=x/>{LONG}</a></p>")[0].link_chars > 0
+
+
+def test_block_text_fast_path_premise():
+    """_flush takes printable text with single inner spaces as collapsed:
+    every other character str.split() splits on must be unprintable."""
+    ws = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() or len(f"a{c}b".split()) == 2]
+    assert ws and all(not c.isprintable() for c in ws if c != " ")
+
+
 def test_segment_html_marked_section_keeps_blocks():
     # a marked section outside the old fast grammar must not lose the document
     html = "<body><p>" + "x" * 100 + "<![CDATA[boom]]></p></body>"
@@ -481,6 +566,9 @@ def test_tag_floods_are_linear():
     # a start tag with no '>' left costs one C-level find, not a regex walk
     # over the rest of the input (about 1 s for this 5 MB flood)
     assert _cpu_s(segment_html, big[0]) < 0.25
+    # one start tag with 2.6M attributes: segmentation reads no attribute
+    # (one scan of about 35 ms); a per-attribute loop took about 3.9 s
+    assert _cpu_s(segment_html, "<a " + "a " * ((_MB5 - 4) // 2) + ">") < 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -1487,6 +1487,45 @@ def test_transport_filters_roundtrip():
         assert _rle_decode(_rle_encode(runs)) == runs
 
 
+def test_ascii85_numpy_pass_matches_loop_hypothesis():
+    """_ascii85_decode's numpy pass over whole groups returns what the
+    character loop (_ascii85_groups) returns for the same stream, error
+    messages included: valid encodings, encodings with a stray 'z', 'u',
+    '~' or bad byte spliced in, and noise over the digit alphabet."""
+    import base64
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from pdf_extractor_ray.functions.pdf_codec import _ascii85_decode, _ascii85_groups
+
+    def outcome(fn, data: bytes):
+        try:
+            return fn(data)
+        except UnsupportedPdfError as exc:
+            return f"error: {exc}"
+
+    encoded = st.builds(
+        lambda d, wrap, junk, at, eod: (lambda e: e[: at % (len(e) + 1)] + junk + e[at % (len(e) + 1) :])(
+            base64.a85encode(d, wrapcol=wrap)
+        ) + eod,
+        st.binary(max_size=60), st.sampled_from([0, 5, 16, 76]),
+        st.sampled_from([b"", b"", b"z", b"u", b"uuuuu", b"~", b"v", b"\x7f", b"\x0b", b" \n"]),
+        st.integers(min_value=0), st.sampled_from([b"~>", b"", b"~>junk"]),
+    )
+    noise = st.lists(st.sampled_from([b"!", b"u", b"s8W-!", b"z", b" ", b"\r\n", b"\x00", b"~>", b"{"]), max_size=30).map(
+        b"".join
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(encoded, noise))
+    def check(data):
+        body = data[: data.find(b"~>")] if b"~>" in data else data
+        assert outcome(_ascii85_decode, data) == outcome(_ascii85_groups, body)
+
+    check()
+
+
 def test_decodeparms_alignment():
     """/DecodeParms parses as a single dict, an aligned array with
     nulls, or raises on mismatch (§7.3.8.2)."""

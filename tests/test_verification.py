@@ -60,8 +60,24 @@ def test_hallucination_flags_gate_matches_regex_hypothesis():
         assert hallucination_flags(text) == _hallucination_flags_ungated(text)
 
     check()
-    for text in ("AS AN A\u0131", "as an a\u0130", "\u0130 cannot go", "in \u017fummary, x", "x\n## y"):
+    for text in ("AS AN A\u0131", "as an a\u0130", "\u0130 cannot go", "in \u017fummary, x", "x\n## y",
+                 "see [a](b) x", "**b** x", "x ```y"):
         assert hallucination_flags(text) == _hallucination_flags_ungated(text) != [], text
+    # a rendered table's markers hold no gate literal
+    assert hallucination_flags("[TABLE: 1x2]\n| a [b] |  |\n[TABLE END]") == []
+
+
+def test_quality_dimensions_readability():
+    """Readability is 100 for text with a sentence end and a 2-12 char
+    mean word, 50 for other text with words, 0 for none."""
+    from pdf_extractor_ray.functions.textstats import quality_dimensions_nw
+
+    assert quality_dimensions_nw("Plain words end here.")[0]["readability"] == 100.0
+    assert quality_dimensions_nw("Plain words without an end")[0]["readability"] == 50.0
+    assert quality_dimensions_nw("Ja 日本語のテキスト。")[0]["readability"] == 100.0
+    assert quality_dimensions_nw("x y z.")[0]["readability"] == 50.0  # mean word under 2
+    assert quality_dimensions_nw("") == ({"completeness": 0.0, "structure": 0.0, "accuracy": 100.0,
+                                          "footnotes": 100.0, "readability": 0.0}, 0)
 
 
 def test_repetition_ratio():

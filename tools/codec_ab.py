@@ -3,7 +3,7 @@ checkouts, per PDF encoding family, on a benchmark workload's inputs.
 
     python tools/codec_ab.py --base /path/to/parent/checkout \
         --workload pdf_parquet --seeds 1,2,5,7 --alternations 10 \
-        [--layer parse|chain|pdf|segment] [--json out.json]
+        [--layer parse|chain|pdf|segment|score] [--json out.json]
 
 ``functions/pdf_codec.py`` of the base checkout (A) and of this one (B)
 load side by side in one process. Each alternation parses every genuine
@@ -46,6 +46,15 @@ over every HTML doc of the workload's rows, each sniff-decoded once
 (``sniff_decode`` of this checkout) outside the timed region. The
 parity check compares the block tuples (kind, text, link_chars,
 total_chars, boiler) by ``repr``.
+
+``--layer score`` times the row scoring: each side's ``Extractor._row``
+on every HTML and PDF doc of the workload, with that side's own
+``extract_one`` result for the doc computed once outside the timed
+region, so the time is ``_row``'s scoring (quality dimensions, grade,
+hallucination flags, repetition ratio, confidence) and row assembly.
+Both packages load side by side as for ``--layer chain``. The parity
+check compares the rows (every ``Extractor`` column but url, warc_ts
+and lang) by ``repr``.
 """
 
 from __future__ import annotations
@@ -90,8 +99,9 @@ def load_package(checkout: str) -> dict:
         del sys.modules[k]
     sys.path.insert(0, checkout)
     try:
-        for name in ("functions.pdf_words", "functions.layout", "functions.pdf_codec", "functions.aes_cipher"):
-            importlib.import_module(f"{PKG}.{name}")
+        for name in ("pdf_words", "layout", "pdf_codec", "aes_cipher"):
+            importlib.import_module(f"{PKG}.functions.{name}")
+        importlib.import_module(f"{PKG}.stages.extractor")
         mods = _pkg_modules()
     finally:
         sys.path.remove(checkout)
@@ -102,8 +112,8 @@ def load_package(checkout: str) -> dict:
 
 
 class Package:
-    """One checkout's PDF path (codec, chain), run with its own modules
-    installed in ``sys.modules`` (function-level imports resolve there)."""
+    """One checkout's package (codec, chain, extractor), run with its own
+    modules installed in ``sys.modules`` (function-level imports resolve there)."""
 
     def __init__(self, checkout: str) -> None:
         self.mods = load_package(checkout)
@@ -357,6 +367,48 @@ def run_segment_seed(a, b, workload: str, seed: int, alternations: int) -> dict:
     return {"docs": len(docs), "mismatches": len(mismatches), "summary": summarize(runs, n_docs), "alternations": runs}
 
 
+def run_score_seed(a: Package, b: Package, workload: str, seed: int, alternations: int) -> dict:
+    """A/B of ``Extractor._row`` over every HTML and PDF doc of the
+    workload that both sides extract, each side's extraction memoized."""
+    from workloads import payload_kind, prepare
+
+    rows = prepare(workload, seed).table("rows")
+    home = _pkg_modules()  # what workloads.prepare imports from
+    try:
+        extractors = {}
+        for tag, side in (("A", a), ("B", b)):
+            side.activate()
+            ex = side.mods[f"{PKG}.stages.extractor"].Extractor()
+            memo, extract = {}, ex.extract_one
+
+            def cached(payload, cfg=None, url="", memo=memo, extract=extract):
+                if (payload, cfg) not in memo:
+                    memo[payload, cfg] = extract(payload, cfg, url)
+                return memo[payload, cfg]
+
+            ex.extract_one = cached
+            extractors[tag] = (ex, side)
+        docs, mismatches = [], 0
+        for url, p in zip(rows["url"].to_pylist(), rows["html"].to_pylist()):
+            if payload_kind(p) not in ("html", "pdf"):
+                continue
+            out = []
+            for ex, side in extractors.values():
+                side.activate()
+                try:
+                    out.append(repr(ex._row(p, url)))
+                except Exception:
+                    break  # an error row: nothing is scored
+            else:
+                docs.append((payload_kind(p), (p, url)))
+                mismatches += out[0] != out[1]
+        sides = [(tag, lambda x, ex=ex: ex._row(*x), side.activate) for tag, (ex, side) in extractors.items()]
+        runs, n_docs = alternate(sides, docs, alternations)
+    finally:
+        sys.modules.update(home)
+    return {"docs": len(docs), "mismatches": mismatches, "summary": summarize(runs, n_docs), "alternations": runs}
+
+
 def print_summary(summary: dict) -> None:
     for fam, s in summary.items():
         print(
@@ -372,7 +424,7 @@ def main() -> int:
     ap.add_argument("--workload", default="pdf_parquet")
     ap.add_argument("--seeds", default="1")
     ap.add_argument("--alternations", type=int, default=10)
-    ap.add_argument("--layer", choices=["parse", "chain", "pdf", "segment"], default="parse")
+    ap.add_argument("--layer", choices=["parse", "chain", "pdf", "segment", "score"], default="parse")
     ap.add_argument("--form", choices=["as-written", *FORMS], default="as-written")
     ap.add_argument("--json", help="write the full result here")
     args = ap.parse_args()
@@ -381,7 +433,7 @@ def main() -> int:
     if args.layer == "segment":
         a = load_module(args.base, "html_extract_a", HTML_EXTRACT)
         b = load_module(ROOT, "html_extract_b", HTML_EXTRACT)
-    elif args.layer in ("chain", "pdf"):
+    elif args.layer in ("chain", "pdf", "score"):
         pkg_a, pkg_b = Package(args.base), Package(ROOT)
     else:
         b = load_module(ROOT, "pdf_codec_b")
@@ -396,6 +448,10 @@ def main() -> int:
             result[f"{args.workload}/{args.layer}/s{seed}"] = res
             fn = "extract_pdf_pages" if args.layer == "chain" else "extract_pdf_bytes"
             print(f"{args.workload} ({fn}) seed {seed}: {res['mismatches']} mismatching docs")
+        elif args.layer == "score":
+            res = run_score_seed(pkg_a, pkg_b, args.workload, seed, args.alternations)
+            result[f"{args.workload}/score/s{seed}"] = res
+            print(f"{args.workload} (Extractor._row) seed {seed}: {res['mismatches']} of {res['docs']} rows mismatching")
         elif args.layer == "segment":
             res = run_segment_seed(a, b, args.workload, seed, args.alternations)
             result[f"{args.workload}/segment/s{seed}"] = res
