@@ -96,27 +96,20 @@ class _Block:
 
 
 def _close_cell(rows: list[list[str]], cell: list[str] | None) -> None:
-    """Close the open cell (if any) into the last row; None is the cell open after it."""
+    """Close the open cell (if any) into the last row."""
     if cell is not None:
         if not rows:
             rows.append([])
         rows[-1].append(" ".join("".join(cell).split()))
 
 
-def _flush(blocks: list[_Block], kinds: list[str], buf: list[str], link_chars: int, boiler: bool) -> int:
-    """Append the block ``buf`` holds, ws-collapsed, if any text, and empty ``buf``; 0 is its link chars after."""
-    text = "".join(buf)
+def _flush(blocks: list[_Block], kinds: list[str], buf: list[str], link_chars: int, boiler: bool) -> None:
+    """Append the block ``buf`` holds, ws-collapsed, if any text, and empty ``buf``."""
+    parts = "".join(buf).split()
     buf.clear()
-    # every whitespace char but ' ' is unprintable: text with single inner spaces is collapsed
-    if text and text.isprintable() and "  " not in text and text[0] != " " != text[-1]:
-        gaps = text.count(" ")
-    else:
-        parts = text.split()
-        if not parts:
-            return 0
-        text, gaps = " ".join(parts), len(parts) - 1
-    blocks.append(_Block(kinds[-1] if kinds else "p", text, link_chars, len(text) - gaps, boiler))
-    return 0
+    if parts:
+        text = " ".join(parts)
+        blocks.append(_Block(kinds[-1] if kinds else "p", text, link_chars, len(text) - len(parts) + 1, boiler))
 
 
 def _end_table(blocks: list[_Block], rows: list[list[str]], cell: list[str] | None, boiler: bool) -> None:
@@ -180,7 +173,8 @@ def segment_html(html: str) -> list[_Block]:
                         if cell is not None:
                             cell.append(" ")
                     elif tag != "table":
-                        cell = _close_cell(rows, cell)
+                        _close_cell(rows, cell)
+                        cell = None
                     if tag == "table":
                         tdepth -= 1
                     if tdepth:
@@ -199,7 +193,8 @@ def segment_html(html: str) -> list[_Block]:
             kind = _BLOCK_KIND.get(tag)
             if kind is not None:
                 if buf:
-                    buf_links = _flush(blocks, kinds, buf, buf_links, boiler > 0)
+                    _flush(blocks, kinds, buf, buf_links, boiler > 0)
+                    buf_links = 0
                 if kinds:
                     kinds.pop()
             elif tag in _SKIP_TAGS:
@@ -217,7 +212,8 @@ def segment_html(html: str) -> list[_Block]:
         if tdepth:
             if tag == "td" or tag == "tr" or tag == "th":
                 if tdepth == 1:
-                    cell = _close_cell(rows, cell)
+                    _close_cell(rows, cell)
+                    cell = None
                     if tag == "tr":
                         rows.append([])
                     else:
@@ -254,10 +250,12 @@ def segment_html(html: str) -> list[_Block]:
                 if not skip and tag == "br":
                     buf.append(" ")
                 elif not skip and buf:
-                    buf_links = _flush(blocks, kinds, buf, buf_links, boiler > 0)
+                    _flush(blocks, kinds, buf, buf_links, boiler > 0)
+                    buf_links = 0
                 continue
         elif buf:
-            buf_links = _flush(blocks, kinds, buf, buf_links, boiler > 0)
+            _flush(blocks, kinds, buf, buf_links, boiler > 0)
+            buf_links = 0
         marked = tag in _BOILER_TAGS
         if not marked and (k == 9 or k == 5 and _ROLE.search(html, m.start(5), m.end())):
             if k == 5:

@@ -86,8 +86,6 @@ import binascii
 import codecs
 import re
 
-import numpy as np
-
 from pdf_extractor_ray.functions.pdf_words import WordColumns
 
 __all__ = ["UnsupportedPdfError", "pages_to_pdf_bytes", "parse_pdf_bytes"]
@@ -845,9 +843,9 @@ def _object_end(payload: bytes, body_start: int) -> int:
     return e
 
 
-def _scan_objects(payload: bytes, gens: dict[int, int] | None = None) -> dict[int, bytes]:
+def _scan_objects(payload: bytes, gens: dict[int, int]) -> dict[int, bytes]:
     """Sequential whole-file object scan (works without any xref); each
-    object's generation number goes into ``gens`` if given."""
+    object's generation number goes into ``gens``."""
     objs: dict[int, bytes] = {}
     pos = 0
     while True:
@@ -856,8 +854,7 @@ def _scan_objects(payload: bytes, gens: dict[int, int] | None = None) -> dict[in
             break
         end = _object_end(payload, m.end())
         objs[int(m.group(1))] = payload[m.end() : end]
-        if gens is not None:
-            gens[int(m.group(1))] = int(m.group(2))
+        gens[int(m.group(1))] = int(m.group(2))
         pos = end + len(b"endobj")
     return objs
 
@@ -1479,32 +1476,13 @@ def _asciihex_decode(data: bytes) -> bytes:
     return _unhex(hexdigits)
 
 
-_A85_SPACE = b"\0\t\n\f\r "
-_A85_DIGITS = bytes(range(0x21, 0x76))  # '!'..'u'
-
-
 def _ascii85_decode(data: bytes) -> bytes:
     """/ASCII85Decode (§7.4.3): base-85 groups of 5 chars ('!'..'u')
     per 4 bytes, 'z' shorthand for a zero group, '~>' EOD; a final
-    partial group of n chars yields n-1 bytes. Whitespace is ignored.
-    Whole groups of digits decode in one numpy pass and _ascii85_groups
-    the tail; it takes the whole stream if that holds 'z', any other
-    character or a group past 2^32, so every error message is its own."""
+    partial group of n chars yields n-1 bytes. Whitespace is ignored."""
     end = data.find(b"~>")
     if end != -1:
         data = data[:end]
-    s = data.translate(None, _A85_SPACE)
-    full = len(s) - len(s) % 5
-    if full and not s[:full].translate(None, _A85_DIGITS):
-        d = np.frombuffer(s, np.uint8, full).reshape(-1, 5).astype(np.uint64) - 33
-        acc = (((d[:, 0] * 85 + d[:, 1]) * 85 + d[:, 2]) * 85 + d[:, 3]) * 85 + d[:, 4]
-        if acc.max() <= 0xFFFFFFFF:
-            return acc.astype(">u4").tobytes() + _ascii85_groups(s[full:])
-    return _ascii85_groups(data)
-
-
-def _ascii85_groups(data: bytes) -> bytes:
-    """/ASCII85Decode of ``data`` (no EOD) one character at a time."""
     out = bytearray()
     group: list[int] = []
     for byte in data:

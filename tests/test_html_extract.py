@@ -100,7 +100,6 @@ def test_determinism():
 import os
 import re
 import string
-import sys
 import time
 from html import unescape as _unescape
 from html.parser import HTMLParser
@@ -409,13 +408,6 @@ def test_rare_tag_forms_match_html_oracle():
     assert extract_html(f"<div role=banner><div>x</div><p>{LONG}</p></div><p>{LONG}</p>") == (LONG, 1)
     # CPython reads the value 'x/', so this <a> is not self-closing and its text is link text
     assert segment_html(f"<p><a href=x/>{LONG}</a></p>")[0].link_chars > 0
-
-
-def test_block_text_fast_path_premise():
-    """_flush takes printable text with single inner spaces as collapsed:
-    every other character str.split() splits on must be unprintable."""
-    ws = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() or len(f"a{c}b".split()) == 2]
-    assert ws and all(not c.isprintable() for c in ws if c != " ")
 
 
 def test_segment_html_marked_section_keeps_blocks():

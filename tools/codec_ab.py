@@ -54,7 +54,8 @@ region, so the time is ``_row``'s scoring (quality dimensions, grade,
 hallucination flags, repetition ratio, confidence) and row assembly.
 Both packages load side by side as for ``--layer chain``. The parity
 check compares the rows (every ``Extractor`` column but url, warc_ts
-and lang) by ``repr``.
+and lang) by ``repr``; a doc on which one side raises and the other
+does not counts as a mismatch, one on which both raise is left out.
 """
 
 from __future__ import annotations
@@ -397,11 +398,16 @@ def run_score_seed(a: Package, b: Package, workload: str, seed: int, alternation
                 side.activate()
                 try:
                     out.append(repr(ex._row(p, url)))
-                except Exception:
-                    break  # an error row: nothing is scored
-            else:
-                docs.append((payload_kind(p), (p, url)))
-                mismatches += out[0] != out[1]
+                except Exception as exc:
+                    out.append(exc)
+            raised = [isinstance(o, Exception) for o in out]
+            if raised == [True, True]:
+                continue  # an error row on both sides: nothing is scored
+            if any(raised):
+                mismatches += 1  # one side raises: a mismatch, and nothing to time
+                continue
+            docs.append((payload_kind(p), (p, url)))
+            mismatches += out[0] != out[1]
         sides = [(tag, lambda x, ex=ex: ex._row(*x), side.activate) for tag, (ex, side) in extractors.items()]
         runs, n_docs = alternate(sides, docs, alternations)
     finally:
