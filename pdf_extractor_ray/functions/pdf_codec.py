@@ -85,6 +85,7 @@ from __future__ import annotations
 import binascii
 import codecs
 import re
+from itertools import cycle, islice
 
 from pdf_extractor_ray.functions.pdf_words import WordColumns
 
@@ -1038,6 +1039,9 @@ _CRYPT_PAD = bytes(
 )
 
 
+_RC4_I = [*range(1, 256), 0]  # the PRGA's i, one cycle
+
+
 def _rc4(key: bytes, data: bytes) -> bytes:
     """RC4 stream cipher (KSA + PRGA). Verified against the published
     test vectors in the test suite."""
@@ -1047,14 +1051,19 @@ def _rc4(key: bytes, data: bytes) -> bytes:
     for i in range(256):
         j = (j + s[i] + key[i % klen]) & 0xFF
         s[i], s[j] = s[j], s[i]
-    out = bytearray(len(data))
-    i = j = 0
-    for n, c in enumerate(data):
-        i = (i + 1) & 0xFF
-        j = (j + s[i]) & 0xFF
-        s[i], s[j] = s[j], s[i]
-        out[n] = c ^ s[(s[i] + s[j]) & 0xFF]
-    return bytes(out)
+    n = len(data)
+    ks: list[int] = []
+    emit = ks.append
+    j = 0
+    for i in islice(cycle(_RC4_I), n):
+        si = s[i]
+        j = (j + si) & 0xFF
+        sj = s[j]
+        s[i] = sj
+        s[j] = si
+        emit(s[(si + sj) & 0xFF])
+    # the keystream XORs onto the data as one big integer
+    return (int.from_bytes(data, "big") ^ int.from_bytes(bytes(ks), "big")).to_bytes(n, "big")
 
 
 def _crypt_key(

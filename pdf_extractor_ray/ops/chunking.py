@@ -293,7 +293,7 @@ def stitch_candidates(
 
     import pyarrow as pa
 
-    from pdf_extractor_ray.ops.shuffle import _typed_table
+    from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
 
     out_schema = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
 
@@ -309,23 +309,14 @@ def stitch_candidates(
             sides.extend([1, 0])  # 1 = my head, 0 = my tail
             hkeys.append(hashlib.md5(t[:window_chars].encode("utf-8")).hexdigest())
             hkeys.append(hashlib.md5(t[-window_chars:].encode("utf-8")).hexdigest())
-        out = pd.DataFrame({id_col: ids, "_side": pd.array(sides, dtype="int8"), "_key": hkeys})
-        out["_part"] = (
-            pd.util.hash_array(out["_key"].to_numpy(dtype=object)) % num_partitions
-        ).astype(np.int64)
-        return out
+        return pd.DataFrame({id_col: ids, "_side": pd.array(sides, dtype="int8"), "_key": hkeys})
 
-    def merge(g: pd.DataFrame) -> "pa.Table":
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
         tails = g[g["_side"] == 0][["_key", id_col]].rename(columns={id_col: "left_id"})
         heads = g[g["_side"] == 1][["_key", id_col]].rename(columns={id_col: "right_id"})
         m = tails.merge(heads, on="_key")
-        m = m[m["left_id"] != m["right_id"]]
-        return _typed_table(
-            out_schema,
-            left_id=m["left_id"].to_numpy(dtype=np.int64),
-            right_id=m["right_id"].to_numpy(dtype=np.int64),
-        )
+        return m[m["left_id"] != m["right_id"]]
 
-    return ds.map_batches(keys, batch_format="pandas").groupby("_part").map_groups(
-        merge, batch_format="pandas"
+    return hash_partition(
+        ds.map_batches(keys, batch_format="pandas"), column_hash("_key"), num_partitions, merge, out_schema
     )

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
 
+from pdf_extractor_ray.ops.shuffle import co_shuffle, column_hash, hash_partition
 from pdf_extractor_ray.ops.similarity import _normalize_rows, _QUERY_CACHE
 
 
@@ -170,17 +172,10 @@ def semantic_dedup(
     bucketed = kmeans_assign(ds, cents, vec_col=vec_col)
 
     def prune_cluster(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {id_col: pd.Series(dtype="int64"), "cluster": pd.Series(dtype="int64")}
-        )
-        if g.empty or id_col not in g.columns:
-            return empty
         g = g.sort_values(id_col, kind="stable")
         ids = g[id_col].to_numpy(dtype=np.int64)
         cl = g["cluster"].to_numpy(dtype=np.int64)
         n = len(g)
-        if n == 1:
-            return pd.DataFrame({id_col: ids, "cluster": cl})
         m = _normalize_rows(np.stack(g[vec_col].to_numpy()).astype(np.float64))
         drop = np.zeros(n, dtype=bool)
         for i0 in range(0, n, block_rows):
@@ -196,7 +191,9 @@ def semantic_dedup(
         keep = ~drop
         return pd.DataFrame({id_col: ids[keep], "cluster": cl[keep]})
 
-    return bucketed.groupby("cluster").map_groups(prune_cluster, batch_format="pandas")
+    # cluster ids run 0..n_clusters-1, so partition p holds cluster p alone
+    schema = pa.schema([(id_col, pa.int64()), ("cluster", pa.int64())])
+    return hash_partition(bucketed, "cluster", n_clusters, prune_cluster, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +364,8 @@ def cluster_topics(
     the distinguishing-term score that makes opaque clusters
     human-auditable (what IS this 4 TB of near-duplicates?).
 
-    Scale shape: cluster assignments join the text corpus via a
-    hash(id)-mod-P union co-shuffle (never a Ray native join — see
+    Scale shape: cluster assignments join the text corpus via one
+    co_shuffle on hash(id) mod P (never a Ray native join — see
     CLAUDE.md); per-partition batches pre-aggregate (cluster, term)
     counts so the term exchange is distinct-term-bounded; f_t reduces
     per term partition (each term's rows co-locate by construction);
@@ -387,107 +384,38 @@ def cluster_topics(
     )
 
     # --- co-shuffle cluster ids with document text on hash(id) mod P
-    def proj_assign(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0 or id_col not in b.columns:
-            return pd.DataFrame(
-                {
-                    "_id": pd.Series(dtype="int64"),
-                    "cluster": pd.Series(dtype="int64"),
-                    text_col: pd.Series(dtype="object"),
-                    "_side": pd.Series(dtype="int8"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        out = pd.DataFrame(
-            {
-                "_id": b[id_col].to_numpy(dtype=np.int64),
-                "cluster": b["cluster"].to_numpy(dtype=np.int64),
-                text_col: np.full(len(b), "", dtype=object),
-                "_side": np.int8(0),
-            }
-        )
-        out["_part"] = (pd.util.hash_array(out["_id"].to_numpy()) % num_partitions).astype(
-            np.int64
-        )
-        return out
-
-    def proj_docs(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0 or doc_id_col not in b.columns:
-            return pd.DataFrame(
-                {
-                    "_id": pd.Series(dtype="int64"),
-                    "cluster": pd.Series(dtype="int64"),
-                    text_col: pd.Series(dtype="object"),
-                    "_side": pd.Series(dtype="int8"),
-                    "_part": pd.Series(dtype="int64"),
-                }
-            )
-        out = pd.DataFrame(
-            {
-                "_id": b[doc_id_col].to_numpy(dtype=np.int64),
-                "cluster": np.full(len(b), -1, dtype=np.int64),
-                text_col: b[text_col].astype(str).to_numpy(dtype=object),
-                "_side": np.int8(1),
-            }
-        )
-        out["_part"] = (pd.util.hash_array(out["_id"].to_numpy()) % num_partitions).astype(
-            np.int64
-        )
-        return out
-
-    both = assigned.map_batches(proj_assign, batch_format="pandas").union(
-        docs.select_columns([doc_id_col, text_col]).map_batches(
-            proj_docs, batch_format="pandas"
-        )
-    )
-
-    def term_counts(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "cluster": pd.Series(dtype="int64"),
-                "term": pd.Series(dtype="object"),
-                "tf": pd.Series(dtype="int64"),
-                "_part": pd.Series(dtype="int64"),
-            }
-        )
-        if g.empty or "_side" not in g.columns:
-            return empty
-        a = g[g["_side"] == 0].set_index("_id")["cluster"]
-        d = g[g["_side"] == 1]
-        if a.empty or d.empty:
-            return empty
-        cl = d["_id"].map(a)
-        keep = cl.notna()
-        d = d[keep]
+    def term_counts(a: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame | None:
+        if d.empty:  # no document text in this partition (or at all)
+            return None
+        cl = d[doc_id_col].map(a.set_index(id_col)["cluster"])
+        keep = cl.notna().to_numpy()
         cl = cl[keep].to_numpy(dtype=np.int64)
-        terms = d[text_col].str.split()
+        terms = d.loc[keep, text_col].astype(str).str.split()
         nwords = terms.str.len().to_numpy(dtype=np.int64)
         nz = nwords > 0  # empty texts explode to a NaN row: skip them
         ex = terms[nz].explode().rename("term")
         ex_cl = np.repeat(cl[nz], nwords[nz])
-        tc = (
+        return (
             pd.DataFrame({"cluster": ex_cl, "term": ex.to_numpy(dtype=object)})
             .dropna()
             .groupby(["cluster", "term"], sort=False)
             .size()
             .reset_index(name="tf")
         )
-        tc["_part"] = (
-            pd.util.hash_array(tc["term"].to_numpy(dtype=object)) % num_partitions
-        ).astype(np.int64)
-        return tc
 
-    counts = (
-        both.groupby("_part")
-        .map_groups(term_counts, batch_format="pandas")
-        .materialize()  # consumed twice (A totals + scoring); slim (cluster, term) rows
-    )
+    counts = co_shuffle(
+        assigned,
+        docs.select_columns([doc_id_col, text_col]),
+        column_hash(id_col),
+        column_hash(doc_id_col),
+        num_partitions,
+        term_counts,
+        pa.schema([("cluster", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]),
+    ).materialize()  # consumed twice (A totals + scoring); slim (cluster, term) rows
 
     # A = average words per cluster: k scalar partials on the driver
     totals = counts.map_batches(
-        lambda b: b.groupby("cluster", sort=False)["tf"].sum().reset_index()
-        if len(b) and "cluster" in b.columns
-        else pd.DataFrame({"cluster": pd.Series(dtype="int64"), "tf": pd.Series(dtype="int64")}),
+        lambda b: b.groupby("cluster", sort=False)["tf"].sum().reset_index(),
         batch_format="pandas",
     ).to_pandas()
     if totals.empty:
@@ -505,17 +433,6 @@ def cluster_topics(
     a_avg = float(per_cluster.sum()) / float(len(per_cluster))
 
     def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "cluster": pd.Series(dtype="int64"),
-                "term": pd.Series(dtype="object"),
-                "score": pd.Series(dtype="float64"),
-                "tf": pd.Series(dtype="int64"),
-                "ft": pd.Series(dtype="int64"),
-            }
-        )
-        if g.empty or "term" not in g.columns:
-            return empty
         g = g.groupby(["cluster", "term"], sort=False)["tf"].sum().reset_index()
         ft = g.groupby("term", sort=False)["tf"].transform("sum")
         g["ft"] = ft.to_numpy(dtype=np.int64)
@@ -525,12 +442,23 @@ def cluster_topics(
         g = g.sort_values(
             ["cluster", "score", "term"], ascending=[True, False, True], kind="stable"
         )
-        g = g.groupby("cluster", sort=False).head(top_terms)
-        return g[["cluster", "term", "score", "tf", "ft"]]
+        return g.groupby("cluster", sort=False).head(top_terms)
 
-    cand = (
-        counts.groupby("_part").map_groups(score_part, batch_format="pandas").to_pandas()
-    )
+    cand = hash_partition(
+        counts,
+        column_hash("term"),
+        num_partitions,
+        score_part,
+        pa.schema(
+            [
+                ("cluster", pa.int64()),
+                ("term", pa.string()),
+                ("score", pa.float64()),
+                ("tf", pa.int64()),
+                ("ft", pa.int64()),
+            ]
+        ),
+    ).to_pandas()
     cand = cand.sort_values(
         ["cluster", "score", "term"], ascending=[True, False, True], kind="stable"
     )

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
 
+from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
 from pdf_extractor_ray.ops.similarity import _normalize_rows, brute_force_topk
 
 
@@ -94,8 +96,6 @@ def kcenter_sample(
         tier = "exact" if slim.count() <= max_exact_rows else "coreset"
 
     if tier == "exact":
-        import pyarrow as pa
-
         # pin the vector dimension once so every block (including
         # empty ones) carries the same FixedSizeList schema
         dim = len(slim.take(1)[0][vec_col])
@@ -208,16 +208,7 @@ def kcenter_sample(
         raise ValueError(f"unknown tier: {tier}")
 
     # ---- coreset tier: per-partition greedy (k+1 centers), final greedy
-    def part_key(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_part"] = (
-            pd.util.hash_array(b[id_col].to_numpy(dtype=np.int64)) % num_partitions
-        ).astype(np.int64)
-        return b
-
     def local_greedy(b: pd.DataFrame) -> pd.DataFrame:
-        if not len(b):
-            return pd.DataFrame({id_col: pd.Series(dtype=np.int64), vec_col: []})
         ids = b[id_col].to_numpy(dtype=np.int64)
         mat = _normalize_rows(np.stack(b[vec_col].to_numpy()))
         seed = int(np.argmin(ids))
@@ -225,12 +216,10 @@ def kcenter_sample(
         keep = np.isin(ids, sel)
         return pd.DataFrame({id_col: ids[keep], vec_col: list(mat[keep])})
 
-    cands = (
-        slim.map_batches(part_key, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(local_greedy, batch_format="pandas")
-        .to_pandas()
-    )
+    schema = pa.schema([(id_col, pa.int64()), (vec_col, pa.list_(pa.float64()))])
+    cands = hash_partition(
+        slim, column_hash(id_col), num_partitions, local_greedy, schema
+    ).to_pandas()
     ids = cands[id_col].to_numpy(dtype=np.int64)
     mat = np.stack(cands[vec_col].to_numpy())
     sel, dist = _greedy_kcenter(ids, mat, k, int(np.argmin(ids)))

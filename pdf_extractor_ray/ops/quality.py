@@ -305,77 +305,24 @@ def perplexity_buckets(
     Emits (id_col, lang, n_ws_tokens, logprob, avg_logprob, bucket).
 
     Shape: the LM scoring reuses unigram_logprob's broadcast/shuffle
-    tiers; lang re-attaches via ONE union co-shuffle on hash(id) mod P
-    (the anti_join_ids idiom — task-based groupby exchange, never a
-    JoinOperator actor pool); the cut thresholds are ONE tiny table
-    (two rows per language) from grouped_quantiles' exact
-    value-frequency reduction, collected on the driver and shipped as
-    a task argument for a shuffle-free label scan. Scale note: the
+    tiers; lang re-attaches via ONE co_shuffle on id mod P
+    (ops/shuffle.py, never a JoinOperator actor pool); the cut
+    thresholds are ONE tiny table (two rows per language) from
+    grouped_quantiles' exact value-frequency reduction, collected on
+    the driver and shipped as a task argument for a shuffle-free label
+    scan. Scale note: the
     exact threshold stage is bounded by the distinct SCORE domain —
     for an unbounded continuous score column at 100 TB swap it for
     ops/sketch.tdigest_quantiles (same two-row-per-lang threshold
     table, approximate cuts)."""
     import pyarrow as pa
 
-    from pdf_extractor_ray.ops.shuffle import _typed_table
     from pdf_extractor_ray.ops.relational import grouped_quantiles
+    from pdf_extractor_ray.ops.shuffle import co_shuffle
     from pdf_extractor_ray.ops.text_analysis import unigram_logprob
 
     scores = unigram_logprob(
         ds.select_columns([id_col, text_col]), num_partitions=num_partitions
-    )
-
-    side_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("n_ws_tokens", pa.int64()),
-            ("logprob", pa.float64()),
-            ("avg_logprob", pa.float64()),
-            (lang_col, pa.large_string()),
-            ("_side", pa.int8()),
-            ("_part", pa.int64()),
-        ]
-    )
-
-    def proj_scores(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                t.column("n_ws_tokens").cast(pa.int64()),
-                t.column("logprob").cast(pa.float64()),
-                t.column("avg_logprob").cast(pa.float64()),
-                pa.nulls(t.num_rows, pa.large_string()),
-                pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    def proj_langs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _typed_table(side_schema)
-        ids = np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.nulls(t.num_rows, pa.int64()),
-                pa.nulls(t.num_rows, pa.float64()),
-                pa.nulls(t.num_rows, pa.float64()),
-                t.column(lang_col).cast(pa.large_string()),
-                pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                pa.array(ids % num_partitions, pa.int64()),
-            ],
-            schema=side_schema,
-        )
-
-    both = (
-        scores.map_batches(proj_scores, batch_format="pyarrow")
-        .union(
-            ds.select_columns([id_col, lang_col]).map_batches(
-                proj_langs, batch_format="pyarrow"
-            )
-        )
     )
 
     out_schema = pa.schema(
@@ -388,26 +335,20 @@ def perplexity_buckets(
         ]
     )
 
-    def join_partition(g: pd.DataFrame) -> pa.Table:
-        if g.empty or "_side" not in g.columns:
-            return _typed_table(out_schema)
-        sc = g[g["_side"] == 0]
-        lg = g[g["_side"] == 1]
-        m = sc.merge(lg[[id_col, lang_col]], on=id_col, suffixes=("", "_r"))
-        return _typed_table(
-            out_schema,
-            **{
-                id_col: m[id_col].to_numpy(dtype=np.int64),
-                lang_col: m[f"{lang_col}_r"].astype(str).tolist(),
-                "n_ws_tokens": m["n_ws_tokens"].to_numpy(dtype=np.int64),
-                "logprob": m["logprob"].to_numpy(dtype=np.float64),
-                "avg_logprob": m["avg_logprob"].to_numpy(dtype=np.float64),
-            },
-        )
+    def join_partition(sc: pd.DataFrame, lg: pd.DataFrame) -> pd.DataFrame:
+        m = sc.merge(lg[[id_col, lang_col]], on=id_col)
+        m[lang_col] = m[lang_col].astype(str)
+        return m
 
-    joined = (
-        both.groupby("_part").map_groups(join_partition, batch_format="pandas").materialize()
-    )
+    joined = co_shuffle(
+        scores,
+        ds.select_columns([id_col, lang_col]),
+        id_col,
+        id_col,
+        num_partitions,
+        join_partition,
+        out_schema,
+    ).materialize()
 
     pcts = [int(round(q * 100)) for q in cuts]
     thr = grouped_quantiles(

@@ -9,14 +9,14 @@ score"), curriculum ordering, and ranked exports:
    values of the leading sort key (bounded by sample_per_block x
    #blocks, the only data-dependent driver collect); their quantiles
    become num_partitions-1 range boundaries.
-2. **Count pass** — one map_batches assigns each row's range partition
-   by searchsorted (values equal to a boundary consistently go right,
-   so equal leading keys NEVER straddle partitions) and a grouped_sum
-   reduces to one row per partition; the driver prefix-sums those <=P
-   counts into partition rank offsets (tiny, broadcast as a task arg).
-3. **Rank pass** — rows co-shuffle on the range-partition id; each
-   partition sorts locally by the FULL key list and adds offset +
-   local position.
+2. **Count pass** — one map_batches finds each row's range by
+   searchsorted (values equal to a boundary consistently go right,
+   so equal leading keys NEVER straddle ranges) and a grouped_sum
+   reduces to one row per range; the driver prefix-sums those <=P
+   counts into range rank offsets (tiny, broadcast as a task arg).
+3. **Rank pass** — rows shuffle on the range id (`ops/shuffle.py`
+   with one partition per range); each partition sorts locally by the
+   FULL key list and adds offset + local position.
 
 Skewed leading keys make partitions ragged, never wrong: equal values
 co-locate by construction and each partition's offset is exact. Ties
@@ -38,7 +38,10 @@ from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
+
+from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
 
 
 def _boundaries(
@@ -56,6 +59,43 @@ def _boundaries(
     vals = np.sort(vals, kind="stable")
     cuts = [int(i * len(vals) / num_partitions) for i in range(1, num_partitions)]
     return np.unique(vals[cuts])
+
+
+def _range_ids(bnds: np.ndarray, v) -> np.ndarray:
+    return np.searchsorted(bnds, v, side="right").astype(np.int64)
+
+
+def _range_starts(
+    ds: ray.data.Dataset, bnds: np.ndarray, lead: str, lead_asc: bool, weight_col: str | None
+) -> tuple[np.ndarray, int]:
+    """Per range id, the total weight (row count when `weight_col` is
+    None) of the ranges before it in processing order, and the grand
+    total: one partial row per (block, range), reduced by grouped_sum."""
+    from pdf_extractor_ray.ops.relational import grouped_sum
+
+    def local_sums(b: pd.DataFrame) -> pd.DataFrame:
+        w = 1 if weight_col is None else b[weight_col]
+        g = pd.Series(w, index=b.index).groupby(_range_ids(bnds, b[lead].to_numpy())).sum()
+        return pd.DataFrame({"_range": g.index.to_numpy(dtype=np.int64), "w": g.to_numpy().astype("int64")})
+
+    totals = grouped_sum(
+        ds.map_batches(local_sums, batch_format="pandas"), ["_range"], ["w"], counts=False
+    ).to_pandas()  # <= num_partitions rows
+    totals = totals.sort_values("_range", ascending=lead_asc)  # processing order
+    w = totals["sum_w"].to_numpy(dtype=np.int64)
+    starts = np.zeros(len(bnds) + 1, dtype=np.int64)
+    starts[totals["_range"].to_numpy(dtype=np.int64)] = np.cumsum(w) - w
+    return starts, int(w.sum())
+
+
+def _by_range(ds: ray.data.Dataset, bnds: np.ndarray, lead: str, fn) -> ray.data.Dataset:
+    """fn over each range's rows: the range id is the key hash and the
+    partition count exceeds the largest id, so a partition is one range."""
+
+    def key(t: pa.Table) -> np.ndarray:
+        return _range_ids(bnds, t.column(lead).to_pandas().to_numpy())
+
+    return hash_partition(ds, key, len(bnds) + 1, fn, None)
 
 
 def global_rank(
@@ -81,37 +121,7 @@ def global_rank(
     cols = list(keep_cols) if keep_cols is not None else None
 
     bnds = _boundaries(ds, lead, num_partitions, sample_per_block)
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        if len(batch) == 0:
-            batch["_rpart"] = pd.Series(dtype="int64")
-            return batch
-        v = batch[lead].to_numpy()
-        batch["_rpart"] = (
-            np.searchsorted(bnds, v, side="right").astype(np.int64)
-            if len(bnds)
-            else np.zeros(len(batch), dtype=np.int64)
-        )
-        return batch
-
-    parted = ds.map_batches(add_part, batch_format="pandas")
-
-    # count pass: one tiny row per (block, partition), reduced below
-    def local_counts(batch: pd.DataFrame) -> pd.DataFrame:
-        vc = batch["_rpart"].value_counts()
-        return pd.DataFrame({"_rpart": vc.index.to_numpy(dtype=np.int64), "n": vc.to_numpy().astype("int64")})
-
-    from pdf_extractor_ray.ops.relational import grouped_sum
-
-    counts = grouped_sum(
-        parted.map_batches(local_counts, batch_format="pandas"), ["_rpart"], ["n"], counts=False
-    ).to_pandas()  # <= num_partitions + 1 rows
-    counts = counts.sort_values("_rpart", ascending=lead_asc)  # rank-processing order
-    offs = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts["sum_n"].to_numpy()[:-1], out=offs[1:])
-    offsets = dict(zip(counts["_rpart"].astype(int), offs))
-    total = int(counts["sum_n"].sum())
+    starts, total = _range_starts(ds, bnds, lead, lead_asc, None)
     cap = total
     if top_frac is not None:
         cap = min(cap, int(math.ceil(top_frac * total)))
@@ -119,22 +129,14 @@ def global_rank(
         cap = min(cap, top_n)
 
     def rank_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out_cols = (cols or [c for c in g.columns if c != "_rpart"]) + [rank_col]
-        if g.empty or "_rpart" not in g.columns or lead not in g.columns:
-            return pd.DataFrame({c: pd.Series(dtype="int64") for c in out_cols})
-        off = offsets[int(g["_rpart"].iloc[0])]
-        if off >= cap:  # whole partition past the cutoff
-            return pd.DataFrame({c: g[c].iloc[:0] for c in out_cols if c != rank_col}).assign(
-                **{rank_col: pd.Series(dtype="int64")}
-            )
+        start = starts[_range_ids(bnds, g[lead].to_numpy())]  # one value: one range
+        g = g[start < cap]  # a partition past the cutoff goes before its sort
         g = g.sort_values(keys, ascending=asc, kind="stable")
-        g = g.drop(columns=["_rpart"])
-        g[rank_col] = np.arange(off + 1, off + 1 + len(g), dtype=np.int64)
-        if off + len(g) > cap:
-            g = g.iloc[: cap - off]
-        return g[out_cols] if cols is not None else g
+        g[rank_col] = start[: len(g)] + np.arange(1, len(g) + 1, dtype=np.int64)
+        g = g[g[rank_col] <= cap]
+        return g[[*cols, rank_col]] if cols is not None else g
 
-    return parted.groupby("_rpart").map_groups(rank_partition, batch_format="pandas")
+    return _by_range(ds, bnds, lead, rank_partition)
 
 
 def grouped_percent_rank(
@@ -238,49 +240,16 @@ def global_prefix_sum(
     cols = list(keep_cols) if keep_cols is not None else None
 
     bnds = _boundaries(ds, lead, num_partitions, sample_per_block)
-
-    def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        if len(batch) == 0:
-            batch["_rpart"] = pd.Series(dtype="int64")
-            return batch
-        v = batch[lead].to_numpy()
-        batch["_rpart"] = (
-            np.searchsorted(bnds, v, side="right").astype(np.int64)
-            if len(bnds)
-            else np.zeros(len(batch), dtype=np.int64)
-        )
-        return batch
-
-    parted = ds.map_batches(add_part, batch_format="pandas")
-
-    def local_sums(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("_rpart")[weight_col].sum()
-        return pd.DataFrame(
-            {"_rpart": g.index.to_numpy(dtype=np.int64), "w": g.to_numpy().astype("int64")}
-        )
-
-    from pdf_extractor_ray.ops.relational import grouped_sum
-
-    totals = grouped_sum(
-        parted.map_batches(local_sums, batch_format="pandas"), ["_rpart"], ["w"], counts=False
-    ).to_pandas()  # <= num_partitions + 1 rows
-    totals = totals.sort_values("_rpart", ascending=lead_asc)
-    offs = np.zeros(len(totals), dtype=np.int64)
-    np.cumsum(totals["sum_w"].to_numpy()[:-1], out=offs[1:])
-    offsets = dict(zip(totals["_rpart"].astype(int), offs))
+    starts, _ = _range_starts(ds, bnds, lead, lead_asc, weight_col)
 
     def scan_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out_cols = (cols or [c for c in g.columns if c != "_rpart"]) + [out_col]
-        if g.empty or "_rpart" not in g.columns or lead not in g.columns:
-            return pd.DataFrame({c: pd.Series(dtype="int64") for c in out_cols})
-        off = offsets[int(g["_rpart"].iloc[0])]
-        g = g.sort_values(keys, ascending=asc, kind="stable").drop(columns=["_rpart"])
+        start = starts[_range_ids(bnds, g[lead].to_numpy())]  # one value: one range
+        g = g.sort_values(keys, ascending=asc, kind="stable")
         w = g[weight_col].to_numpy().astype(np.int64)
-        g[out_col] = off + np.cumsum(w) - w
-        return g[out_cols] if cols is not None else g
+        g[out_col] = start + np.cumsum(w) - w
+        return g[[*cols, out_col]] if cols is not None else g
 
-    return parted.groupby("_rpart").map_groups(scan_partition, batch_format="pandas")
+    return _by_range(ds, bnds, lead, scan_partition)
 
 
 def select_top_frac(
@@ -388,22 +357,7 @@ def select_to_budget_per_group(
     bmap = budget if isinstance(budget, dict) else None
     bscalar = int(budget) if not isinstance(budget, dict) else 0
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        if len(b) == 0:
-            b["_part"] = pd.Series(dtype="int64")
-            return b
-        b["_part"] = (
-            pd.util.hash_array(b[group_col].to_numpy()) % num_partitions
-        ).astype(np.int64)
-        return b
-
     def cut(g: pd.DataFrame) -> pd.DataFrame:
-        out_cols = cols if cols is not None else [
-            c for c in g.columns if c not in ("_part",)
-        ]
-        if g.empty or group_col not in g.columns:
-            return g.drop(columns=["_part"], errors="ignore").iloc[0:0]
         g = g.sort_values(
             [group_col, *keys], ascending=[True, *ascending], kind="stable"
         )
@@ -413,15 +367,10 @@ def select_to_budget_per_group(
             caps = g[group_col].map(bmap).fillna(0).to_numpy(dtype=np.int64)
         else:
             caps = np.full(len(g), bscalar, dtype=np.int64)
-        keep = cum <= caps
-        g = g[keep].drop(columns=["_part"])
-        return g[out_cols]
+        g = g[cum <= caps]
+        return g[cols] if cols is not None else g
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(cut, batch_format="pandas")
-    )
+    return hash_partition(ds, column_hash(group_col), num_partitions, cut, None)
 
 
 def gini_coefficient(
@@ -516,31 +465,19 @@ def percentile_blend(
         )
 
         def proj(b: pd.DataFrame, _j=j) -> pd.DataFrame:
-            out = pd.DataFrame(
+            return pd.DataFrame(
                 {
                     id_col: b[id_col].to_numpy(dtype=np.int64),
                     "_j": np.full(len(b), _j, dtype=np.int64),
                     "_pct": (b["_r"].to_numpy(dtype="float64") - 1.0) / denom,
                 }
             )
-            out["_part"] = (out[id_col].to_numpy(dtype=np.int64)) % num_partitions
-            return out
 
         slims.append(ranked.map_batches(proj, batch_format="pandas"))
-
-    all_sigs = slims[0]
-    for s in slims[1:]:
-        all_sigs = all_sigs.union(s)
 
     k = len(cols)
 
     def blend(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "_j" not in g.columns:
-            out = {id_col: pd.Series(dtype="int64")}
-            for c in cols:
-                out[f"pct_{c}"] = pd.Series(dtype="float64")
-            out["blend_score"] = pd.Series(dtype="float64")
-            return pd.DataFrame(out)
         wide = g.pivot_table(index=id_col, columns="_j", values="_pct", aggfunc="first")
         wide = wide.dropna()  # every doc must carry all k signals
         score = np.zeros(len(wide), dtype="float64")
@@ -552,9 +489,10 @@ def percentile_blend(
         out["blend_score"] = score / wsum
         return out
 
-    return (
-        all_sigs.groupby("_part").map_groups(blend, batch_format="pandas")
+    schema = pa.schema(
+        [(id_col, pa.int64()), *[(f"pct_{c}", pa.float64()) for c in cols], ("blend_score", pa.float64())]
     )
+    return hash_partition(slims[0].union(*slims[1:]), id_col, num_partitions, blend, schema)
 
 
 def shard_binpack(

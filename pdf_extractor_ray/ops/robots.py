@@ -43,7 +43,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pdf_extractor_ray.ops.shuffle import _typed_table
+from pdf_extractor_ray.ops.shuffle import _typed_table, co_shuffle
 
 _LINE_RE = re.compile(r"^\s*([A-Za-z-]+)\s*:\s*(.*?)\s*$")
 _HOST_RE = re.compile(r"^https?://([^/]+)", re.IGNORECASE)
@@ -184,13 +184,11 @@ def robots_allow(
             matched_rule=matched,
         )
 
+    def parse_hosts(rdf: pd.DataFrame) -> dict:
+        return {h: parse_robots(t, agent) for h, t in zip(rdf[host_col].str.lower(), rdf[txt_col])}
+
     if tier == "broadcast":
-        rdf = robots.to_pandas()
-        parsed = {
-            h: parse_robots(t, agent)
-            for h, t in zip(rdf[host_col].str.lower(), rdf[txt_col])
-        }
-        pref = ray.put(parsed)
+        pref = ray.put(parse_hosts(robots.to_pandas()))
 
         def score(b: pd.DataFrame) -> pa.Table:
             rmap = ray.get(pref)
@@ -201,38 +199,18 @@ def robots_allow(
     if tier != "coshuffle":
         raise ValueError(f"unknown tier: {tier}")
 
-    # two-sided hash(host) mod P exchange; each partition parses its
-    # hosts' robots once and evaluates its urls in one pass
-    def robots_part(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "_host": b[host_col].str.lower(),
-                "_payload": b[txt_col],
-                "_side": np.int8(0),
-            }
-        )
-        out["_part"] = (
-            pd.util.hash_array(out["_host"].to_numpy(dtype=object)) % num_partitions
-        ).astype(np.int64)
-        return out
+    # urls co-shuffle with robots rows on hash(host) mod P; each
+    # partition parses its hosts' robots once and evaluates its urls in
+    # one pass
+    def merge(u: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+        return eval_frame(u[url_col], (parse_hosts(r) if len(r) else {}).get)
 
-    def urls_part(b: pd.DataFrame) -> pd.DataFrame:
-        host, _ = _host_path(b[url_col])
-        out = pd.DataFrame({"_host": host, "_payload": b[url_col], "_side": np.int8(1)})
-        out["_part"] = (
-            pd.util.hash_array(out["_host"].to_numpy(dtype=object)) % num_partitions
-        ).astype(np.int64)
-        return out
-
-    def merge(g: pd.DataFrame) -> pa.Table:
-        rmap = {
-            h: parse_robots(t, agent)
-            for h, t in g[g["_side"] == 0][["_host", "_payload"]].itertuples(index=False)
-        }
-        u = g[g["_side"] == 1]["_payload"].reset_index(drop=True)
-        return eval_frame(u, rmap.get)
-
-    both = robots.map_batches(robots_part, batch_format="pandas").union(
-        urls.map_batches(urls_part, batch_format="pandas")
+    return co_shuffle(
+        urls,
+        robots,
+        lambda t: pd.util.hash_array(_host_path(t.column(url_col).to_pandas())[0].to_numpy(dtype=object)),
+        lambda t: pd.util.hash_array(t.column(host_col).to_pandas().str.lower().to_numpy(dtype=object)),
+        num_partitions,
+        merge,
+        ALLOW_SCHEMA,
     )
-    return both.groupby("_part").map_groups(merge, batch_format="pandas")

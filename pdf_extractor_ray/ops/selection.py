@@ -315,8 +315,8 @@ def weighted_sample_per_group(
     quality-weighted draw — the stratified companion to the global
     sampler). Same md5-deterministic keys; same lossless bottom-k
     merge shape as hash_sample_per_group (each batch ships at most k
-    rows per group; the final groupby keys on group_col, so use it
-    for LOW-CARDINALITY strata — langs, sources — not ids). Returns
+    rows per group; one shuffle on hash(group) mod 32 finishes each
+    group inside its partition). Returns
     (group_col, id_col, sample_key)."""
     from pdf_extractor_ray.ops.scrub import md5_u52
 
@@ -334,21 +334,12 @@ def weighted_sample_per_group(
         return d.groupby(group_col, sort=False).head(k)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or group_col not in g.columns:
-            return pd.DataFrame(
-                {
-                    group_col: [],
-                    id_col: pd.Series([], dtype="int64"),
-                    "sample_key": pd.Series([], dtype="float64"),
-                }
-            )
-        g = g.sort_values(["sample_key", id_col], kind="stable").head(k)
-        return g[[group_col, id_col, "sample_key"]]
+        g = g.sort_values(["sample_key", id_col], kind="stable")
+        return g.groupby(group_col, sort=False).head(k)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(group_col)
-        .map_groups(merge, batch_format="pandas")
+    # group and id keep the caller's types: schemas are inferred
+    return hash_partition(
+        ds.map_batches(partial, batch_format="pandas"), column_hash(group_col), 32, merge, None
     )
 
 

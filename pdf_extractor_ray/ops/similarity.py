@@ -30,7 +30,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
+from pdf_extractor_ray.ops.shuffle import co_shuffle, column_hash, hash_partition
 
 _COS_PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cos", pa.float64())])
 
@@ -140,6 +140,19 @@ def assign_buckets(
     )
 
 
+def _probe_rows(batch: pd.DataFrame, cref, vec_col: str, cols: list, n: int) -> pd.DataFrame:
+    """`batch[cols]` once per each row's `n` nearest broadcast centroids
+    (nearest first, ties to the lower index), that centroid's index in
+    `bucket`: n=1 assigns a pool row, n=n_probe fans out a query."""
+    c = _QUERY_CACHE.get(("probe", cref.hex()))
+    if c is None:
+        c = _QUERY_CACHE[("probe", cref.hex())] = ray.get(cref)
+    m = _normalize_rows(np.stack(batch[vec_col].to_numpy()).astype(np.float32))
+    top = np.argsort(-(m @ c.T), axis=1, kind="stable")[:, :n]
+    out = batch.iloc[np.repeat(np.arange(len(batch)), n)][cols]
+    return out.assign(bucket=top.reshape(-1).astype(np.int32))
+
+
 def ivf_topk(
     ds: ray.data.Dataset,
     query: np.ndarray,
@@ -184,12 +197,7 @@ def embedding_neardup_pairs(
     cents = train_centroids(ds, n_centroids=n_centroids, vec_col=vec_col)
     bucketed = assign_buckets(ds, cents, vec_col=vec_col)
 
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"), "cos": pd.Series(dtype="float64")}
-        )
-        if len(g) < 2:
-            return empty
+    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame | None:
         ids = g[id_col].to_numpy()
         m = _normalize_rows(np.stack(g[vec_col].to_numpy()).astype(np.float32))
         frames = []
@@ -212,11 +220,10 @@ def embedding_neardup_pairs(
                     }
                 )
             )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+        return pd.concat(frames, ignore_index=True) if frames else None
 
-    out = bucketed.groupby("bucket").map_groups(pairs_in_bucket, batch_format="pandas").to_pandas()
-    if out.empty:  # zero pairs: preserve the schema
-        return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"), "cos": pd.Series(dtype="float64")})
+    # bucket ids run below len(cents): partition p holds bucket p alone
+    out = hash_partition(bucketed, "bucket", len(cents), pairs_in_bucket, _COS_PAIR_SCHEMA).to_pandas()
     return out.sort_values(["a", "b"], kind="stable").reset_index(drop=True)
 
 
@@ -591,47 +598,11 @@ def _hard_negatives_bucketed(
     n_probe = min(n_probe, len(cents))
     cref = ray.put(cents.astype(np.float32))
     slim = ds.select_columns([id_col, vec_col, label_col])
+    cols = [id_col, vec_col, label_col]
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                id_col: pd.Series(dtype="int64"),
-                vec_col: pd.Series(dtype="object"),
-                label_col: pd.Series(dtype="int64"),
-                "bucket": pd.Series(dtype="int32"),
-                "side": pd.Series(dtype="int8"),
-            }
-        )
-        if len(batch) == 0:
-            return empty
-        c = _QUERY_CACHE.get(("hnb", cref.hex()))
-        if c is None:
-            c = _QUERY_CACHE[("hnb", cref.hex())] = ray.get(cref)
-        m = _normalize_rows(np.stack(batch[vec_col].to_numpy()).astype(np.float32))
-        top = np.argsort(-(m @ c.T), axis=1, kind="stable")[:, :n_probe]
-        pool = batch[[id_col, vec_col, label_col]].copy()
-        pool["bucket"] = top[:, 0].astype(np.int32)
-        pool["side"] = np.int8(0)
-        qidx = np.repeat(np.arange(len(batch)), n_probe)
-        qs = batch.iloc[qidx][[id_col, vec_col, label_col]].copy()
-        qs["bucket"] = top.reshape(-1).astype(np.int32)
-        qs["side"] = np.int8(1)
-        return pd.concat([pool, qs], ignore_index=True)
-
-    def mine(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                id_col: pd.Series(dtype="int64"),
-                "neg_id": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-            }
-        )
-        if g.empty or "side" not in g.columns:
-            return empty
-        pool = g[g["side"] == 0]
-        qs = g[g["side"] == 1]
-        if pool.empty or qs.empty:
-            return empty
+    def mine(qs: pd.DataFrame, pool: pd.DataFrame) -> pd.DataFrame | None:
+        if pool.empty:
+            return None
         pids = pool[id_col].to_numpy(dtype=np.int64)
         plabels = pool[label_col].to_numpy(dtype=np.int64)
         pm = _normalize_rows(np.stack(pool[vec_col].to_numpy()).astype(np.float64))
@@ -658,14 +629,18 @@ def _hard_negatives_bucketed(
                     }
                 )
             )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+        return pd.concat(frames, ignore_index=True) if frames else None
 
-    # bucket cardinality == n_centroids (small by construction), so the
-    # per-bucket map_groups obeys the groupby scale rule
-    cands = (
-        slim.map_batches(tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(mine, batch_format="pandas")
+    # each row's n_probe query copies meet the pool rows of their
+    # buckets; bucket ids run below len(cents), one bucket per partition
+    cands = co_shuffle(
+        slim.map_batches(lambda b: _probe_rows(b, cref, vec_col, cols, n_probe), batch_format="pandas"),
+        slim.map_batches(lambda b: _probe_rows(b, cref, vec_col, cols, 1), batch_format="pandas"),
+        "bucket",
+        "bucket",
+        len(cents),
+        mine,
+        pa.schema([(id_col, pa.int64()), ("neg_id", pa.int64()), ("cos", pa.float64())]),
     )
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
@@ -1090,70 +1065,13 @@ def _bitext_mine_bucketed(
     n_probe = min(n_probe, len(cents))
     cref = ray.put(cents.astype(np.float32))
     keep_cand = max(k, cand_per_query)
+    cols = [id_col, vec_col]
 
-    def tag_pool(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                id_col: pd.Series(dtype="int64"),
-                vec_col: pd.Series(dtype="object"),
-                "bucket": pd.Series(dtype="int32"),
-                "side": pd.Series(dtype="int8"),
-            }
-        )
-        if len(batch) == 0:
-            return empty
-        c = _QUERY_CACHE.get(("btb", cref.hex()))
-        if c is None:
-            c = _QUERY_CACHE[("btb", cref.hex())] = ray.get(cref)
-        m = _normalize_rows(np.stack(batch[vec_col].to_numpy()).astype(np.float32))
-        out = batch[[id_col, vec_col]].copy()
-        out["bucket"] = (m @ c.T).argmax(axis=1).astype(np.int32)
-        out["side"] = np.int8(0)
-        return out
-
-    def tag_query(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                id_col: pd.Series(dtype="int64"),
-                vec_col: pd.Series(dtype="object"),
-                "bucket": pd.Series(dtype="int32"),
-                "side": pd.Series(dtype="int8"),
-            }
-        )
-        if len(batch) == 0:
-            return empty
-        c = _QUERY_CACHE.get(("btb", cref.hex()))
-        if c is None:
-            c = _QUERY_CACHE[("btb", cref.hex())] = ray.get(cref)
-        m = _normalize_rows(np.stack(batch[vec_col].to_numpy()).astype(np.float32))
-        top = np.argsort(-(m @ c.T), axis=1, kind="stable")[:, :n_probe]
-        qidx = np.repeat(np.arange(len(batch)), n_probe)
-        out = batch.iloc[qidx][[id_col, vec_col]].copy()
-        out["bucket"] = top.reshape(-1).astype(np.int32)
-        out["side"] = np.int8(1)
-        return out
-
-    tagged = tgt.select_columns([id_col, vec_col]).map_batches(
-        tag_pool, batch_format="pandas"
-    ).union(src.select_columns([id_col, vec_col]).map_batches(tag_query, batch_format="pandas"))
-
-    def mine(g: pd.DataFrame) -> pd.DataFrame:
+    def mine(qs: pd.DataFrame, pool: pd.DataFrame) -> pd.DataFrame | None:
         # kind 0: candidate pair (xid, yid, cos); kind 1: backward
         # partial (yid, cos) with xid = -1
-        empty = pd.DataFrame(
-            {
-                "kind": pd.Series(dtype="int8"),
-                "xid": pd.Series(dtype="int64"),
-                "yid": pd.Series(dtype="int64"),
-                "cos": pd.Series(dtype="float64"),
-            }
-        )
-        if g.empty or "side" not in g.columns:
-            return empty
-        pool = g[g["side"] == 0]
-        qs = g[g["side"] == 1]
-        if pool.empty or qs.empty:
-            return empty
+        if pool.empty:
+            return None
         yids = pool[id_col].to_numpy(dtype=np.int64)
         ym = _normalize_rows(np.stack(pool[vec_col].to_numpy()).astype(np.float64))
         frames = []
@@ -1192,11 +1110,23 @@ def _bitext_mine_bucketed(
                     }
                 )
             )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+        return pd.concat(frames, ignore_index=True)
 
-    # bucket cardinality == n_centroids (small by construction), so the
-    # per-bucket map_groups obeys the groupby scale rule
-    mined = tagged.groupby("bucket").map_groups(mine, batch_format="pandas")
+    # source queries (n_probe copies each) meet the target pool rows of
+    # their buckets; bucket ids run below len(cents), one per partition
+    mined = co_shuffle(
+        src.select_columns(cols).map_batches(
+            lambda b: _probe_rows(b, cref, vec_col, cols, n_probe), batch_format="pandas"
+        ),
+        tgt.select_columns(cols).map_batches(
+            lambda b: _probe_rows(b, cref, vec_col, cols, 1), batch_format="pandas"
+        ),
+        "bucket",
+        "bucket",
+        len(cents),
+        mine,
+        pa.schema([("kind", pa.int8()), ("xid", pa.int64()), ("yid", pa.int64()), ("cos", pa.float64())]),
+    )
 
     # per-target b_y (hash(yid)) — same reduce as the exact tier,
     # broadcast back as a |Y| map of k-scalar means, not vectors

@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from pdf_extractor_ray.functions import textstats
@@ -98,6 +99,12 @@ def top_terms(ds: ray.data.Dataset, k: int = 100, text_col: str = "text") -> pd.
     return out[["term", "n_term"]].reset_index(drop=True)
 
 
+def _repeated(counts: ray.data.Dataset, col: str) -> ray.data.Dataset:
+    """The rows of a grouped_sum table whose `col` is at least 2, as an
+    Arrow filter: a block left empty keeps its types."""
+    return counts.map_batches(lambda t: t.filter(pc.greater_equal(t[col], 2)), batch_format="pyarrow")
+
+
 def _collect(ds: ray.data.Dataset, cols: list[str]) -> pd.DataFrame:
     """A broadcast tier's bounded table on the driver, with `cols` even
     when no row survived: Ray's empty pandas blocks carry no column
@@ -171,12 +178,10 @@ def tfidf_topk(
         pairs = _doc_term_tf(batch, text_col)
         return pd.DataFrame({"term": pairs["term"], "df": 1}).astype({"df": "int64"})
 
-    def drop_hapax(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["sum_df"] >= 2]
-
-    df_multi = grouped_sum(
-        ds.map_batches(distinct_terms, batch_format="pandas"), ["term"], ["df"], counts=False
-    ).map_batches(drop_hapax, batch_format="pandas")
+    df_multi = _repeated(
+        grouped_sum(ds.map_batches(distinct_terms, batch_format="pandas"), ["term"], ["df"], counts=False),
+        "sum_df",
+    )
     # materialize once: the tier decision (count) and the broadcast
     # collect (tier 1 only) must not re-run the aggregation. The df
     # table lives distributed in the object store, never on the driver.
@@ -197,7 +202,7 @@ def tfidf_topk(
             out = _doc_term_tf(batch, text_col)
             # absent from the df>=2 map => df == 1 => idf = ln(N)
             out["tfidf"] = out["tf"].astype("float64") * out["term"].map(m).fillna(ln_n)
-            return _topk_per_doc(out, k)
+            return pa.Table.from_pandas(_topk_per_doc(out, k), preserve_index=False)
 
         return ds.map_batches(score, batch_format="pandas")
 
@@ -292,10 +297,7 @@ def unigram_logprob(
         res["avg_logprob"] = res["logprob"] / res["n_ws_tokens"]
         return res[["doc_id", "n_ws_tokens", "logprob", "avg_logprob"]]
 
-    def drop_singletons(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["sum_n"] >= 2]
-
-    multi = counts.map_batches(drop_singletons, batch_format="pandas")
+    multi = _repeated(counts, "sum_n")
     if multi.count() <= broadcast_max_terms:
         tbl = _collect(multi, ["term", "sum_n"])  # bounded by broadcast_max_terms
         ln_c = {t: math.log(int(n)) for t, n in zip(tbl["term"], tbl["sum_n"])}
@@ -439,10 +441,7 @@ def bigram_logprob(
         res["avg_logprob"] = res["logprob"] / res["n_bigrams"]
         return res[["doc_id", "n_bigrams", "logprob", "avg_logprob"]]
 
-    def drop_singletons(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["sum_n"] >= 2]
-
-    multi = counts.map_batches(drop_singletons, batch_format="pandas")
+    multi = _repeated(counts, "sum_n")
     if multi.count() <= broadcast_max_terms:
         tbl = _collect(multi, ["key", "sum_n"])  # bounded by broadcast_max_terms
         ln_map = {k: math.log(int(n)) for k, n in zip(tbl["key"], tbl["sum_n"])}

@@ -38,6 +38,8 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from pdf_extractor_ray.ops.shuffle import column_hash, hash_partition
+
 # scheme://host[:port][/path][?query] — permissive on purpose: crawl
 # URLs are messy and an unparseable URL must yield a REASON, not a
 # crash. Query excludes the fragment (#...), which no filter reads.
@@ -237,23 +239,15 @@ def domain_cap(
         b["_dom"] = [registrable_domain(h) for h in host]
         b["_h"] = md5_u52([str(u) for u in s])
         b = b.sort_values(["_h", url_col], kind="stable")
-        b = b.groupby("_dom", sort=False).head(max_per_domain)
-        b["_part"] = (
-            pd.util.hash_array(b["_dom"].to_numpy()) % np.uint64(num_partitions)
-        ).astype("int64")
-        return b
+        return b.groupby("_dom", sort=False).head(max_per_domain)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "_dom" not in g.columns:
-            return g
         g = g.sort_values(["_h", url_col], kind="stable")
         g = g.groupby("_dom", sort=False).head(max_per_domain)
-        return g.drop(columns=["_dom", "_h", "_part"])
+        return g.drop(columns=["_dom", "_h"])
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_part")
-        .map_groups(finish, batch_format="pandas")
+    return hash_partition(
+        ds.map_batches(partial, batch_format="pandas"), column_hash("_dom"), num_partitions, finish, None
     )
 
 

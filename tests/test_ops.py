@@ -600,6 +600,25 @@ def test_tfidf_topk_shuffle_tier_matches_broadcast(ray_session):
         assert got.tfidf.tolist() == [0.0, 0.0, 0.0]  # ln(N / df) = ln 1
 
 
+def test_tfidf_topk_one_document_typed(ray_session):
+    """On a one-document corpus the hapax filter leaves the df table
+    empty; both tiers still emit Arrow-typed (doc_id, term, tf, tfidf)."""
+    import pyarrow as pa
+    import ray.data
+
+    from pdf_extractor_ray.ops.text_analysis import tfidf_topk
+
+    one = ray.data.from_pandas(pd.DataFrame({"doc_id": [7], "text": ["beta alpha beta"]}))
+    for cap in (10**6, 0):
+        out = tfidf_topk(one, k=3, broadcast_max_terms=cap)
+        schema = out.schema()
+        assert dict(zip(schema.names, schema.types)) == {
+            "doc_id": pa.int64(), "term": pa.string(), "tf": pa.int64(), "tfidf": pa.float64()
+        }, cap
+        got = out.to_pandas().sort_values("term")
+        assert got.term.tolist() == ["alpha", "beta"] and got.tf.tolist() == [1, 2]
+
+
 def test_unigram_logprob_hand_computed(ray_session):
     """CCNet-style unigram LM score against a hand-computed model:
     corpus 'a a b' / 'b c' => counts a=2 b=2 c=1, C=5."""

@@ -1202,6 +1202,40 @@ def test_rc4_published_vectors():
     assert _rc4(b"k" * 16, _rc4(b"k" * 16, blob)) == blob
 
 
+def _rc4_oracle(key: bytes, data: bytes) -> bytes:
+    """The per-byte RC4 loop `_rc4` replaced, kept verbatim."""
+    s = list(range(256))
+    j = 0
+    klen = len(key)
+    for i in range(256):
+        j = (j + s[i] + key[i % klen]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+    out = bytearray(len(data))
+    i = j = 0
+    for n, c in enumerate(data):
+        i = (i + 1) & 0xFF
+        j = (j + s[i]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+        out[n] = c ^ s[(s[i] + s[j]) & 0xFF]
+    return bytes(out)
+
+
+def test_rc4_matches_per_byte_loop_hypothesis():
+    """_rc4 gives the bytes of the per-byte loop for keys of 1-32 bytes
+    and data of 0-4 KB (past several 256-byte index cycles)."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from pdf_extractor_ray.functions.pdf_codec import _rc4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(min_size=1, max_size=32), st.binary(max_size=4096))
+    def check(key, data):
+        assert _rc4(key, data) == _rc4_oracle(key, data)
+
+    check()
+
+
 def test_encrypted_pdf_roundtrip():
     """Standard-security RC4 documents (empty user password) decrypt
     and parse identically to their plaintext twins, in both the 40-bit

@@ -131,23 +131,16 @@ def test_hash_partition_inferred_schema_fewer_keys_than_ranges(ray_session):
 
 
 def test_migrated_modules_hand_roll_no_exchange():
-    """Modules moved onto this primitive keep no hand-rolled
-    `groupby("_part")` / `groupby("_kpart")` exchange."""
+    """Every exchange in `ops/` and `pipelines/extract.py` runs on this
+    primitive: no hand-rolled `groupby("_part")` / `("_rpart")` /
+    `("_kpart")` exchange and no Ray `map_groups` is left."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1] / "pdf_extractor_ray"
-    for rel in (
-        "ops/dedup.py",
-        "ops/linkgraph.py",
-        "ops/relational.py",
-        "ops/scrub.py",
-        "ops/selection.py",
-        "ops/similarity.py",
-        "ops/sketch.py",
-        "ops/text_analysis.py",
-        "ops/windows.py",
-        "pipelines/extract.py",
-    ):
-        text = (root / rel).read_text()
-        for exchange in ('groupby("_part")', 'groupby("_kpart")'):
-            assert exchange not in text, (rel, exchange)
+    paths = [p for p in sorted((root / "ops").glob("*.py")) if p.name != "shuffle.py"]
+    paths.append(root / "pipelines" / "extract.py")
+    assert len(paths) > 20
+    for path in paths:
+        text = path.read_text()
+        for exchange in ('groupby("_part")', 'groupby("_rpart")', 'groupby("_kpart")', ".map_groups("):
+            assert exchange not in text, (path.name, exchange)

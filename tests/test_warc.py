@@ -284,3 +284,52 @@ def test_warc_native_extraction_with_resume(ray_session, pages_path, tmp_path):
     stats2 = run_extraction(read_warc_pages(shards), out, cfg)
     assert stats2["rows_written"] == 0
     assert stats2["urls_skipped_resume"] == 502  # unique urls in the manifest
+
+
+def _parse_warc_date_oracle(s: str) -> datetime:
+    """The strptime-only WARC-Date parser, kept verbatim."""
+    for fmt in ("%Y-%m-%dT%H:%M:%S.%fZ", "%Y-%m-%dT%H:%M:%SZ"):
+        try:
+            return datetime.strptime(s, fmt)
+        except ValueError:
+            continue
+    raise UnsupportedWarcError(f"unparseable WARC-Date: {s!r}")
+
+
+def test_parse_warc_date_matches_strptime_hypothesis():
+    """_parse_warc_date gives the strptime parser's value or its error
+    on canonical dates, fractional seconds, one-digit and out-of-range
+    fields, other case, non-ASCII digits and garbage."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from pdf_extractor_ray.sources.warc import _parse_warc_date
+
+    field = st.one_of(
+        st.integers(0, 99).map(lambda v: f"{v:02d}"),
+        st.integers(0, 9).map(str),
+        st.sampled_from(["000", "60", "61", "\u0661\u0662", " 1", "+1", "1_0", ""]),
+    )
+    stamp = st.builds(
+        lambda y, mo, d, h, mi, sec, frac, t, z: f"{y}-{mo}-{d}{t}{h}:{mi}:{sec}{frac}{z}",
+        st.one_of(st.integers(0, 9999).map(lambda v: f"{v:04d}"), st.sampled_from(["99", "12345", "\u0662024"])),
+        field, field, field, field, field,
+        st.sampled_from(["", ".5", ".123456", ".1234567", "."]),
+        st.sampled_from(["T", "t", " "]),
+        st.sampled_from(["Z", "z", "", "Z ", "\n"]),
+    )
+
+    def outcome(f, s):
+        try:
+            return f(s)
+        except UnsupportedWarcError as exc:
+            return str(exc)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(stamp, st.text(max_size=30)))
+    def check(s):
+        assert outcome(_parse_warc_date, s) == outcome(_parse_warc_date_oracle, s)
+
+    check()
+    for s in ("2024-02-29T23:59:59Z", "2023-02-29T00:00:00Z", "2024-01-01T00:00:60Z", "2024-13-01T00:00:00Z"):
+        assert outcome(_parse_warc_date, s) == outcome(_parse_warc_date_oracle, s)
