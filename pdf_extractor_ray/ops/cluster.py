@@ -384,10 +384,15 @@ def cluster_topics(
     )
 
     # --- co-shuffle cluster ids with document text on hash(id) mod P
+    def int64_hash(col: str):
+        # both id columns hash as int64, so ids of differing dtypes meet
+        return lambda t: pd.util.hash_array(t.column(col).to_numpy().astype(np.int64))
+
     def term_counts(a: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame | None:
         if d.empty:  # no document text in this partition (or at all)
             return None
-        cl = d[doc_id_col].map(a.set_index(id_col)["cluster"])
+        by_id = pd.Series(a["cluster"].to_numpy(dtype=np.int64), index=a[id_col].to_numpy(dtype=np.int64))
+        cl = pd.Series(d[doc_id_col].to_numpy(dtype=np.int64)).map(by_id)
         keep = cl.notna().to_numpy()
         cl = cl[keep].to_numpy(dtype=np.int64)
         terms = d.loc[keep, text_col].astype(str).str.split()
@@ -406,8 +411,8 @@ def cluster_topics(
     counts = co_shuffle(
         assigned,
         docs.select_columns([doc_id_col, text_col]),
-        column_hash(id_col),
-        column_hash(doc_id_col),
+        int64_hash(id_col),
+        int64_hash(doc_id_col),
         num_partitions,
         term_counts,
         pa.schema([("cluster", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]),

@@ -591,16 +591,22 @@ def _hard_negatives_bucketed(
 ) -> pd.DataFrame:
     """Scale tier of hard_negatives — see its docstring. Nothing ever
     materializes the corpus on the driver: only the k x d centroid
-    matrix broadcasts; the heavy exchange is the bucket co-shuffle
-    (each vector moves once as pool + n_probe times as query), and the
-    finish moves <= n_probe*k scalar candidate rows per query."""
+    matrix broadcasts; the heavy exchange is the bucket shuffle (each
+    vector moves n_probe times as query, its nearest bucket's copy
+    doubling as its pool row), and the finish moves <= n_probe*k
+    scalar candidate rows per query."""
     cents = train_centroids(ds, n_centroids=n_centroids, vec_col=vec_col)
     n_probe = min(n_probe, len(cents))
     cref = ray.put(cents.astype(np.float32))
     slim = ds.select_columns([id_col, vec_col, label_col])
     cols = [id_col, vec_col, label_col]
 
-    def mine(qs: pd.DataFrame, pool: pd.DataFrame) -> pd.DataFrame | None:
+    def probe(b: pd.DataFrame) -> pd.DataFrame:
+        out = _probe_rows(b, cref, vec_col, cols, n_probe)
+        return out.assign(_pool=np.arange(len(out)) % n_probe == 0)
+
+    def mine(qs: pd.DataFrame) -> pd.DataFrame | None:
+        pool = qs[qs["_pool"].to_numpy(dtype=bool)]
         if pool.empty:
             return None
         pids = pool[id_col].to_numpy(dtype=np.int64)
@@ -632,11 +638,10 @@ def _hard_negatives_bucketed(
         return pd.concat(frames, ignore_index=True) if frames else None
 
     # each row's n_probe query copies meet the pool rows of their
-    # buckets; bucket ids run below len(cents), one bucket per partition
-    cands = co_shuffle(
-        slim.map_batches(lambda b: _probe_rows(b, cref, vec_col, cols, n_probe), batch_format="pandas"),
-        slim.map_batches(lambda b: _probe_rows(b, cref, vec_col, cols, 1), batch_format="pandas"),
-        "bucket",
+    # buckets, a row's first copy (its nearest bucket) being its pool
+    # row; bucket ids run below len(cents), one bucket per partition
+    cands = hash_partition(
+        slim.map_batches(probe, batch_format="pandas"),
         "bucket",
         len(cents),
         mine,

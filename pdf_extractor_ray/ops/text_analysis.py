@@ -17,7 +17,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from pdf_extractor_ray.functions import textstats
-from pdf_extractor_ray.ops.shuffle import co_shuffle, column_hash, hash_partition
+from pdf_extractor_ray.ops.shuffle import _as_schema, co_shuffle, column_hash, hash_partition
 
 
 class TextAnalyzer:
@@ -194,7 +194,7 @@ def tfidf_topk(
         }
         idf_ref = _ray.put(idf)
 
-        def score(batch: pd.DataFrame) -> pd.DataFrame:
+        def score(batch: pd.DataFrame) -> pa.Table:
             key = ("idf", idf_ref.hex())
             m = _ANALYZER_CACHE.get(key)
             if m is None:  # resolve the broadcast once per worker process
@@ -202,7 +202,17 @@ def tfidf_topk(
             out = _doc_term_tf(batch, text_col)
             # absent from the df>=2 map => df == 1 => idf = ln(N)
             out["tfidf"] = out["tf"].astype("float64") * out["term"].map(m).fillna(ln_n)
-            return pa.Table.from_pandas(_topk_per_doc(out, k), preserve_index=False)
+            # declared types, so a batch without terms still types `term`;
+            # doc_id keeps the caller's type
+            schema = pa.schema(
+                [
+                    ("doc_id", pa.array(batch["doc_id"]).type),
+                    ("term", pa.string()),
+                    ("tf", pa.int64()),
+                    ("tfidf", pa.float64()),
+                ]
+            )
+            return _as_schema(_topk_per_doc(out, k), schema)
 
         return ds.map_batches(score, batch_format="pandas")
 

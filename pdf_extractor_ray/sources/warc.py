@@ -42,7 +42,6 @@ Reader design (Ray-Data-first):
 from __future__ import annotations
 
 import hashlib
-import re
 import zlib
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -238,21 +237,12 @@ def _iter_decompressed(read: Callable[[int], bytes], chunk: int = 1 << 20) -> It
             pending = b
 
 
-_TS_FORMATS = ("%Y-%m-%dT%H:%M:%S.%fZ", "%Y-%m-%dT%H:%M:%SZ")
-
-
-_CANONICAL_TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+# whole seconds first: the common form then parses on the first try, and
+# no string matches both (one has a '.' after the seconds, the other none)
+_TS_FORMATS = ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S.%fZ")
 
 
 def _parse_warc_date(s: str) -> datetime:
-    # the canonical whole-second form, read without strptime; anything
-    # else (and an out-of-range field) goes the strptime way
-    m = _CANONICAL_TS.fullmatch(s)
-    if m:
-        try:
-            return datetime(*map(int, m.groups()))
-        except ValueError:
-            pass
     for fmt in _TS_FORMATS:
         try:
             return datetime.strptime(s, fmt)

@@ -602,7 +602,8 @@ def test_tfidf_topk_shuffle_tier_matches_broadcast(ray_session):
 
 def test_tfidf_topk_one_document_typed(ray_session):
     """On a one-document corpus the hapax filter leaves the df table
-    empty; both tiers still emit Arrow-typed (doc_id, term, tf, tfidf)."""
+    empty; both tiers still emit Arrow-typed (doc_id, term, tf, tfidf),
+    and so does a broadcast-tier batch with no terms."""
     import pyarrow as pa
     import ray.data
 
@@ -617,6 +618,15 @@ def test_tfidf_topk_one_document_typed(ray_session):
         }, cap
         got = out.to_pandas().sort_values("term")
         assert got.term.tolist() == ["alpha", "beta"] and got.tf.tolist() == [1, 2]
+    # a first block whose document has no terms: every block still
+    # carries the declared types, without pandas schema metadata
+    ds = ray.data.from_pandas(
+        [pd.DataFrame({"doc_id": [6], "text": [""]}), pd.DataFrame({"doc_id": [7, 8], "text": ["a b", "a"]})]
+    )
+    out = tfidf_topk(ds, k=3).materialize()
+    assert out.schema().types == [pa.int64(), pa.string(), pa.int64(), pa.float64()]
+    for ref in out.get_internal_block_refs():
+        assert ray.get(ref).schema.metadata is None
 
 
 def test_unigram_logprob_hand_computed(ray_session):
@@ -4925,6 +4935,9 @@ def test_cluster_topics_planted_vocab(ray_session):
     row = out[out["term"] == "alpha"].iloc[0]
     assert row["tf"] == 16 and row["ft"] == 16
     assert abs(row["score"] - 16 * math.log1p(32 / 16)) < 1e-12
+    # float64 document ids join the int64 cluster ids all the same
+    docs_f = ray.data.from_pandas(pd.DataFrame(rows_d).astype({"doc_id": "float64"})).repartition(2)
+    pd.testing.assert_frame_equal(out, cluster_topics(emb, docs_f, n_clusters=2, top_terms=3))
 
 
 def test_logreg_quality_gate(ray_session):
