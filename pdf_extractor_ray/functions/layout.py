@@ -68,33 +68,35 @@ def _columns(v: Any) -> tuple[list[float], list[float], list[float], list[float]
 
 
 def _cell_grid_from_edges(
-    v: Any, pos: Any, xs: list[float], ys: list[float]
-) -> tuple[list[list[str]], float]:
+    v: Any, pos: Any, xs: list[float], ys: list[float], min_cells: int, min_fill: float
+) -> tuple[list[list[str]] | None, float]:
     """Fill an (len(ys)-1) x (len(xs)-1) grid from the words at ``pos``
     whose center falls in each cell rect; returns (cells, fill_rate).
     A center's column is the first whose right edge it does not pass
     (edges ascend, so a binary search finds it), its row likewise.
-    Words joined in reading order (top, x0, text), i.e. by position."""
+    Words joined in reading order (top, x0, text), i.e. by position.
+    The fill counts the occupied cells only (a cell is filled when its
+    joined text is non-empty: one non-empty word, or two words of any
+    text), so a grid under ``min_cells`` or ``min_fill`` returns cells
+    None without building its (mostly empty) dense grid."""
     nrows, ncols = len(ys) - 1, len(xs) - 1
     pos = np.asarray(pos, np.intp)
     cx, cy = (v.x0[pos] + v.x1[pos]) / 2.0, (v.top[pos] + v.bottom[pos]) / 2.0
     inside = (xs[0] <= cx) & (cx <= xs[-1]) & (ys[0] <= cy) & (cy <= ys[-1])
-    cols = np.minimum(np.searchsorted(xs[1:], cx[inside]), ncols - 1).tolist()
-    rows = np.minimum(np.searchsorted(ys[1:], cy[inside]), nrows - 1).tolist()
-    buckets: list[list[list[int]]] = [[[] for _ in range(ncols)] for _ in range(nrows)]
-    for p, r, c in zip(pos[inside].tolist(), rows, cols):
-        buckets[r][c].append(p)
-    cells = []
-    filled = 0
-    for r in range(nrows):
-        row = []
-        for c in range(ncols):
-            t = " ".join(v.text[p] for p in sorted(buckets[r][c]))
-            if t:
-                filled += 1
-            row.append(t)
-        cells.append(row)
+    cols = np.minimum(np.searchsorted(xs[1:], cx[inside]), ncols - 1)
+    rows = np.minimum(np.searchsorted(ys[1:], cy[inside]), nrows - 1)
+    pos = pos[inside]
+    key = rows.astype(np.int64) * ncols + cols
+    cell, n = np.unique(key, return_counts=True)
+    texted = key[np.array([bool(v.text[p]) for p in pos.tolist()], bool)]
+    filled = np.union1d(cell[n > 1], texted).size
     fill = filled / (nrows * ncols) if nrows * ncols else 0.0
+    if nrows * ncols < min_cells or fill < min_fill:
+        return None, fill
+    buckets: list[list[list[int]]] = [[[] for _ in range(ncols)] for _ in range(nrows)]
+    for p, r, c in zip(pos.tolist(), rows.tolist(), cols.tolist()):
+        buckets[r][c].append(p)
+    cells = [[" ".join(v.text[p] for p in sorted(b)) for b in row] for row in buckets]
     return cells, fill
 
 
@@ -140,10 +142,12 @@ def detect_tables_from_lines(
         ]
         if len(xs) < cfg.table_min_cols + 1:
             continue
-        cells, fill = _cell_grid_from_edges(v, range(len(v.text)), xs, ys)
-        nrows, ncols = len(ys) - 1, len(xs) - 1
-        if nrows * ncols < cfg.table_min_cells or fill < cfg.table_min_fill:
+        cells, fill = _cell_grid_from_edges(
+            v, range(len(v.text)), xs, ys, cfg.table_min_cells, cfg.table_min_fill
+        )
+        if cells is None:
             continue
+        nrows, ncols = len(ys) - 1, len(xs) - 1
         tables.append(
             {
                 "bbox": [xs[0], ys[0], xs[-1], ys[-1]],
@@ -304,14 +308,13 @@ def detect_tables_from_whitespace(
         ys = [ys_centers[0] - step] + [
             (a + b) / 2.0 for a, b in zip(ys_centers, ys_centers[1:])
         ] + [max(BOT[p] for p in run)]
-        cells, fill = _cell_grid_from_edges(v, run, xs, ys)
+        cells, fill = _cell_grid_from_edges(v, run, xs, ys, cfg.table_min_cells, cfg.table_min_fill)
         nrows, ncols = len(ys) - 1, len(xs) - 1
-        texts = [c.strip() for row in cells for c in row if c.strip()]
+        texts = [c.strip() for row in cells or [] for c in row if c.strip()]
         valid = (
-            cfg.table_min_rows <= nrows <= cfg.table_max_rows_text
+            cells is not None
+            and cfg.table_min_rows <= nrows <= cfg.table_max_rows_text
             and cfg.table_min_cols <= ncols <= cfg.table_max_cols_text
-            and nrows * ncols >= cfg.table_min_cells
-            and fill >= cfg.table_min_fill
             and len(set(texts)) >= len(texts) * 0.3
         )
         if valid:

@@ -13,7 +13,8 @@ caller passes the hash it already computes (md5 words, `hash_array`,
 `hash_pandas_object`, int64 ids; `column_hash(*cols)` is the pandas
 hash of key columns), so the caller decides partition contents. Groups reach
 `fn` as pandas DataFrames built from each side's own Arrow rows (no
-null-filled columns from the other side, so int columns stay int).
+null-filled columns from the other side, so int columns stay int), the
+way Ray builds a pandas batch (tensor columns become ndarray cells).
 `fn` returns a DataFrame, an Arrow table or None; the module casts it
 to `schema` (None: Arrow types inferred from the DataFrame, for group
 columns of caller-defined type).
@@ -45,6 +46,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+from ray.data.block import BlockAccessor
 
 KeyHash = Union[str, Callable[[pa.Table], np.ndarray]]
 
@@ -138,8 +140,10 @@ def _exchange(inputs: list, P: int, fn, schema: pa.Schema | None) -> ray.data.Da
         def group(s: int, idx) -> pd.DataFrame:
             ts = [tables[i] for i in idx if side[i] == s and tables[i].num_rows]
             if ts:
-                return pa.concat_tables(ts, promote_options="permissive").to_pandas()
-            return (pa.table({}) if empty[s] is None else empty[s].empty_table()).to_pandas()
+                t = pa.concat_tables(ts, promote_options="permissive")
+            else:
+                t = pa.table({}) if empty[s] is None else empty[s].empty_table()
+            return BlockAccessor.for_block(t).to_pandas()
 
         emitted = False
         order = np.argsort(part, kind="stable")

@@ -1118,7 +1118,8 @@ def _bitext_mine_bucketed(
         return pd.concat(frames, ignore_index=True)
 
     # source queries (n_probe copies each) meet the target pool rows of
-    # their buckets; bucket ids run below len(cents), one per partition
+    # their buckets; bucket ids run below len(cents), one per partition.
+    # Both reduces below read the slim rows, so they materialize once.
     mined = co_shuffle(
         src.select_columns(cols).map_batches(
             lambda b: _probe_rows(b, cref, vec_col, cols, n_probe), batch_format="pandas"
@@ -1131,7 +1132,7 @@ def _bitext_mine_bucketed(
         len(cents),
         mine,
         pa.schema([("kind", pa.int8()), ("xid", pa.int64()), ("yid", pa.int64()), ("cos", pa.float64())]),
-    )
+    ).materialize()
 
     # per-target b_y (hash(yid)) — same reduce as the exact tier,
     # broadcast back as a |Y| map of k-scalar means, not vectors

@@ -22,7 +22,7 @@ import ray.data
 
 from pdf_extractor_ray.config import DEFAULT_CONFIG, PipelineConfig
 from pdf_extractor_ray.stages.extractor import Extractor
-from pdf_extractor_ray.state.manifest import PartitionWriter, completed_urls, write_json_atomic
+from pdf_extractor_ray.state.manifest import PartitionWriter, commit, committed, completed_urls
 
 INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
@@ -197,8 +197,8 @@ def run_extraction_sharded(
     on the driver, which caps it at test scale (VERDICT r1). This
     wrapper bounds that cost structurally: the input file list is
     split into shard groups, each group writes its OWN output
-    directory with a `_SUCCESS` marker written only after the group's
-    pipeline completes. On re-run:
+    directory with a `_SUCCESS` marker committed (state/manifest.commit)
+    only after the group's pipeline completes. On re-run:
 
       - a shard dir with `_SUCCESS` is skipped with ZERO reads (no
         manifest parse, no url set, no input scan);
@@ -225,15 +225,19 @@ def run_extraction_sharded(
     for gi, group in enumerate(groups):
         shard_dir = _os.path.join(out_dir, f"shard-{gi:05d}")
         marker = _os.path.join(shard_dir, "_SUCCESS")
-        if _os.path.exists(marker):
+        if committed(marker) is not None:
             shards_skipped += 1
             _run_log(out_dir, "shard_skipped", shard=gi)
             continue
-        stats = run_extraction(group, shard_dir, cfg, resume=True, num_blocks=num_blocks)
-        _run_log(out_dir, "shard_complete", shard=gi, rows_written=stats["rows_written"])
-        write_json_atomic({"n_files": len(group), "rows_written": stats["rows_written"]}, marker)
-        for k in totals:
-            totals[k] += stats[k]
+
+        def run() -> dict:  # the shard dir is the data; the marker commits it
+            stats = run_extraction(group, shard_dir, cfg, resume=True, num_blocks=num_blocks)
+            _run_log(out_dir, "shard_complete", shard=gi, rows_written=stats["rows_written"])
+            for k in totals:
+                totals[k] += stats[k]
+            return {"n_files": len(group), "rows_written": stats["rows_written"]}
+
+        commit(run, marker)
     totals.update({"out_dir": out_dir, "n_shards": len(groups), "shards_skipped": shards_skipped})
     return totals
 

@@ -464,22 +464,17 @@ class WarcDatasink(_Datasink):
         return [(os.path.basename(path), n)]
 
     def on_write_complete(self, write_result) -> None:
-        import json
         import os
+
+        from pdf_extractor_ray.state.manifest import write_json_atomic
 
         shards = sorted(
             (name, int(n)) for ret in write_result.write_returns for name, n in ret
         )
-        tmp = os.path.join(self._out_dir, "_SUCCESS.tmp")
-        with open(tmp, "w") as f:
-            json.dump(
-                {
-                    "num_rows": int(write_result.num_rows),
-                    "shards": [{"file": s, "rows": n} for s, n in shards],
-                },
-                f,
-            )
-        os.replace(tmp, os.path.join(self._out_dir, "_SUCCESS"))
+        write_json_atomic(
+            {"num_rows": int(write_result.num_rows), "shards": [{"file": s, "rows": n} for s, n in shards]},
+            os.path.join(self._out_dir, "_SUCCESS"),
+        )
 
 
 def write_warc_dataset(

@@ -37,6 +37,7 @@ import hashlib
 import json
 import os
 import time
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -79,13 +80,40 @@ def write_parquet_atomic(table: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
-def write_json_atomic(record: dict, path: str) -> None:
-    """Write `record` as JSON to `path`, published atomically the same
-    way (sidecars and `_SUCCESS` markers)."""
+def write_bytes_atomic(data: bytes, path: str) -> None:
+    """Write `data` to `path`, published atomically the same way."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(record, f)
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)
+
+
+def write_json_atomic(record: dict, path: str) -> None:
+    """Write `record` as JSON to `path`, published atomically."""
+    write_bytes_atomic(json.dumps(record).encode("utf-8"), path)
+
+
+def commit(publish: Callable[[], dict], marker: str) -> dict:
+    """Commit one unit of output: `publish()` writes the unit's data
+    atomically and returns its record, which then goes to `marker` as
+    JSON, atomically too. The marker is written last, so it commits the
+    data: a unit whose publish raised has no marker and runs again.
+    Partition sidecars, export `_SUCCESS` markers and the sharded
+    runner's `_SUCCESS` markers are all written here."""
+    record = publish()
+    write_json_atomic(record, marker)
+    return record
+
+
+def committed(marker: str) -> dict | None:
+    """The one done check for a `commit` marker: its record if the
+    marker exists and parses, else None (a missing or torn marker means
+    the unit is not done)."""
+    try:
+        with open(marker, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
 
 
 def _partition_id(urls: list[str]) -> str:
@@ -138,26 +166,28 @@ class PartitionWriter:
         if not urls:
             return _MANIFEST_ROW_SCHEMA.empty_table()
         pid = _partition_id(urls)
-        write_parquet_atomic(batch, _partition_path(self.out_dir, pid))
-        row = {
-            "partition_id": pid,
-            "n_rows": len(urls),
-            "url_min": min(urls),
-            "url_max": max(urls),
-            "stage_checksum": _stage_checksum(batch),
-            "wall_time_s": round(time.monotonic() - t0, 4),
-        }
-        # the sidecar commits the partition: written only after the
-        # parquet is published
-        write_json_atomic(row, os.path.join(self.mdir, f"{pid}.json"))
+
+        def publish() -> dict:
+            write_parquet_atomic(batch, _partition_path(self.out_dir, pid))
+            return {
+                "partition_id": pid,
+                "n_rows": len(urls),
+                "url_min": min(urls),
+                "url_max": max(urls),
+                "stage_checksum": _stage_checksum(batch),
+                "wall_time_s": round(time.monotonic() - t0, 4),
+            }
+
+        # the sidecar commits the partition
+        row = commit(publish, os.path.join(self.mdir, f"{pid}.json"))
         return pa.Table.from_pylist([row], schema=_MANIFEST_ROW_SCHEMA)
 
 
-def _sidecar_names(out_dir: str) -> list[str]:
+def _sidecars(out_dir: str) -> list[str]:
     mdir = os.path.join(out_dir, MANIFEST_DIR)
     if not os.path.isdir(mdir):
         return []
-    return sorted(n for n in os.listdir(mdir) if n.endswith(".json"))
+    return [os.path.join(mdir, n) for n in sorted(os.listdir(mdir)) if n.endswith(".json")]
 
 
 def completed_urls(out_dir: str) -> set[str]:
@@ -166,24 +196,17 @@ def completed_urls(out_dir: str) -> set[str]:
     (no sidecar, a torn one, a sidecar whose parquet is missing or
     unreadable) is not done, so its urls re-extract."""
     done: set[str] = set()
-    for name in _sidecar_names(out_dir):
+    for sidecar in _sidecars(out_dir):
+        if committed(sidecar) is None:
+            continue  # torn: that partition re-runs
+        path = _partition_path(out_dir, os.path.basename(sidecar)[: -len(".json")])
         try:
-            with open(os.path.join(out_dir, MANIFEST_DIR, name), encoding="utf-8") as f:
-                json.load(f)
-            path = _partition_path(out_dir, name[: -len(".json")])
             done.update(pq.ParquetFile(path).read(columns=["url"]).column("url").to_pylist())
         except (OSError, ValueError, KeyError):
-            continue  # torn or orphaned: that partition re-runs
+            continue  # orphaned: that partition re-runs
     return done
 
 
 def load_manifest(out_dir: str) -> list[dict]:
     """Every sidecar that parses, in partition-id order."""
-    rows = []
-    for name in _sidecar_names(out_dir):
-        try:
-            with open(os.path.join(out_dir, MANIFEST_DIR, name), encoding="utf-8") as f:
-                rows.append(json.load(f))
-        except (OSError, ValueError):
-            continue
-    return rows
+    return [r for r in map(committed, _sidecars(out_dir)) if r is not None]

@@ -226,3 +226,101 @@ def test_whitespace_detection_off_by_default_and_ranked_below_lines():
     grid = _grid_words(xs, ys) 
     both = detect_tables(_v(grid), _grid_lines(xs, ys), WS_CFG)
     assert len(both) == 1 and both[0]["method"] == "lines"
+
+
+def _dense_cell_grid(v, pos, xs, ys):
+    """The dense reference: every cell of the grid joined, then the
+    fill counted over all of them."""
+    nrows, ncols = len(ys) - 1, len(xs) - 1
+    buckets = [[[] for _ in range(ncols)] for _ in range(nrows)]
+    for p in pos:
+        cx, cy = (v.x0[p] + v.x1[p]) / 2.0, (v.top[p] + v.bottom[p]) / 2.0
+        if xs[0] <= cx <= xs[-1] and ys[0] <= cy <= ys[-1]:
+            c = min(next(i for i, x in enumerate(xs[1:]) if cx <= x), ncols - 1)
+            r = min(next(i for i, y in enumerate(ys[1:]) if cy <= y), nrows - 1)
+            buckets[r][c].append(p)
+    cells = [[" ".join(v.text[p] for p in sorted(b)) for b in row] for row in buckets]
+    return cells, sum(bool(t) for row in cells for t in row) / (nrows * ncols)
+
+
+def test_cell_grid_sparse_fill_matches_dense_grid():
+    """The fill comes from the occupied cells alone and equals the
+    dense grid's, empty-text words included (two of them in one cell
+    join to " " and fill it; one alone does not); cells are built only
+    for a grid that passes min_cells and min_fill."""
+    import random
+
+    from pdf_extractor_ray.functions.layout import _cell_grid_from_edges
+
+    rng = random.Random(7)
+    for _ in range(300):
+        xs = sorted(rng.sample(range(0, 400, 10), rng.randint(2, 8)))
+        ys = sorted(rng.sample(range(0, 400, 10), rng.randint(2, 8)))
+        words = [
+            _word(rng.choice(["", "", "a", "bc"]), rng.uniform(-20, 400), rng.uniform(-20, 400), w=4.0, h=4.0)
+            for _ in range(rng.randint(0, 30))
+        ]
+        v, pos = _v(words), range(len(words))
+        want_cells, want_fill = _dense_cell_grid(v, pos, [float(x) for x in xs], [float(y) for y in ys])
+        min_cells, min_fill = rng.choice([(0, 0.0), (9, 0.5), (4, 0.25)])
+        cells, fill = _cell_grid_from_edges(v, pos, [float(x) for x in xs], [float(y) for y in ys], min_cells, min_fill)
+        assert fill == want_fill
+        ok = len(want_cells) * len(want_cells[0]) >= min_cells and want_fill >= min_fill
+        assert cells == (want_cells if ok else None)
+    two_empty = _v([_word("", 12.0, 12.0, w=2.0, h=2.0), _word("", 13.0, 13.0, w=2.0, h=2.0)])
+    assert _cell_grid_from_edges(two_empty, range(2), [10.0, 20.0, 30.0], [10.0, 20.0], 0, 0.0)[1] == 0.5
+    assert _cell_grid_from_edges(two_empty, range(1), [10.0, 20.0, 30.0], [10.0, 20.0], 0, 0.0)[1] == 0.0
+
+
+_GRID_PROBE = """
+import json, resource, sys, time
+from datetime import datetime
+resource.setrlimit(resource.RLIMIT_DATA, (2 << 30, 2 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+import pyarrow as pa
+from pdf_extractor_ray.functions.pdf_codec import pages_to_pdf_bytes
+from pdf_extractor_ray.stages.extractor import Extractor
+
+k = int(sys.argv[1])
+end = 50.0 + 4.0 * (k - 1)
+lines = [{"x0": 50.0, "x1": end, "top": 50.0 + 4.0 * i, "bottom": 50.0 + 4.0 * i} for i in range(k)]
+lines += [{"x0": 50.0 + 4.0 * i, "x1": 50.0 + 4.0 * i, "top": 50.0, "bottom": end} for i in range(k)]
+words = [{"text": f"w{i}", "x0": 60.0 + 40 * i, "x1": 62.0 + 40 * i, "top": 60.0 + 40 * i,
+          "bottom": 62.0 + 40 * i, "size": 2.0, "fontname": "F0"} for i in range(40)]
+page = {"width": end + 50.0, "height": end + 50.0, "words": words, "lines": lines, "rects": []}
+batch = pa.table({
+    "url": ["https://x.example/grid"], "warc_ts": pa.array([datetime(2024, 1, 1)], pa.timestamp("us")),
+    "html": pa.array([pages_to_pdf_bytes([page], pdf15=True)], pa.binary()), "lang": ["en"],
+})
+ex = Extractor()
+t0 = time.process_time()
+rows = ex(batch).to_pylist()
+cpu = time.process_time() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10
+print(json.dumps({"rows": len(rows), "cpu": cpu, "rss": rss}))
+"""
+
+
+@pytest.mark.parametrize("k", [3_200, 12_800])
+def test_ruling_grid_probe_is_cheap(k):
+    """A page of k horizontal and k vertical rulings 4 pt apart with at
+    most 40 words: the dense (k-1)^2 grid took 11 s and 831 MB at
+    k = 3,200 and would need about 13 GB at 12,800. Counting the fill
+    from the occupied cells first returns the row in under 1 s of CPU
+    and 1 GB of RSS (the child process caps its data segment at 2 GB
+    and its CPU at 30 s, so the dense grid fails instead of swapping)."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRID_PROBE, str(k)], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["rows"] == 1
+    assert out["cpu"] < 1.0, out
+    assert out["rss"] < 1 << 30, out

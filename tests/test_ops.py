@@ -4809,6 +4809,41 @@ def test_bitext_mine_bucketed_tier(ray_session):
     pd.testing.assert_frame_equal(exact, auto)
 
 
+def test_bitext_mine_bucketed_reads_its_exchange_once(ray_session, tmp_path, monkeypatch):
+    """Both reduces of the bucketed tier (the per-target b_y map and the
+    per-source best pairs) read one materialized copy of the mined
+    rows: the per-bucket matmul runs once per bucket, not once per
+    consumer, and the output still equals the exact tier at full
+    probe."""
+    import ray.data
+
+    from pdf_extractor_ray.ops import similarity
+
+    rng = np.random.default_rng(3)
+    emb = pd.DataFrame({"vec_id": np.arange(400), "embedding": list(rng.standard_normal((400, 16)))})
+    src = ray.data.from_pandas(emb[emb.vec_id % 2 == 0]).repartition(3)
+    tgt = ray.data.from_pandas(emb[emb.vec_id % 2 == 1]).repartition(3)
+    calls = str(tmp_path / "calls")
+    real = similarity.co_shuffle
+
+    def counted(left, right, lk, rk, P, fn, schema):
+        def fn_logged(*groups):
+            with open(calls, "a") as f:
+                f.write("x\n")
+            return fn(*groups)
+
+        return real(left, right, lk, rk, P, fn_logged, schema)
+
+    monkeypatch.setattr(similarity, "co_shuffle", counted)
+    full = similarity.bitext_mine(
+        src, tgt, k=4, threshold=1.0, tier="bucketed", n_centroids=8, n_probe=8, cand_per_query=10_000,
+    )
+    with open(calls) as f:
+        assert len(f.readlines()) == 8  # every source probes all 8 buckets
+    exact = similarity.bitext_mine(src, tgt, k=4, threshold=1.0, tier="exact")
+    pd.testing.assert_frame_equal(exact, full)
+
+
 def test_boilerplate_line_filter(ray_session):
     """CCNet/RefinedWeb line-frequency boilerplate removal: a line in
     >= min_docs distinct documents is removed EVERYWHERE (including

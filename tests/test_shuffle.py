@@ -131,15 +131,14 @@ def test_hash_partition_inferred_schema_fewer_keys_than_ranges(ray_session):
 
 
 def test_migrated_modules_hand_roll_no_exchange():
-    """Every exchange in `ops/` and `pipelines/extract.py` runs on this
-    primitive: no hand-rolled `groupby("_part")` / `("_rpart")` /
-    `("_kpart")` exchange and no Ray `map_groups` is left."""
+    """Every exchange in the package runs on this primitive: no module
+    but `ops/shuffle.py` holds a hand-rolled `groupby("_part")` /
+    `("_rpart")` / `("_kpart")` exchange or a Ray `map_groups`."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1] / "pdf_extractor_ray"
-    paths = [p for p in sorted((root / "ops").glob("*.py")) if p.name != "shuffle.py"]
-    paths.append(root / "pipelines" / "extract.py")
-    assert len(paths) > 20
+    paths = [p for p in sorted(root.rglob("*.py")) if p != root / "ops" / "shuffle.py"]
+    assert len(paths) > 50 and root / "pipelines" / "export.py" in paths
     for path in paths:
         text = path.read_text()
         for exchange in ('groupby("_part")', 'groupby("_rpart")', 'groupby("_kpart")', ".map_groups("):
